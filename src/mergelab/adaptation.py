@@ -27,6 +27,7 @@ from .engine import (
     backward,
     encode,
     forward,
+    forward_cached,
     loss_eval,
     loss_output_grad,
     params_to_arrays,
@@ -119,17 +120,14 @@ def confidence_filter(merged_conf: np.ndarray, expert_conf: np.ndarray) -> np.nd
 # Expert fine-tuning and backbone pretraining
 
 
-def _encoder_arrays(params: ParamSet) -> list:
-    out = []
-    for layer in params.encoder:
-        out.extend([layer.weight, layer.bias])
-    return out
+def _from_flats(flats: Sequence[np.ndarray], like: Sequence[LayerParams]) -> tuple:
+    """Layers over an optimizer step's flat vectors, shaped like `like`; unchecked."""
+    return tuple(LayerParams.from_flat(f, l.weight.shape) for f, l in zip(flats, like))
 
 
-def _with_encoder_arrays(params: ParamSet, arrays: Sequence[np.ndarray]) -> ParamSet:
-    it = iter(arrays)
-    enc = tuple(LayerParams(next(it), next(it)) for _ in params.encoder)
-    return ParamSet(encoder=enc, heads=params.heads)
+def _validated(layers: Sequence[LayerParams]) -> tuple:
+    """The layers again, through the checking constructor (a loop's result)."""
+    return tuple(LayerParams(l.weight, l.bias) for l in layers)
 
 
 def finetune_expert(pre: ParamSet, x: np.ndarray, y: np.ndarray, task: str,
@@ -149,7 +147,7 @@ def finetune_expert(pre: ParamSet, x: np.ndarray, y: np.ndarray, task: str,
         return (params, []) if return_history else params
 
     rng = spawn_rng(seed, "finetune", task)
-    state = adam_init(_encoder_arrays(params))
+    state = adam_init([l.flat for l in params.encoder])
     history = []
     n = len(x)
     bs = min(batch_size, n)
@@ -159,10 +157,12 @@ def finetune_expert(pre: ParamSet, x: np.ndarray, y: np.ndarray, task: str,
         for start in range(0, n - bs + 1, bs):
             idx = order[start:start + bs]
             loss, grads = backward(params, task, x[idx], _slice_targets(y, idx, spec), spec)
-            arrays, state = adam_step(_encoder_arrays(params), _encoder_arrays(grads), state, lr)
-            params = _with_encoder_arrays(params, arrays)
+            flats, state = adam_step([l.flat for l in params.encoder],
+                                     [g.flat for g in grads.encoder], state, lr)
+            params = ParamSet(encoder=_from_flats(flats, params.encoder), heads=params.heads)
             epoch_losses.append(loss)
         history.append(float(np.mean(epoch_losses)))
+    params = ParamSet(encoder=_validated(params.encoder), heads=params.heads)
     return (params, history) if return_history else params
 
 
@@ -256,32 +256,6 @@ def _trainable_init(selector, expert: ParamSet, task: str):
 def _check_layer_index(i: int, depth: int):
     if not 0 <= i < depth:
         raise ValueError(f"trainable encoder index {i} out of range for depth {depth}")
-
-
-def _trainable_arrays(tr: TrainableLayer) -> list:
-    layers = (tr.params,) if isinstance(tr.params, LayerParams) else tuple(tr.params)
-    out = []
-    for l in layers:
-        out.extend([l.weight, l.bias])
-    return out
-
-
-def _trainable_from_arrays(tr: TrainableLayer, arrays: Sequence[np.ndarray]) -> TrainableLayer:
-    it = iter(arrays)
-    if isinstance(tr.params, LayerParams):
-        return TrainableLayer(tr.selector, LayerParams(next(it), next(it)))
-    layers = tuple(LayerParams(next(it), next(it)) for _ in tr.params)
-    return TrainableLayer(tr.selector, layers)
-
-
-def _trainable_grads(tr: TrainableLayer, grads: ParamSet, task: str) -> list:
-    if tr.selector == "head":
-        g = grads.heads[task]
-        return [g.weight, g.bias]
-    out = []
-    for i in tr.layer_indices():
-        out.extend([grads.encoder[i].weight, grads.encoder[i].bias])
-    return out
 
 
 def build_assembly(pre: ParamSet, vectors: Mapping[str, TaskVector],
@@ -411,15 +385,41 @@ def _validate_adapt_inputs(task_ids, vectors, inputs_by_task):
             raise UnknownTaskError(f"missing task vector for '{t}'")
         if t not in inputs_by_task:
             raise UnknownTaskError(f"missing test inputs for '{t}'")
+        if len(inputs_by_task[t]) == 0:
+            raise ValueError(f"empty input split for task '{t}'")
 
 
 def _run_adaptation(pre, vectors, heads, inputs_by_task, cfg, task_ids, specs,
                     targets_full, expert_conf, kinds, trainable) -> AdaptResult:
-    vec_list = tuple(vectors[t] for t in task_ids)
+    # One working assembly for the whole run: the task vectors are stacked
+    # (and their shapes checked) once, Adam steps the coefficient values in
+    # place, and a step swaps in the task's new trainable layer. Nothing is
+    # re-validated per step; the result is, on the way out.
     coeffs = CoefficientMatrix.constant(task_ids, len(pre.encoder), cfg.init_coeff)
+    values = coeffs.values
+    assembly = MergedAssembly(
+        pre_encoder=tuple(pre.encoder),
+        vectors=[vectors[t] for t in task_ids],
+        coeffs=coeffs,
+        heads=heads,
+        trainable=trainable,
+    )
+    stack = assembly.vectors
 
-    coeff_state = adam_init([coeffs.values])
-    layer_states = {t: adam_init(_trainable_arrays(tr)) for t, tr in trainable.items()}
+    coeff_state = adam_init([values])
+    layer_states = {t: adam_init([l.flat for l in tr.layers()]) for t, tr in trainable.items()}
+
+    def step_coeffs(grad):
+        nonlocal coeff_state
+        (new_vals,), coeff_state = adam_step([values], [grad], coeff_state, cfg.lr_coeffs)
+        values[...] = new_vals
+
+    def step_layer(task, layer_grads):
+        tr = trainable[task]
+        layers = tr.layers()
+        flats, layer_states[task] = adam_step([l.flat for l in layers], layer_grads,
+                                              layer_states[task], cfg.lr_layer)
+        trainable[task] = tr.with_layers(_from_flats(flats, layers))
 
     order_rng = spawn_rng(cfg.seed, "task-order")
     streams = {
@@ -435,7 +435,7 @@ def _run_adaptation(pre, vectors, heads, inputs_by_task, cfg, task_ids, specs,
         else:
             order = list(task_ids)
 
-        agg_coeff_grad = np.zeros_like(coeffs.values)
+        agg_coeff_grad = np.zeros_like(values)
         agg_layer_grads = {}
         pass_losses = []
         any_update = False
@@ -444,77 +444,71 @@ def _run_adaptation(pre, vectors, heads, inputs_by_task, cfg, task_ids, specs,
             idx = streams[task].next_indices()
             x = inputs_by_task[task][idx]
             targets = _slice_targets(targets_full[task], idx, specs[task])
-
-            assembly = MergedAssembly(
-                pre_encoder=tuple(pre.encoder),
-                vectors=vec_list,
-                coeffs=coeffs,
-                heads=heads,
-                trainable=trainable,
-            )
             model = assembly.materialize(task)
 
-            kept = np.arange(len(idx))
+            kept = len(idx)
+            cache = None
             batch_loss = None
             if cfg.filter_enabled and kinds[task] == "classification" and expert_conf[task] is not None:
-                logits = forward(model, task, x)
+                logits, acts = forward_cached(model, task, x)
                 batch_loss = loss_eval(logits, targets, specs[task])
-                keep_mask = confidence_filter(softmax(logits).max(axis=1), expert_conf[task][idx])
-                kept = np.flatnonzero(keep_mask)
-                if kept.size == 0:
+                keep = np.flatnonzero(confidence_filter(softmax(logits).max(axis=1),
+                                                        expert_conf[task][idx]))
+                kept = keep.size
+                if kept == 0:
                     pass_losses.append(batch_loss)
                     stats.append(StepStats(pass_idx, task, len(idx), 0, None, batch_loss))
                     continue
+                if kept < len(idx):
+                    # the backward pass on the kept rows reuses this forward pass
+                    logits, acts = logits.take(keep, axis=0), [a.take(keep, axis=0) for a in acts]
+                    x = acts[0]
+                    targets = targets if targets is None else targets.take(keep, axis=0)
+                cache = (logits, acts)
 
-            x_kept = x[kept]
-            targets_kept = targets if targets is None else targets[kept]
-            loss, grads = backward(model, task, x_kept, targets_kept, specs[task])
+            loss, grads = backward(model, task, x, targets, specs[task], cache=cache)
             if batch_loss is None:
                 batch_loss = loss  # nothing was filtered out
             pass_losses.append(batch_loss)
             any_update = True
-            stats.append(StepStats(pass_idx, task, len(idx), int(kept.size), float(loss),
+            stats.append(StepStats(pass_idx, task, len(idx), kept, float(loss),
                                    float(batch_loss)))
 
-            cgrad = coefficient_grad(grads.encoder, vec_list)
+            cgrad = coefficient_grad(grads.encoder, stack)
             tr = trainable.get(task)
             if tr is not None:
                 for l in tr.layer_indices():
                     cgrad[:, l] = 0.0  # replaced layer: loss does not see the merged layer
+                layer_grads = ([grads.heads[task].flat] if tr.selector == "head"
+                               else [grads.encoder[l].flat for l in tr.layer_indices()])
 
             if cfg.update_mode == "sequential":
                 if cfg.train_coeffs:
-                    (new_vals,), coeff_state = adam_step([coeffs.values], [cgrad],
-                                                         coeff_state, cfg.lr_coeffs)
-                    coeffs = CoefficientMatrix(task_ids, new_vals)
+                    step_coeffs(cgrad)
                 if tr is not None:
-                    arrays, layer_states[task] = adam_step(
-                        _trainable_arrays(tr), _trainable_grads(tr, grads, task),
-                        layer_states[task], cfg.lr_layer)
-                    trainable[task] = _trainable_from_arrays(tr, arrays)
+                    step_layer(task, layer_grads)
             else:
                 agg_coeff_grad += cgrad
                 if tr is not None:
-                    agg_layer_grads[task] = _trainable_grads(tr, grads, task)
+                    agg_layer_grads[task] = layer_grads
 
         if cfg.update_mode == "aggregated" and any_update:
             if cfg.train_coeffs:
-                (new_vals,), coeff_state = adam_step([coeffs.values], [agg_coeff_grad],
-                                                     coeff_state, cfg.lr_coeffs)
-                coeffs = CoefficientMatrix(task_ids, new_vals)
-            for task, lgrads in agg_layer_grads.items():
-                tr = trainable[task]
-                arrays, layer_states[task] = adam_step(
-                    _trainable_arrays(tr), lgrads, layer_states[task], cfg.lr_layer)
-                trainable[task] = _trainable_from_arrays(tr, arrays)
+                step_coeffs(agg_coeff_grad)
+            for task, layer_grads in agg_layer_grads.items():
+                step_layer(task, layer_grads)
 
         if not any_update:
             warnings.warn(f"pass {pass_idx}: every batch fully filtered, no update applied")
         if pass_losses:
             trace.append(float(np.mean(pass_losses)))
 
-    return AdaptResult(coeffs=coeffs, trainable=dict(trainable), loss_trace=trace,
-                       step_stats=stats)
+    return AdaptResult(
+        coeffs=CoefficientMatrix(task_ids, values),
+        trainable={t: tr.with_layers(_validated(tr.layers())) for t, tr in trainable.items()},
+        loss_trace=trace,
+        step_stats=stats,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ new values come out, nothing is mutated in place.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -23,29 +23,54 @@ class UnknownTaskError(KeyError):
 
 
 def _as_f64(a) -> np.ndarray:
-    return np.ascontiguousarray(np.asarray(a, dtype=np.float64))
+    return np.ascontiguousarray(a, dtype=np.float64)
 
 
 @dataclass(frozen=True)
 class LayerParams:
-    """One affine layer: weight (out_dim, in_dim) and bias (out_dim,)."""
+    """One affine layer: weight (out_dim, in_dim) and bias (out_dim,).
+
+    Both are views of one contiguous float64 vector, `flat` (the weight's
+    rows, then the bias), so a layer is a single array to the merge, the
+    coefficient gradient and the optimizer.
+    """
 
     weight: np.ndarray
     bias: np.ndarray
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "weight", _as_f64(self.weight))
-        object.__setattr__(self, "bias", _as_f64(self.bias))
-        if self.weight.ndim != 2 or self.bias.ndim != 1:
+        weight = np.asarray(self.weight, dtype=np.float64)
+        bias = np.asarray(self.bias, dtype=np.float64)
+        if weight.ndim != 2 or bias.ndim != 1:
             raise ShapeError(
-                f"layer expects 2-D weight and 1-D bias, got {self.weight.shape} / {self.bias.shape}"
+                f"layer expects 2-D weight and 1-D bias, got {weight.shape} / {bias.shape}"
             )
-        if self.weight.shape[0] != self.bias.shape[0]:
+        if weight.shape[0] != bias.shape[0]:
             raise ShapeError(
-                f"weight rows {self.weight.shape[0]} != bias length {self.bias.shape[0]}"
+                f"weight rows {weight.shape[0]} != bias length {bias.shape[0]}"
             )
-        if not (np.isfinite(self.weight).all() and np.isfinite(self.bias).all()):
+        flat = np.concatenate([weight.ravel(), bias])
+        if not np.isfinite(flat).all():
             raise ValueError("layer parameters must be finite")
+        self._set_flat(flat, weight.shape)
+
+    @classmethod
+    def from_flat(cls, flat: np.ndarray, shape: tuple) -> "LayerParams":
+        """A layer over `flat` (length out*in + out) for weight shape `shape`.
+
+        Unchecked: for values computed from layers that were validated, such
+        as merges, gradients and optimizer steps inside a training loop.
+        """
+        layer = object.__new__(cls)
+        layer._set_flat(flat, shape)
+        return layer
+
+    def _set_flat(self, flat: np.ndarray, shape: tuple):
+        n = shape[0] * shape[1]
+        object.__setattr__(self, "flat", flat)
+        object.__setattr__(self, "weight", flat[:n].reshape(shape))
+        object.__setattr__(self, "bias", flat[n:])
 
     @property
     def out_dim(self) -> int:
@@ -80,24 +105,11 @@ class ParamSet:
                     f"head '{task}' in_dim {head.in_dim} != encoder output {feat}"
                 )
 
-    @property
-    def input_dim(self) -> int:
-        return self.encoder[0].in_dim
-
-    @property
-    def feature_dim(self) -> int:
-        return self.encoder[-1].out_dim
-
     def head(self, task: str) -> LayerParams:
         try:
             return self.heads[task]
         except KeyError:
             raise UnknownTaskError(f"no head for task '{task}'") from None
-
-
-# Gradients share the ParamSet shape tree; entries for heads not touched by
-# a backward pass are zero.
-Gradients = ParamSet
 
 
 LOSS_KINDS = (
@@ -175,9 +187,9 @@ def _check_targets(outputs: np.ndarray, targets, spec: LossSpec):
         t = np.asarray(targets)
         if t.ndim != 1 or t.shape[0] != outputs.shape[0]:
             raise ShapeError(f"labels must be 1-D of length {outputs.shape[0]}")
-        if not np.issubdtype(t.dtype, np.integer):
+        if t.dtype.kind not in "iu":
             raise ValueError("class labels must be integers")
-        t = t.astype(np.int64)
+        t = t.astype(np.int64, copy=False)
         if t.min() < 0 or t.max() >= outputs.shape[1]:
             raise ValueError("class label out of range")
         return t
@@ -279,16 +291,22 @@ def loss_output_grad(outputs: np.ndarray, targets, spec: LossSpec) -> np.ndarray
     return -(t / (un * vn) - cos * z / (un * un)) / n
 
 
-def encode(encoder: Sequence[LayerParams], inputs: np.ndarray) -> np.ndarray:
-    """Push a batch through the encoder chain (tanh after every layer)."""
+def _activations(encoder: Sequence[LayerParams], inputs: np.ndarray) -> list:
+    """The inputs, then the output of every encoder layer (tanh after each)."""
     h = _as_f64(inputs)
     if h.ndim != 2:
         raise ShapeError(f"inputs must be 2-D (batch, dim), got {h.shape}")
     if h.shape[1] != encoder[0].in_dim:
         raise ShapeError(f"input dim {h.shape[1]} != first layer in_dim {encoder[0].in_dim}")
+    acts = [h]
     for layer in encoder:
-        h = np.tanh(h @ layer.weight.T + layer.bias)
-    return h
+        acts.append(np.tanh(acts[-1] @ layer.weight.T + layer.bias))
+    return acts
+
+
+def encode(encoder: Sequence[LayerParams], inputs: np.ndarray) -> np.ndarray:
+    """Push a batch through the encoder chain (tanh after every layer)."""
+    return _activations(encoder, inputs)[-1]
 
 
 def forward(params: ParamSet, task: str, inputs: np.ndarray) -> np.ndarray:
@@ -298,56 +316,46 @@ def forward(params: ParamSet, task: str, inputs: np.ndarray) -> np.ndarray:
     return h @ head.weight.T + head.bias
 
 
-def _forward_cached(params: ParamSet, task: str, inputs: np.ndarray):
+def forward_cached(params: ParamSet, task: str, inputs: np.ndarray):
+    """Logits plus the activations `backward` needs (`_activations`).
+    Selecting the same rows of each gives the cache of a sub-batch."""
     head = params.head(task)
-    h = _as_f64(inputs)
-    if h.ndim != 2:
-        raise ShapeError(f"inputs must be 2-D (batch, dim), got {h.shape}")
-    if h.shape[1] != params.input_dim:
-        raise ShapeError(f"input dim {h.shape[1]} != encoder in_dim {params.input_dim}")
-    acts = [h]
-    for layer in params.encoder:
-        h = np.tanh(h @ layer.weight.T + layer.bias)
-        acts.append(h)
-    logits = h @ head.weight.T + head.bias
-    return logits, acts
+    acts = _activations(params.encoder, inputs)
+    return acts[-1] @ head.weight.T + head.bias, acts
 
 
-def zeros_like_layer(layer: LayerParams) -> LayerParams:
-    return LayerParams(np.zeros_like(layer.weight), np.zeros_like(layer.bias))
+def _affine_grad(delta: np.ndarray, inputs: np.ndarray) -> LayerParams:
+    """Gradient of an affine layer from the gradient at its output."""
+    flat = np.concatenate([(delta.T @ inputs).ravel(), delta.sum(axis=0)])
+    return LayerParams.from_flat(flat, (delta.shape[1], inputs.shape[1]))
 
 
-def zeros_like_params(params: ParamSet) -> Gradients:
-    return ParamSet(
-        encoder=tuple(zeros_like_layer(l) for l in params.encoder),
-        heads={t: zeros_like_layer(h) for t, h in params.heads.items()},
-    )
-
-
-def backward(params: ParamSet, task: str, inputs: np.ndarray, targets, spec: LossSpec):
+def backward(params: ParamSet, task: str, inputs: np.ndarray, targets, spec: LossSpec,
+             cache=None):
     """Loss and its exact gradient with respect to every parameter.
 
     Heads other than `task` receive zero gradients (they do not enter the
-    forward pass).
+    forward pass). `cache`, when given, is `forward_cached(params, task,
+    inputs)`, and the forward pass is not run again.
     """
-    logits, acts = _forward_cached(params, task, inputs)
+    logits, acts = forward_cached(params, task, inputs) if cache is None else cache
     loss = loss_eval(logits, targets, spec)
     g = loss_output_grad(logits, targets, spec)
 
     head = params.head(task)
-    feats = acts[-1]
-    head_grad = LayerParams(g.T @ feats, g.sum(axis=0))
+    head_grad = _affine_grad(g, acts[-1])
     gh = g @ head.weight
 
     enc_grads = [None] * len(params.encoder)
     for i in range(len(params.encoder) - 1, -1, -1):
         post = acts[i + 1]
         da = gh * (1.0 - post * post)  # d tanh
-        enc_grads[i] = LayerParams(da.T @ acts[i], da.sum(axis=0))
+        enc_grads[i] = _affine_grad(da, acts[i])
         gh = da @ params.encoder[i].weight
 
-    heads = {t: zeros_like_layer(h) for t, h in params.heads.items()}
-    heads[task] = head_grad
+    heads = {t: head_grad if t == task else
+             LayerParams.from_flat(np.zeros_like(h.flat), h.weight.shape)
+             for t, h in params.heads.items()}
     return loss, ParamSet(encoder=tuple(enc_grads), heads=heads)
 
 
@@ -407,19 +415,21 @@ def adam_step(values: Sequence[np.ndarray], grads: Sequence[np.ndarray],
 
 
 def params_to_arrays(params: ParamSet) -> list:
-    out = []
-    for layer in params.encoder:
-        out.extend([layer.weight, layer.bias])
-    for task in sorted(params.heads):
-        head = params.heads[task]
-        out.extend([head.weight, head.bias])
-    return out
+    """One flat vector per layer: the encoder, then the heads in sorted task order."""
+    return [layer.flat for layer in params.encoder] + [
+        params.heads[task].flat for task in sorted(params.heads)]
 
 
 def arrays_to_params(template: ParamSet, arrays: Sequence[np.ndarray]) -> ParamSet:
+    """Inverse of `params_to_arrays`, with `template`'s layer shapes; validated."""
     it = iter(arrays)
-    enc = tuple(LayerParams(next(it), next(it)) for _ in template.encoder)
-    heads = {task: LayerParams(next(it), next(it)) for task in sorted(template.heads)}
+
+    def layer(like: LayerParams) -> LayerParams:
+        a = np.asarray(next(it), dtype=np.float64)
+        return LayerParams(a[:like.weight.size].reshape(like.weight.shape), a[like.weight.size:])
+
+    enc = tuple(layer(l) for l in template.encoder)
+    heads = {task: layer(template.heads[task]) for task in sorted(template.heads)}
     return ParamSet(encoder=enc, heads=heads)
 
 

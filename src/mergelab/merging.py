@@ -7,8 +7,8 @@ and that scalar weights the whole layer delta, bias included.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -66,25 +66,64 @@ class CoefficientMatrix:
         return self.values[i]
 
 
-def _check_same_shape(a: LayerParams, b: LayerParams, what: str):
-    if a.weight.shape != b.weight.shape or a.bias.shape != b.bias.shape:
-        raise ShapeError(f"{what}: layer shapes differ ({a.weight.shape} vs {b.weight.shape})")
+def _check_layers(a: Sequence[LayerParams], b: Sequence[LayerParams], what: str):
+    """ShapeError unless the layer sequences have the same depth and shapes."""
+    if len(a) != len(b):
+        raise ShapeError(f"{what}: depth {len(a)} != {len(b)}")
+    for la, lb in zip(a, b):
+        if la.weight.shape != lb.weight.shape:
+            raise ShapeError(
+                f"{what}: layer shapes differ ({la.weight.shape} vs {lb.weight.shape})")
 
 
 def _encoder_of(p) -> tuple:
     return tuple(p.encoder) if isinstance(p, ParamSet) else tuple(p)
 
 
+@dataclass(frozen=True, eq=False)
+class TaskVectorStack(Sequence):
+    """K task vectors stored per layer, usable as a sequence of `TaskVector`.
+
+    `matrices[l]` is (K, P_l): row k is task k's layer-l delta as one flat
+    vector (see `LayerParams.flat`); `shapes[l]` is that layer's weight
+    shape. The merge and the coefficient gradient are then one product per
+    layer. `stack_task_vectors` builds it and checks every shape once.
+    """
+
+    shapes: tuple
+    matrices: tuple
+
+    def __len__(self) -> int:
+        return len(self.matrices[0])
+
+    def __getitem__(self, k: int) -> TaskVector:
+        return TaskVector(tuple(LayerParams.from_flat(m[k], s)
+                                for m, s in zip(self.matrices, self.shapes)))
+
+
+def stack_task_vectors(vectors: Sequence[TaskVector], like) -> TaskVectorStack:
+    """`vectors` stacked against the layer shapes of `like` (an encoder, a
+    ParamSet or gradient layers); a stack with those shapes is returned as
+    is. Raises ShapeError on any depth or shape mismatch."""
+    layers = _encoder_of(like)
+    shapes = tuple(l.weight.shape for l in layers)
+    if isinstance(vectors, TaskVectorStack):
+        if vectors.shapes != shapes:
+            raise ShapeError(f"task vector shapes {vectors.shapes} != layer shapes {shapes}")
+        return vectors
+    for vec in vectors:
+        _check_layers(vec.deltas, layers, "task vector")
+    return TaskVectorStack(shapes, tuple(
+        np.array([vec.deltas[l].flat for vec in vectors]).reshape(len(vectors), base.flat.size)
+        for l, base in enumerate(layers)))
+
+
 def compute_task_vector(expert: ParamSet, pre: ParamSet) -> TaskVector:
     """delta[l] = expert.encoder[l] - pre.encoder[l]."""
     e, p = _encoder_of(expert), _encoder_of(pre)
-    if len(e) != len(p):
-        raise ShapeError(f"encoder depth differs: {len(e)} vs {len(p)}")
-    deltas = []
-    for le, lp in zip(e, p):
-        _check_same_shape(le, lp, "compute_task_vector")
-        deltas.append(LayerParams(le.weight - lp.weight, le.bias - lp.bias))
-    return TaskVector(tuple(deltas))
+    _check_layers(e, p, "compute_task_vector")
+    return TaskVector(tuple(LayerParams(le.weight - lp.weight, le.bias - lp.bias)
+                            for le, lp in zip(e, p)))
 
 
 def merge_uniform(experts: Sequence[ParamSet]) -> tuple:
@@ -92,55 +131,32 @@ def merge_uniform(experts: Sequence[ParamSet]) -> tuple:
     if not experts:
         raise ValueError("merge_uniform needs at least one expert")
     encoders = [_encoder_of(e) for e in experts]
-    depth = len(encoders[0])
-    if any(len(enc) != depth for enc in encoders):
-        raise ShapeError("experts have different encoder depths")
-    merged = []
-    for layer_idx in range(depth):
-        layers = [enc[layer_idx] for enc in encoders]
-        for l in layers[1:]:
-            _check_same_shape(layers[0], l, "merge_uniform")
-        w = np.mean([l.weight for l in layers], axis=0)
-        b = np.mean([l.bias for l in layers], axis=0)
-        merged.append(LayerParams(w, b))
-    return tuple(merged)
+    for enc in encoders[1:]:
+        _check_layers(enc, encoders[0], "merge_uniform")
+    return tuple(LayerParams.from_flat(np.mean([enc[l].flat for enc in encoders], axis=0),
+                                       base.weight.shape) for l, base in enumerate(encoders[0]))
 
 
 def merge_task_arithmetic(pre, vectors: Sequence[TaskVector], lam: float) -> tuple:
-    """theta[l] = pre[l] + lam * sum_k delta_k[l]."""
-    pre_enc = _encoder_of(pre)
-    merged = []
-    for l, base in enumerate(pre_enc):
-        w = base.weight.copy()
-        b = base.bias.copy()
-        for vec in vectors:
-            if len(vec) != len(pre_enc):
-                raise ShapeError("task vector depth != encoder depth")
-            _check_same_shape(base, vec.deltas[l], "merge_task_arithmetic")
-            w += lam * vec.deltas[l].weight
-            b += lam * vec.deltas[l].bias
-        merged.append(LayerParams(w, b))
-    return tuple(merged)
+    """theta[l] = pre[l] + lam * sum_k delta_k[l]: the layer-wise merge with
+    every coefficient equal to lam."""
+    depth = len(_encoder_of(pre))
+    coeffs = CoefficientMatrix([str(k) for k in range(len(vectors))],
+                               np.full((len(vectors), depth), float(lam)))
+    return merge_layerwise(pre, vectors, coeffs)
 
 
 def merge_layerwise(pre, vectors: Sequence[TaskVector], coeffs: CoefficientMatrix) -> tuple:
-    """theta[l] = pre[l] + sum_k coeff[k, l] * delta_k[l]."""
+    """theta[l] = pre[l] + sum_k coeff[k, l] * delta_k[l], as pre[l] + coeff[:, l] @ D_l."""
     pre_enc = _encoder_of(pre)
-    if coeffs.num_tasks != len(vectors):
-        raise ShapeError(f"coeff rows {coeffs.num_tasks} != task vectors {len(vectors)}")
+    stack = stack_task_vectors(vectors, pre_enc)
+    if coeffs.num_tasks != len(stack):
+        raise ShapeError(f"coeff rows {coeffs.num_tasks} != task vectors {len(stack)}")
     if coeffs.num_layers != len(pre_enc):
         raise ShapeError(f"coeff columns {coeffs.num_layers} != encoder depth {len(pre_enc)}")
-    merged = []
-    for l, base in enumerate(pre_enc):
-        w = base.weight.copy()
-        b = base.bias.copy()
-        for k, vec in enumerate(vectors):
-            _check_same_shape(base, vec.deltas[l], "merge_layerwise")
-            lam = coeffs.values[k, l]
-            w += lam * vec.deltas[l].weight
-            b += lam * vec.deltas[l].bias
-        merged.append(LayerParams(w, b))
-    return tuple(merged)
+    c = coeffs.values
+    return tuple(LayerParams.from_flat(base.flat + c[:, l] @ d, shape)
+                 for l, (base, d, shape) in enumerate(zip(pre_enc, stack.matrices, stack.shapes)))
 
 
 def coefficient_grad(encoder_grads: Sequence[LayerParams],
@@ -148,17 +164,12 @@ def coefficient_grad(encoder_grads: Sequence[LayerParams],
     """Chain rule through merge_layerwise: grad[k, l] = <dL/dtheta[l], delta_k[l]>.
 
     The inner product runs over the whole layer, weights and bias together,
-    because one coefficient scales both.
+    because one coefficient scales both: column l is D_l @ flat(dL/dtheta[l]).
     """
-    depth = len(encoder_grads)
-    out = np.zeros((len(vectors), depth))
-    for k, vec in enumerate(vectors):
-        if len(vec) != depth:
-            raise ShapeError("task vector depth != gradient depth")
-        for l in range(depth):
-            g, d = encoder_grads[l], vec.deltas[l]
-            _check_same_shape(g, d, "coefficient_grad")
-            out[k, l] = float((g.weight * d.weight).sum() + (g.bias * d.bias).sum())
+    stack = stack_task_vectors(vectors, encoder_grads)
+    out = np.empty((len(stack), len(encoder_grads)))
+    for l, (g, d) in enumerate(zip(encoder_grads, stack.matrices)):
+        out[:, l] = d @ g.flat
     return out
 
 
@@ -180,6 +191,16 @@ class TrainableLayer:
             return (self.selector,)
         return tuple(self.selector)
 
+    def layers(self) -> tuple:
+        """The trained layers, one per selected position."""
+        return self.params if isinstance(self.params, tuple) else (self.params,)
+
+    def with_layers(self, layers) -> "TrainableLayer":
+        """The same selector over new `layers`, given as `layers()` gives them."""
+        layers = tuple(layers)
+        single = not isinstance(self.params, tuple)
+        return TrainableLayer(self.selector, layers[0] if single else layers)
+
 
 @dataclass
 class MergedAssembly:
@@ -193,12 +214,13 @@ class MergedAssembly:
     """
 
     pre_encoder: tuple
-    vectors: tuple
+    vectors: TaskVectorStack  # any sequence of TaskVector; stacked on construction
     coeffs: CoefficientMatrix
     heads: dict  # task -> frozen expert LayerParams
     trainable: dict  # task -> TrainableLayer
 
     def __post_init__(self):
+        self.vectors = stack_task_vectors(self.vectors, self.pre_encoder)
         if self.coeffs.num_tasks != len(self.vectors):
             raise ShapeError("coefficient rows != number of task vectors")
         if self.coeffs.num_layers != len(self.pre_encoder):
@@ -215,8 +237,7 @@ class MergedAssembly:
             if tr.selector == "head":
                 head = tr.params
             else:
-                layers = (tr.params,) if isinstance(tr.selector, int) else tuple(tr.params)
-                for idx, layer in zip(tr.layer_indices(), layers):
+                for idx, layer in zip(tr.layer_indices(), tr.layers()):
                     encoder[idx] = layer
         if head is None:
             raise UnknownTaskError(f"no head for task '{task}'")

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import asdict
 from typing import Mapping
@@ -78,13 +79,23 @@ def load_bundle(path):
         raise BundleError(f"{path}: unsupported bundle version {version}")
     if len(blob) < 16 + header_len:
         raise BundleError(f"{path}: truncated header")
-    header = json.loads(blob[16:16 + header_len].decode("utf-8"))
+    try:
+        header = json.loads(blob[16:16 + header_len].decode("utf-8"))
+    except ValueError as exc:  # bad UTF-8 or bad JSON
+        raise BundleError(f"{path}: header is not valid JSON ({exc})") from exc
+    if not isinstance(header, dict):
+        raise BundleError(f"{path}: header is {type(header).__name__}, not an object")
+    if not isinstance(header.get("meta"), dict):
+        raise BundleError(f"{path}: header field 'meta' is not an object")
+    if not isinstance(header.get("arrays"), list):
+        raise BundleError(f"{path}: header field 'arrays' is not a list")
     arrays = {}
     offset = 16 + header_len
-    for entry in header["arrays"]:
+    for i, entry in enumerate(header["arrays"]):
+        _check_entry(path, i, entry)
         shape = tuple(entry["shape"])
         dtype = np.dtype(_DTYPES[entry["dtype"]])
-        nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
+        nbytes = math.prod(shape) * dtype.itemsize
         if offset + nbytes > len(blob):
             raise BundleError(f"{path}: truncated payload for array '{entry['name']}'")
         a = np.frombuffer(blob[offset:offset + nbytes], dtype=dtype).reshape(shape)
@@ -93,6 +104,22 @@ def load_bundle(path):
     if offset != len(blob):
         raise BundleError(f"{path}: {len(blob) - offset} trailing bytes")
     return header["meta"], arrays
+
+
+def _check_entry(path, i: int, entry) -> None:
+    where = f"{path}: arrays[{i}]"
+    if not isinstance(entry, dict):
+        raise BundleError(f"{where} is not an object")
+    for key in ("name", "dtype", "shape"):
+        if key not in entry:
+            raise BundleError(f"{where}: missing key '{key}'")
+    if not isinstance(entry["name"], str):
+        raise BundleError(f"{where}.name: not a string")
+    if not isinstance(entry["dtype"], str) or entry["dtype"] not in _DTYPES:
+        raise BundleError(f"{where}.dtype: unknown dtype {entry['dtype']!r}")
+    shape = entry["shape"]
+    if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
+        raise BundleError(f"{where}.shape: {shape!r} is not a list of non-negative integers")
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +243,7 @@ def save_trainable(trainable: Mapping[str, TrainableLayer], path) -> None:
         sel = tr.selector if tr.selector == "head" or isinstance(tr.selector, int) \
             else list(tr.selector)
         meta["selectors"][task] = sel
-        layers = (tr.params,) if isinstance(tr.params, LayerParams) else tuple(tr.params)
-        for pos, layer in enumerate(layers):
+        for pos, layer in enumerate(tr.layers()):
             arrays[f"{task}.{pos}.w"] = layer.weight
             arrays[f"{task}.{pos}.b"] = layer.bias
     save_bundle(path, meta, arrays)

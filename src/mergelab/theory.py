@@ -22,6 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .engine import LayerParams, LossSpec, ShapeError, encode, loss_eval, _as_f64
+from .merging import TaskVector, merge_task_arithmetic, merge_uniform
 
 MODEL_FAMILIES = ("linear", "nonlinear-net")
 
@@ -47,30 +48,15 @@ def model_outputs(encoder: Sequence[LayerParams], inputs: np.ndarray, family: st
     return h
 
 
-def _midpoint(a: Sequence[LayerParams], b: Sequence[LayerParams]) -> tuple:
-    if len(a) != len(b):
-        raise ShapeError("encoder depths differ")
-    out = []
-    for la, lb in zip(a, b):
-        if la.weight.shape != lb.weight.shape:
-            raise ShapeError("layer shapes differ")
-        out.append(LayerParams(0.5 * (la.weight + lb.weight), 0.5 * (la.bias + lb.bias)))
-    return tuple(out)
-
-
 def ctl_residual(theta_i: Sequence[LayerParams], theta_j: Sequence[LayerParams],
                  inputs: np.ndarray, family: str = "nonlinear-net",
                  head: LayerParams | None = None):
     """Max and mean per-sample norm of f(midpoint) - (f_i + f_j)/2."""
-    f_mid = model_outputs(_midpoint(theta_i, theta_j), inputs, family, head)
+    f_mid = model_outputs(merge_uniform([theta_i, theta_j]), inputs, family, head)
     f_avg = 0.5 * model_outputs(theta_i, inputs, family, head) \
         + 0.5 * model_outputs(theta_j, inputs, family, head)
     norms = np.linalg.norm(f_mid - f_avg, axis=1)
     return float(norms.max()), float(norms.mean())
-
-
-def _add_vector(theta: Sequence[LayerParams], tau: Sequence[LayerParams]) -> tuple:
-    return tuple(LayerParams(t.weight + d.weight, t.bias + d.bias) for t, d in zip(theta, tau))
 
 
 def synergy_eps(theta_0: Sequence[LayerParams], tau_i: Sequence[LayerParams],
@@ -80,8 +66,8 @@ def synergy_eps(theta_0: Sequence[LayerParams], tau_i: Sequence[LayerParams],
     if len(inputs) == 0:
         raise ValueError("empty evaluation data")
     base = loss_eval(model_outputs(theta_0, inputs, family, head), targets, loss)
-    shifted = loss_eval(model_outputs(_add_vector(theta_0, tau_i), inputs, family, head),
-                        targets, loss)
+    shifted = loss_eval(model_outputs(merge_task_arithmetic(theta_0, [TaskVector(tau_i)], 1.0),
+                                      inputs, family, head), targets, loss)
     return float(base - shifted)
 
 
@@ -150,8 +136,7 @@ def prop1_verify(instance: Prop1Instance) -> Prop1Report:
     out_0 = model_outputs(instance.theta_0, x, fam, head)
     out_i = model_outputs(instance.theta_i, x, fam, head)
     out_j = model_outputs(instance.theta_j, x, fam, head)
-    mid = _midpoint(instance.theta_i, instance.theta_j)
-    out_merge = model_outputs(mid, x, fam, head)
+    out_merge = model_outputs(merge_uniform([instance.theta_i, instance.theta_j]), x, fam, head)
 
     avg = 0.5 * out_i + 0.5 * out_j
     norms = np.linalg.norm(out_merge - avg, axis=1)

@@ -332,6 +332,14 @@ def test_symerge_missing_expert_input_raises(small_setup):
         symerge(pre, vectors, experts, bad_inputs, AdaptConfig(iterations=1))
 
 
+def test_symerge_empty_input_split_names_the_task(small_setup):
+    suite, pre, experts, vectors, inputs = small_setup
+    empty = sorted(experts)[1]
+    bad_inputs = dict(inputs, **{empty: inputs[empty][:0]})
+    with pytest.raises(ValueError, match=f"empty input split for task '{empty}'"):
+        symerge(pre, vectors, experts, bad_inputs, AdaptConfig(iterations=1))
+
+
 def test_symerge_regression_task_uses_l1_and_skips_filter():
     cfg = SuiteConfig(num_tasks=2, classes_per_task=3, input_dim=8, samples_per_split=40,
                       shared_subspace_dim=3, task_rotation_strength=0.5, noise_std=0.2,

@@ -1,4 +1,8 @@
 import json
+import os
+import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +33,7 @@ from mergelab.suites import SuiteConfig, gen_suite
 from conftest import REFERENCE_CONFIG, load_reference, params_equal, random_paramset
 
 GOLDEN = Path(__file__).parent / "data" / "golden_reference_eval.json"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 # ---------------------------------------------------------------------------
@@ -79,6 +84,48 @@ def test_bundle_rejects_truncation_and_bad_magic(tmp_path):
     (tmp_path / "trail.ckpt").write_bytes(blob + b"\x00")
     with pytest.raises(BundleError):
         load_bundle(tmp_path / "trail.ckpt")
+
+
+def _raw_bundle(path, header, payload=b""):
+    head = json.dumps(header).encode("utf-8")
+    path.write_bytes(b"MLBUNDLE" + struct.pack("<II", 1, len(head)) + head + payload)
+    return path
+
+
+def test_bundle_rejects_header_that_is_not_an_object(tmp_path):
+    for header, field in (([1, 2], "not an object"), ("x", "not an object"),
+                          ({"arrays": []}, "'meta'"), ({"meta": {}, "arrays": {}}, "'arrays'")):
+        with pytest.raises(BundleError, match=field):
+            load_bundle(_raw_bundle(tmp_path / "bad.bundle", header))
+
+
+@pytest.mark.parametrize("entry, field", [
+    ({"dtype": "float64", "shape": [2]}, "missing key 'name'"),
+    ({"name": "a", "shape": [2]}, "missing key 'dtype'"),
+    ({"name": "a", "dtype": "float64"}, "missing key 'shape'"),
+    ("a", r"arrays\[0\] is not an object"),
+    ({"name": "a", "dtype": "float32", "shape": [2]}, r"arrays\[0\]\.dtype"),
+    ({"name": "a", "dtype": ["float64"], "shape": [2]}, r"arrays\[0\]\.dtype"),
+    ({"name": "a", "dtype": "float64", "shape": [-1]}, r"arrays\[0\]\.shape"),
+    ({"name": "a", "dtype": "float64", "shape": [1.5]}, r"arrays\[0\]\.shape"),
+    ({"name": "a", "dtype": "float64", "shape": [True]}, r"arrays\[0\]\.shape"),
+    ({"name": "a", "dtype": "float64", "shape": "2"}, r"arrays\[0\]\.shape"),
+])
+def test_bundle_rejects_malformed_array_entries(tmp_path, entry, field):
+    path = _raw_bundle(tmp_path / "bad.bundle", {"meta": {}, "arrays": [entry]}, bytes(16))
+    with pytest.raises(BundleError, match=field):
+        load_bundle(path)
+
+
+def test_cli_bad_bundle_header_exits_3_without_traceback(tmp_path):
+    data = _raw_bundle(tmp_path / "data.bundle", [])
+    proc = subprocess.run(
+        [sys.executable, "-m", "mergelab", "eval", "--data", str(data),
+         "--ckpt-dir", str(tmp_path / "ckpts"), "--out-dir", str(tmp_path / "out")],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert "not an object" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_suite_round_trip(tmp_path):
