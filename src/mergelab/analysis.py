@@ -8,7 +8,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .engine import LayerParams, LossSpec, ParamSet, ShapeError, forward, loss_eval
 from .merging import CoefficientMatrix, MergedAssembly, TaskVector, merge_layerwise, merge_uniform
@@ -89,6 +88,21 @@ def transfer_metrics(pre, vectors: Sequence[TaskVector], coeffs: CoefficientMatr
     return merged_score, float(np.mean(pair_scores))
 
 
+def _average_ranks(a: np.ndarray) -> np.ndarray:
+    """1-based ranks of a 1-D array; tied values share the mean of their
+    ranks, and any NaN makes every rank NaN."""
+    if np.isnan(a).any():
+        return np.full(a.shape, np.nan)
+    order = np.argsort(a, kind="stable")
+    ordered = a[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], len(a)]
+    ranks = np.empty(len(a))
+    # a tie group fills sorted positions start..end-1, i.e. ranks start+1..end
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
 def spearman(xs, ys) -> float:
     """Spearman rank correlation with average ranks for ties."""
     xs = np.asarray(xs, dtype=np.float64)
@@ -97,8 +111,8 @@ def spearman(xs, ys) -> float:
         raise ShapeError("spearman expects two equal-length 1-D sequences")
     if len(xs) < 2:
         raise DegenerateDataError("spearman needs at least 2 observations")
-    rx = rankdata(xs, method="average")
-    ry = rankdata(ys, method="average")
+    rx = _average_ranks(xs)
+    ry = _average_ranks(ys)
     dx = rx - rx.mean()
     dy = ry - ry.mean()
     denom = np.sqrt((dx * dx).sum() * (dy * dy).sum())

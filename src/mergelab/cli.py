@@ -43,6 +43,7 @@ from .analysis import (
 )
 from .config import (
     ANALYSES,
+    COEFF_ANALYSES,
     ConfigError,
     adapt_config_from_dict,
     load_config_file,
@@ -418,9 +419,9 @@ def _cmd_analyze(args) -> int:
     for a in analyses:
         if a not in ANALYSES:
             raise ConfigError(f"analyses: '{a}' is not one of {ANALYSES}")
-    if ("sparsity" in analyses or "transfer" in analyses or "correlation" in analyses
-            or "discrepancy" in analyses) and not args.coeffs:
-        raise ConfigError("analyses: sparsity/transfer/correlation/discrepancy need --coeffs")
+    needs_coeffs = [a for a in analyses if a in COEFF_ANALYSES]
+    if needs_coeffs and not args.coeffs:
+        raise ConfigError(f"analyses: --coeffs is needed by {', '.join(needs_coeffs)}")
 
     assembly = coeffs = None
     if args.coeffs:

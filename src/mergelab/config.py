@@ -14,8 +14,8 @@ METHODS = ("individual", "weight_avg", "task_arithmetic", "adamerging", "symerge
 ANALYSES = ("eval", "cross_matrix", "cross_merge", "transfer", "correlation",
             "discrepancy", "sparsity", "prop1", "pilot")
 
-# analyses that need learned coefficients to say anything
-_COEFF_ANALYSES = frozenset({"sparsity"})
+# analyses that read a merge's coefficients (`mergelab analyze --coeffs`)
+COEFF_ANALYSES = frozenset({"sparsity", "transfer", "correlation", "discrepancy"})
 _COEFF_METHODS = frozenset({"task_arithmetic", "weight_avg", "adamerging", "symerge"})
 
 
@@ -39,7 +39,7 @@ class ExperimentConfig:
             if a not in ANALYSES:
                 raise ConfigError(f"analyses: '{a}' is not one of {ANALYSES}")
         for a in self.analyses:
-            if a in _COEFF_ANALYSES and self.method not in _COEFF_METHODS:
+            if a in COEFF_ANALYSES and self.method not in _COEFF_METHODS:
                 raise ConfigError(
                     f"analyses: '{a}' requires a coefficient-bearing method, got '{self.method}'")
 

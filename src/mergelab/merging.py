@@ -225,6 +225,11 @@ class MergedAssembly:
             raise ShapeError("coefficient rows != number of task vectors")
         if self.coeffs.num_layers != len(self.pre_encoder):
             raise ShapeError("coefficient columns != encoder depth")
+        for task, tr in self.trainable.items():
+            for i in tr.layer_indices():
+                if not 0 <= i < len(self.pre_encoder):
+                    raise ShapeError(f"trainable layer {i} of task '{task}' is out of range "
+                                     f"for encoder depth {len(self.pre_encoder)}")
 
     def merged_encoder(self) -> tuple:
         return merge_layerwise(self.pre_encoder, self.vectors, self.coeffs)

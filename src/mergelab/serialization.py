@@ -148,22 +148,42 @@ def load_checkpoint(path) -> ParamSet:
     meta, arrays = load_bundle(path)
     if meta.get("format") != "paramset":
         raise BundleError(f"{path}: not a parameter checkpoint")
-    encoder = []
-    for i, (out_dim, in_dim) in enumerate(meta["encoder"]):
-        w, b = arrays[f"enc{i}.w"], arrays[f"enc{i}.b"]
-        if w.shape != (out_dim, in_dim) or b.shape != (out_dim,):
-            raise BundleError(f"{path}: encoder layer {i} shape mismatch between header and data")
-        encoder.append(LayerParams(w, b))
-    heads = {}
-    for task, (out_dim, in_dim) in meta["heads"].items():
-        w, b = arrays[f"head.{task}.w"], arrays[f"head.{task}.b"]
-        if w.shape != (out_dim, in_dim) or b.shape != (out_dim,):
-            raise BundleError(f"{path}: head '{task}' shape mismatch between header and data")
-        heads[task] = LayerParams(w, b)
+    encoder = [_layer(path, arrays, f"enc{i}", pair, f"encoder[{i}]")
+               for i, pair in enumerate(_meta_field(path, meta, "encoder", list))]
+    heads = {task: _layer(path, arrays, f"head.{task}", pair, f"heads.{task}")
+             for task, pair in _meta_field(path, meta, "heads", dict).items()}
     try:
         return ParamSet(encoder=tuple(encoder), heads=heads)
     except ShapeError as exc:
         raise BundleError(f"{path}: inconsistent shapes: {exc}") from exc
+
+
+def _meta_field(path, meta: Mapping, key: str, kind: type):
+    value = meta.get(key)
+    if not isinstance(value, kind):
+        raise BundleError(
+            f"{path}: meta field '{key}' is {type(value).__name__}, not {kind.__name__}")
+    return value
+
+
+def _array(path, arrays: Mapping, name: str) -> np.ndarray:
+    try:
+        return arrays[name]
+    except KeyError:
+        raise BundleError(f"{path}: missing array '{name}'") from None
+
+
+def _layer(path, arrays: Mapping, prefix: str, pair, where: str) -> LayerParams:
+    """The layer stored as `<prefix>.w` / `<prefix>.b`, checked against the
+    [out_dim, in_dim] pair the meta field `where` declares for it."""
+    if not (isinstance(pair, list) and len(pair) == 2
+            and all(type(d) is int and d >= 0 for d in pair)):
+        raise BundleError(f"{path}: meta field '{where}' is {pair!r}, not an [out_dim, in_dim] pair")
+    out_dim, in_dim = pair
+    w, b = _array(path, arrays, f"{prefix}.w"), _array(path, arrays, f"{prefix}.b")
+    if w.shape != (out_dim, in_dim) or b.shape != (out_dim,):
+        raise BundleError(f"{path}: meta field '{where}' does not match the shapes of its arrays")
+    return LayerParams(w, b)
 
 
 # ---------------------------------------------------------------------------
@@ -193,19 +213,23 @@ def load_suite(path) -> TaskSuite:
     meta, arrays = load_bundle(path)
     if meta.get("format") != "suite":
         raise BundleError(f"{path}: not a suite file")
-    cfg_dict = dict(meta["config"])
-    cfg_dict["regression_tasks"] = tuple(cfg_dict.get("regression_tasks", ()))
-    cfg = SuiteConfig(**cfg_dict)
+    cfg_dict = dict(_meta_field(path, meta, "config", dict))
+    try:
+        cfg_dict["regression_tasks"] = tuple(cfg_dict.get("regression_tasks", ()))
+        cfg = SuiteConfig(**cfg_dict)
+    except (TypeError, ValueError) as exc:
+        raise BundleError(f"{path}: meta field 'config': {exc}") from exc
     tasks = []
-    for entry in meta["tasks"]:
+    for i, entry in enumerate(_meta_field(path, meta, "tasks", list)):
+        if not (isinstance(entry, dict) and isinstance(entry.get("id"), str)
+                and entry.get("kind") in ("classification", "regression")):
+            raise BundleError(f"{path}: meta field 'tasks[{i}]' is {entry!r}, not "
+                              "{'id': <string>, 'kind': 'classification' | 'regression'}")
         tid = entry["id"]
         tasks.append(TaskData(
-            task_id=tid,
-            kind=entry["kind"],
-            x_train=arrays[f"{tid}.x_train"],
-            y_train=arrays[f"{tid}.y_train"],
-            x_test=arrays[f"{tid}.x_test"],
-            y_test=arrays[f"{tid}.y_test"],
+            tid, entry["kind"],
+            *(_array(path, arrays, f"{tid}.{split}")
+              for split in ("x_train", "y_train", "x_test", "y_test")),
         ))
     return TaskSuite(config=cfg, tasks=tasks)
 
@@ -228,8 +252,10 @@ def save_coeffs(coeffs: CoefficientMatrix, path) -> None:
 def load_coeffs(path) -> CoefficientMatrix:
     with open(path, encoding="utf-8") as f:
         doc = json.load(f)
-    if doc.get("format") != "coeffs":
+    if not isinstance(doc, dict) or doc.get("format") != "coeffs":
         raise BundleError(f"{path}: not a coefficient file")
+    if not isinstance(doc.get("task_ids"), list):
+        raise BundleError(f"{path}: field 'task_ids' is not a list")
     values = np.asarray(doc["values"], dtype=np.float64)
     if values.shape != (len(doc["task_ids"]), doc["num_layers"]):
         raise BundleError(f"{path}: coefficient shape does not match header")
@@ -254,14 +280,18 @@ def load_trainable(path) -> dict:
     if meta.get("format") != "trainable":
         raise BundleError(f"{path}: not a trainable-layer file")
     out = {}
-    for task, sel in meta["selectors"].items():
+    for task, sel in _meta_field(path, meta, "selectors", dict).items():
+        positions = sel if isinstance(sel, list) else [sel]
+        if not (sel == "head" or all(type(i) is int and i >= 0 for i in positions)):
+            raise BundleError(f"{path}: meta field 'selectors.{task}' is {sel!r}, not "
+                              "'head', a layer index or a list of them")
+        layers = tuple(LayerParams(_array(path, arrays, f"{task}.{p}.w"),
+                                   _array(path, arrays, f"{task}.{p}.b"))
+                       for p in range(len(positions)))
         if isinstance(sel, list):
-            sel = tuple(int(i) for i in sel)
-            layers = tuple(LayerParams(arrays[f"{task}.{p}.w"], arrays[f"{task}.{p}.b"])
-                           for p in range(len(sel)))
-            out[task] = TrainableLayer(sel, layers)
+            out[task] = TrainableLayer(tuple(sel), layers)
         else:
-            out[task] = TrainableLayer(sel, LayerParams(arrays[f"{task}.0.w"], arrays[f"{task}.0.b"]))
+            out[task] = TrainableLayer(sel, layers[0])
     return out
 
 

@@ -14,7 +14,6 @@ import hashlib
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 
 def spawn_rng(seed: int, *scope) -> np.random.Generator:
@@ -97,7 +96,12 @@ def _task_rotation(cfg: SuiteConfig, task_index: int) -> np.ndarray:
     rng = spawn_rng(cfg.seed, "rotation", task_index)
     a = rng.normal(0.0, 1.0, (cfg.input_dim, cfg.input_dim))
     skew = (a - a.T) / np.sqrt(2.0 * cfg.input_dim)
-    return expm(cfg.task_rotation_strength * skew)
+    # exp(s * skew) through the eigenvectors of the Hermitian 1j * skew:
+    # skew = V diag(-1j * w) V^H. Written as I + V (exp(-1j s w) - 1) V^H so
+    # strength 0 gives exactly the identity.
+    w, v = np.linalg.eigh(1j * skew)
+    phase = np.expm1(-1j * cfg.task_rotation_strength * w)
+    return np.eye(cfg.input_dim) + ((v * phase) @ v.conj().T).real
 
 
 def gen_suite(cfg: SuiteConfig) -> TaskSuite:

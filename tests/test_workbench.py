@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from mergelab.cli import main
-from mergelab.engine import LayerParams, ParamSet
-from mergelab.merging import CoefficientMatrix, TrainableLayer
+from mergelab.engine import LayerParams, ParamSet, ShapeError
+from mergelab.merging import CoefficientMatrix, MergedAssembly, TrainableLayer
 from mergelab.serialization import (
     BundleError,
     load_bundle,
@@ -168,6 +168,104 @@ def test_trainable_round_trip(tmp_path):
     assert loaded["b"].selector == (0, 1)
     assert np.array_equal(loaded["b"].params[1].bias, trained["b"].params[1].bias)
     assert loaded["c"].selector == 1
+
+
+def _tampered(src, dst, mutate):
+    meta, arrays = load_bundle(src)
+    arrays = dict(arrays)
+    mutate(meta, arrays)
+    save_bundle(dst, meta, arrays)
+    return dst
+
+
+@pytest.mark.parametrize("mutate, field", [
+    (lambda m, a: m.update(encoder=5), "'encoder' is int, not list"),
+    (lambda m, a: m.update(heads=[]), "'heads' is list, not dict"),
+    (lambda m, a: m.pop("heads"), "'heads' is NoneType"),
+    (lambda m, a: m["encoder"].__setitem__(0, "ab"), r"'encoder\[0\]' is 'ab'"),
+    (lambda m, a: m["encoder"].__setitem__(0, [4, 3, 2]), r"'encoder\[0\]' is \[4, 3, 2\]"),
+    (lambda m, a: m["encoder"].__setitem__(0, [4.0, 3]), r"'encoder\[0\]'"),
+    (lambda m, a: m["heads"].__setitem__("a", None), "'heads.a' is None"),
+    (lambda m, a: a.pop("enc1.b"), "missing array 'enc1.b'"),
+    (lambda m, a: a.pop("head.b.w"), "missing array 'head.b.w'"),
+])
+def test_checkpoint_meta_is_validated(tmp_path, mutate, field):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(random_paramset(np.random.default_rng(30)), path)
+    with pytest.raises(BundleError, match=field):
+        load_checkpoint(_tampered(path, tmp_path / "bad.ckpt", mutate))
+
+
+@pytest.mark.parametrize("mutate, field", [
+    (lambda m, a: m.update(config=3), "'config' is int, not dict"),
+    (lambda m, a: m["config"].update(bogus=1), "'config'.*bogus"),
+    (lambda m, a: m["config"].update(num_tasks="two"), "'config'"),
+    (lambda m, a: m["config"].update(regression_tasks=1), "'config'"),
+    (lambda m, a: m.update(tasks={}), "'tasks' is dict, not list"),
+    (lambda m, a: m["tasks"].__setitem__(0, "task0"), r"'tasks\[0\]'"),
+    (lambda m, a: m["tasks"][1].update(id=1), r"'tasks\[1\]'"),
+    (lambda m, a: m["tasks"][0].pop("kind"), r"'tasks\[0\]'"),
+    (lambda m, a: m["tasks"][0].update(kind="ranking"), r"'tasks\[0\]'"),
+    (lambda m, a: a.pop("task1.y_test"), "missing array 'task1.y_test'"),
+])
+def test_suite_meta_is_validated(tmp_path, mutate, field):
+    path = tmp_path / "suite.bundle"
+    save_suite(gen_suite(SuiteConfig(num_tasks=2, samples_per_split=20, seed=4)), path)
+    with pytest.raises(BundleError, match=field):
+        load_suite(_tampered(path, tmp_path / "bad.bundle", mutate))
+
+
+@pytest.mark.parametrize("mutate, field", [
+    (lambda m, a: m.update(selectors=["head"]), "'selectors' is list, not dict"),
+    (lambda m, a: m["selectors"].update(a="tail"), "'selectors.a' is 'tail'"),
+    (lambda m, a: m["selectors"].update(a=-1), "'selectors.a' is -1"),
+    (lambda m, a: m["selectors"].update(a=True), "'selectors.a' is True"),
+    (lambda m, a: m["selectors"].update(a=[0, "1"]), r"'selectors.a' is \[0, '1'\]"),
+    (lambda m, a: m["selectors"].update(a=[0, 1]), "missing array 'a.1.w'"),
+    (lambda m, a: a.pop("a.0.b"), "missing array 'a.0.b'"),
+])
+def test_trainable_meta_is_validated(tmp_path, mutate, field):
+    rng = np.random.default_rng(31)
+    path = tmp_path / "trainable.bundle"
+    save_trainable({"a": TrainableLayer(1, LayerParams(rng.normal(size=(2, 4)),
+                                                       rng.normal(size=2)))}, path)
+    with pytest.raises(BundleError, match=field):
+        load_trainable(_tampered(path, tmp_path / "bad.bundle", mutate))
+
+
+def test_assembly_rejects_trainable_layer_out_of_range():
+    rng = np.random.default_rng(32)
+    pre = random_paramset(rng)
+    depth = len(pre.encoder)
+    out_of_range = TrainableLayer(depth, LayerParams(rng.normal(size=(2, 2)), rng.normal(size=2)))
+    with pytest.raises(ShapeError, match="out of range"):
+        MergedAssembly(pre.encoder, [], CoefficientMatrix((), np.zeros((0, depth))), {},
+                       {"t0": out_of_range})
+
+
+@pytest.mark.parametrize("doc, field", [
+    ([1, 2], "not a coefficient file"),
+    ({"format": "coeffs", "task_ids": 2, "num_layers": 1, "values": [[1.0], [2.0]]},
+     "'task_ids' is not a list"),
+])
+def test_coeffs_file_that_is_not_a_coefficient_object_rejected(tmp_path, doc, field):
+    path = tmp_path / "coeffs.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(BundleError, match=field):
+        load_coeffs(path)
+
+
+def test_cli_merge_on_checkpoint_with_bad_meta_exits_3_without_traceback(tmp_path):
+    ckpts = tmp_path / "ckpts"
+    ckpts.mkdir()
+    save_bundle(ckpts / "pre.ckpt", {"format": "paramset", "encoder": 5, "heads": {}}, {})
+    proc = subprocess.run(
+        [sys.executable, "-m", "mergelab", "merge", "--ckpt-dir", str(ckpts),
+         "--method", "task_arithmetic", "--out-dir", str(tmp_path / "merged")],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert "meta field 'encoder' is int, not list" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_manifest_hash_stability_and_validation(tmp_path):
@@ -443,3 +541,16 @@ def test_coeffs_file_header_mismatch_rejected(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(BundleError):
         load_coeffs(path)
+
+
+def test_cli_analyze_coefficient_analysis_without_coeffs_exits_2(tmp_path, capsys):
+    data, ckpts = tmp_path / "data.bundle", tmp_path / "ckpts"
+    assert main(_gen_args(data)) == 0
+    assert main(["finetune", "--data", str(data), "--out-dir", str(ckpts), "--hidden", "6",
+                 "--pre-epochs", "1", "--epochs", "1", "--seed", "5"]) == 0
+    capsys.readouterr()
+    assert main(["analyze", "--data", str(data), "--ckpt-dir", str(ckpts),
+                 "--analyses", "eval,transfer", "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "--coeffs is needed by transfer" in err
+    assert "eval" not in err
