@@ -22,13 +22,16 @@ from .engine import (
     ParamSet,
     ShapeError,
     UnknownTaskError,
+    _activations,
+    _backprop,
+    _check_outputs,
+    _loss_rows,
+    _views,
     adam_init,
     adam_step,
     backward,
     encode,
     forward,
-    forward_cached,
-    loss_eval,
     loss_output_grad,
     params_to_arrays,
     arrays_to_params,
@@ -120,14 +123,9 @@ def confidence_filter(merged_conf: np.ndarray, expert_conf: np.ndarray) -> np.nd
 # Expert fine-tuning and backbone pretraining
 
 
-def _from_flats(flats: Sequence[np.ndarray], like: Sequence[LayerParams]) -> tuple:
-    """Layers over an optimizer step's flat vectors, shaped like `like`; unchecked."""
-    return tuple(LayerParams.from_flat(f, l.weight.shape) for f, l in zip(flats, like))
-
-
-def _validated(layers: Sequence[LayerParams]) -> tuple:
-    """The layers again, through the checking constructor (a loop's result)."""
-    return tuple(LayerParams(l.weight, l.bias) for l in layers)
+def _layers(flats: Sequence[np.ndarray], like: Sequence[LayerParams]) -> tuple:
+    """Checked layers over a loop's flat vectors, shaped like `like` (its result)."""
+    return tuple(LayerParams(*_views(f, l.weight.shape)) for f, l in zip(flats, like))
 
 
 def finetune_expert(pre: ParamSet, x: np.ndarray, y: np.ndarray, task: str,
@@ -147,7 +145,9 @@ def finetune_expert(pre: ParamSet, x: np.ndarray, y: np.ndarray, task: str,
         return (params, []) if return_history else params
 
     rng = spawn_rng(seed, "finetune", task)
-    state = adam_init([l.flat for l in params.encoder])
+    head = params.head(task)
+    flats = [l.flat for l in params.encoder]
+    state = adam_init(flats)
     history = []
     n = len(x)
     bs = min(batch_size, n)
@@ -156,13 +156,15 @@ def finetune_expert(pre: ParamSet, x: np.ndarray, y: np.ndarray, task: str,
         epoch_losses = []
         for start in range(0, n - bs + 1, bs):
             idx = order[start:start + bs]
-            loss, grads = backward(params, task, x[idx], _slice_targets(y, idx, spec), spec)
-            flats, state = adam_step([l.flat for l in params.encoder],
-                                     [g.flat for g in grads.encoder], state, lr)
-            params = ParamSet(encoder=_from_flats(flats, params.encoder), heads=params.heads)
-            epoch_losses.append(loss)
+            layers = [_views(f, l.weight.shape) for f, l in zip(flats, params.encoder)]
+            acts = _activations(layers, x[idx])
+            logits = _check_outputs(acts[-1] @ head.weight.T + head.bias)
+            rows, grad, _ = _loss_rows(logits, _slice_targets(y, idx, spec), spec)
+            grads = _backprop(grad / len(idx), acts, [w for w, _ in layers] + [head.weight])
+            flats, state = adam_step(flats, grads[:-1], state, lr)
+            epoch_losses.append(float(rows.mean()))
         history.append(float(np.mean(epoch_losses)))
-    params = ParamSet(encoder=_validated(params.encoder), heads=params.heads)
+    params = ParamSet(encoder=_layers(flats, params.encoder), heads=params.heads)
     return (params, history) if return_history else params
 
 
@@ -391,23 +393,23 @@ def _validate_adapt_inputs(task_ids, vectors, inputs_by_task):
 
 def _run_adaptation(pre, vectors, heads, inputs_by_task, cfg, task_ids, specs,
                     targets_full, expert_conf, kinds, trainable) -> AdaptResult:
-    # One working assembly for the whole run: the task vectors are stacked
-    # (and their shapes checked) once, Adam steps the coefficient values in
-    # place, and a step swaps in the task's new trainable layer. Nothing is
-    # re-validated per step; the result is, on the way out.
-    coeffs = CoefficientMatrix.constant(task_ids, len(pre.encoder), cfg.init_coeff)
+    # The assembly checks the vectors and trainable layers once. A step works
+    # on flat layer vectors (the encoder's, then the head at index `depth`):
+    # merge from the stack, swap in the task's trainable layers, then one
+    # forward, one loss kernel and one backprop. The result is validated.
+    depth = len(pre.encoder)
+    coeffs = CoefficientMatrix.constant(task_ids, depth, cfg.init_coeff)
     values = coeffs.values
-    assembly = MergedAssembly(
-        pre_encoder=tuple(pre.encoder),
-        vectors=[vectors[t] for t in task_ids],
-        coeffs=coeffs,
-        heads=heads,
-        trainable=trainable,
-    )
-    stack = assembly.vectors
+    stack = MergedAssembly(pre_encoder=tuple(pre.encoder), vectors=[vectors[t] for t in task_ids],
+                           coeffs=coeffs, heads=heads, trainable=trainable).vectors
+    pre_flats = [l.flat for l in pre.encoder]
+    shapes = {t: (*stack.shapes, heads[t].weight.shape) for t in task_ids}
+    positions = {t: (depth,) if tr.selector == "head" else tr.layer_indices()
+                 for t, tr in trainable.items()}
+    layer_flats = {t: [l.flat for l in tr.layers()] for t, tr in trainable.items()}
 
     coeff_state = adam_init([values])
-    layer_states = {t: adam_init([l.flat for l in tr.layers()]) for t, tr in trainable.items()}
+    layer_states = {t: adam_init(flats) for t, flats in layer_flats.items()}
 
     def step_coeffs(grad):
         nonlocal coeff_state
@@ -415,11 +417,8 @@ def _run_adaptation(pre, vectors, heads, inputs_by_task, cfg, task_ids, specs,
         values[...] = new_vals
 
     def step_layer(task, layer_grads):
-        tr = trainable[task]
-        layers = tr.layers()
-        flats, layer_states[task] = adam_step([l.flat for l in layers], layer_grads,
-                                              layer_states[task], cfg.lr_layer)
-        trainable[task] = tr.with_layers(_from_flats(flats, layers))
+        layer_flats[task], layer_states[task] = adam_step(layer_flats[task], layer_grads,
+                                                          layer_states[task], cfg.lr_layer)
 
     order_rng = spawn_rng(cfg.seed, "task-order")
     streams = {
@@ -442,45 +441,45 @@ def _run_adaptation(pre, vectors, heads, inputs_by_task, cfg, task_ids, specs,
 
         for task in order:
             idx = streams[task].next_indices()
-            x = inputs_by_task[task][idx]
-            targets = _slice_targets(targets_full[task], idx, specs[task])
-            model = assembly.materialize(task)
+            flats = [pre_flats[l] + values[:, l] @ d for l, d in enumerate(stack.matrices)]
+            flats.append(heads[task].flat)
+            for l, f in zip(positions.get(task, ()), layer_flats.get(task, ())):
+                flats[l] = f
+            layers = [_views(f, shape) for f, shape in zip(flats, shapes[task])]
+            acts = _activations(layers[:-1], inputs_by_task[task][idx])
+            head_w, head_b = layers[-1]
+            logits = acts[-1] @ head_w.T + head_b
+            if not np.isfinite(logits).all():
+                raise ValueError(f"adaptation diverged: non-finite outputs on pass {pass_idx} "
+                                 f"for task '{task}'")
+            rows, grad, probs = _loss_rows(
+                logits, _slice_targets(targets_full[task], idx, specs[task]), specs[task])
+            batch_loss = float(rows.mean())
 
             kept = len(idx)
-            cache = None
-            batch_loss = None
             if cfg.filter_enabled and kinds[task] == "classification" and expert_conf[task] is not None:
-                logits, acts = forward_cached(model, task, x)
-                batch_loss = loss_eval(logits, targets, specs[task])
-                keep = np.flatnonzero(confidence_filter(softmax(logits).max(axis=1),
-                                                        expert_conf[task][idx]))
+                probs = softmax(logits) if probs is None else probs
+                keep = np.flatnonzero(confidence_filter(probs.max(axis=1), expert_conf[task][idx]))
                 kept = keep.size
                 if kept == 0:
                     pass_losses.append(batch_loss)
                     stats.append(StepStats(pass_idx, task, len(idx), 0, None, batch_loss))
                     continue
                 if kept < len(idx):
-                    # the backward pass on the kept rows reuses this forward pass
-                    logits, acts = logits.take(keep, axis=0), [a.take(keep, axis=0) for a in acts]
-                    x = acts[0]
-                    targets = targets if targets is None else targets.take(keep, axis=0)
-                cache = (logits, acts)
+                    rows, grad = rows[keep], grad[keep]
+                    acts = [a.take(keep, axis=0) for a in acts]
 
-            loss, grads = backward(model, task, x, targets, specs[task], cache=cache)
-            if batch_loss is None:
-                batch_loss = loss  # nothing was filtered out
+            grads = _backprop(grad / kept, acts, [w for w, _ in layers])
             pass_losses.append(batch_loss)
             any_update = True
-            stats.append(StepStats(pass_idx, task, len(idx), kept, float(loss),
-                                   float(batch_loss)))
+            stats.append(StepStats(pass_idx, task, len(idx), kept, float(rows.mean()), batch_loss))
 
-            cgrad = coefficient_grad(grads.encoder, stack)
+            cgrad = coefficient_grad(grads[:depth], stack)
             tr = trainable.get(task)
             if tr is not None:
                 for l in tr.layer_indices():
                     cgrad[:, l] = 0.0  # replaced layer: loss does not see the merged layer
-                layer_grads = ([grads.heads[task].flat] if tr.selector == "head"
-                               else [grads.encoder[l].flat for l in tr.layer_indices()])
+                layer_grads = [grads[l] for l in positions[task]]
 
             if cfg.update_mode == "sequential":
                 if cfg.train_coeffs:
@@ -505,7 +504,8 @@ def _run_adaptation(pre, vectors, heads, inputs_by_task, cfg, task_ids, specs,
 
     return AdaptResult(
         coeffs=CoefficientMatrix(task_ids, values),
-        trainable={t: tr.with_layers(_validated(tr.layers())) for t, tr in trainable.items()},
+        trainable={t: tr.with_layers(_layers(layer_flats[t], tr.layers()))
+                   for t, tr in trainable.items()},
         loss_trace=trace,
         step_stats=stats,
     )
@@ -518,18 +518,18 @@ def _run_adaptation(pre, vectors, heads, inputs_by_task, cfg, task_ids, specs,
 def _train_head(head: LayerParams, feats: np.ndarray, y: np.ndarray, epochs: int,
                 lr: float, batch_size: int, rng: np.random.Generator) -> LayerParams:
     spec = LossSpec("cross_entropy_hard")
-    state = adam_init([head.weight, head.bias])
-    w, b = head.weight, head.bias
+    flat = head.flat
+    state = adam_init([flat])
     n = len(feats)
     bs = min(batch_size, n)
     for _ in range(epochs):
         order = rng.permutation(n)
         for start in range(0, n - bs + 1, bs):
             idx = order[start:start + bs]
-            logits = feats[idx] @ w.T + b
-            g = loss_output_grad(logits, y[idx], spec)
-            (w, b), state = adam_step([w, b], [g.T @ feats[idx], g.sum(axis=0)], state, lr)
-    return LayerParams(w, b)
+            w, b = _views(flat, head.weight.shape)
+            g = loss_output_grad(feats[idx] @ w.T + b, y[idx], spec)
+            (flat,), state = adam_step([flat], _backprop(g, [feats[idx]], [w]), state, lr)
+    return LayerParams(*_views(flat, head.weight.shape))
 
 
 def pilot_two_stage(merged_encoder, suite: TaskSuite, experts: Mapping[str, ParamSet],

@@ -55,6 +55,10 @@ def _build(cls, data: dict, where: str):
     try:
         return cls(**data)
     except (TypeError, ValueError) as exc:
+        # "<field>: <problem>" from the class becomes "<where>.<field>: <problem>"
+        name, _, problem = str(exc).partition(": ")
+        if name in names:
+            raise ConfigError(f"{where}.{name}: {problem}") from exc
         raise ConfigError(f"{where}: {exc}") from exc
 
 

@@ -4,6 +4,11 @@ Everything runs in 64-bit floats. The model is a chain of affine encoder
 layers with tanh activations, followed by one affine head per task (no
 activation on the head). All functions here are pure: parameters go in,
 new values come out, nothing is mutated in place.
+
+The loss math of every kind lives in one row-wise kernel (`_loss_rows`) and
+the affine backprop in one helper over flat layer vectors (`_backprop`):
+`loss_eval`, `loss_output_grad` and `backward` wrap them, and the
+fine-tuning and adaptation steps in `adaptation` call them directly.
 """
 
 from __future__ import annotations
@@ -24,6 +29,12 @@ class UnknownTaskError(KeyError):
 
 def _as_f64(a) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=np.float64)
+
+
+def _views(flat: np.ndarray, shape: tuple) -> tuple:
+    """(weight, bias) views of a layer's flat vector, weight shaped `shape`."""
+    n = shape[0] * shape[1]
+    return flat[:n].reshape(shape), flat[n:]
 
 
 @dataclass(frozen=True)
@@ -67,10 +78,10 @@ class LayerParams:
         return layer
 
     def _set_flat(self, flat: np.ndarray, shape: tuple):
-        n = shape[0] * shape[1]
         object.__setattr__(self, "flat", flat)
-        object.__setattr__(self, "weight", flat[:n].reshape(shape))
-        object.__setattr__(self, "bias", flat[n:])
+        weight, bias = _views(flat, shape)
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "bias", bias)
 
     @property
     def out_dim(self) -> int:
@@ -204,130 +215,122 @@ def _check_targets(outputs: np.ndarray, targets, spec: LossSpec):
     return t
 
 
+def _loss_rows(z: np.ndarray, targets, spec: LossSpec):
+    """The loss kernel: per-row loss, per-row output gradient and softmax.
+
+    `z` are checked outputs (`_check_outputs`); `targets` are checked here.
+    The batch-mean loss is the rows' mean and its output gradient the
+    gradient rows / batch size, so a subset of rows gives that subset's loss
+    and gradient. The softmax is None for the vector kinds, which need none.
+    """
+    t = _check_targets(z, targets, spec)
+    kind = spec.kind
+    if spec.target_arity == "vector":
+        d = z - t
+        if kind == "l1":
+            return np.abs(d).sum(axis=1), np.sign(d), None
+        if kind == "l2":
+            return (d * d).sum(axis=1), 2.0 * d, None
+        if kind == "smooth_l1":
+            a = np.abs(d)
+            per = np.where(a <= SMOOTH_L1_DELTA, 0.5 * d * d,
+                           SMOOTH_L1_DELTA * (a - 0.5 * SMOOTH_L1_DELTA))
+            return per.sum(axis=1), np.clip(d, -SMOOTH_L1_DELTA, SMOOTH_L1_DELTA), None
+        # cosine: 1 - cos similarity; in [0, 2]
+        un = np.linalg.norm(z, axis=1, keepdims=True)
+        vn = np.linalg.norm(t, axis=1, keepdims=True)
+        if (un == 0.0).any() or (vn == 0.0).any():
+            raise ValueError("cosine loss undefined for zero-norm vectors")
+        cos = (z * t).sum(axis=1, keepdims=True) / (un * vn)
+        return (1.0 - cos)[:, 0], -(t / (un * vn) - cos * z / (un * un)), None
+
+    # one softmax: q = softmax(z), ls = log_softmax(z)
+    zs = z - z.max(axis=1, keepdims=True)
+    e = np.exp(zs)
+    q = e / e.sum(axis=1, keepdims=True)
+    ls = zs - np.log(e.sum(axis=1, keepdims=True))
+    if kind == "cross_entropy_hard":
+        r = np.arange(z.shape[0])
+        g = q.copy()
+        g[r, t] -= 1.0
+        return -ls[r, t], g, q
+    if kind in ("cross_entropy_soft", "kl"):
+        # both gradients reduce to softmax - target for normalized targets
+        per = -(t * ls) if kind == "cross_entropy_soft" else _xlogx(t) - t * ls
+        return per.sum(axis=1), q - t, q
+    if kind == "entropy":
+        h = -(q * ls).sum(axis=1, keepdims=True)
+        return h[:, 0], -(q * (ls + h)), q
+    # js
+    m = 0.5 * (t + q)
+    logm = np.log(np.where(m > 0.0, m, 1.0))
+    kl_pm = (_xlogx(t) - t * logm).sum(axis=1)
+    kl_qm = (_xlogx(q) - q * logm).sum(axis=1)
+    g = np.where(q > 0.0, 0.5 * (np.log(np.where(q > 0.0, q, 1.0)) - logm), 0.0)
+    inner = (g * q).sum(axis=1, keepdims=True)
+    return 0.5 * kl_pm + 0.5 * kl_qm, q * (g - inner), q
+
+
 def loss_eval(outputs: np.ndarray, targets, spec: LossSpec) -> float:
     """Mean-over-batch scalar loss of `outputs` against `targets`."""
-    z = _check_outputs(outputs)
-    t = _check_targets(z, targets, spec)
-    n = z.shape[0]
-    kind = spec.kind
-
-    if kind == "cross_entropy_hard":
-        ls = log_softmax(z)
-        return float(-ls[np.arange(n), t].mean())
-    if kind == "cross_entropy_soft":
-        ls = log_softmax(z)
-        return float(-(t * ls).sum(axis=1).mean())
-    if kind == "entropy":
-        q = softmax(z)
-        ls = log_softmax(z)
-        return float(-(q * ls).sum(axis=1).mean())
-    if kind == "kl":
-        ls = log_softmax(z)
-        return float((_xlogx(t) - t * ls).sum(axis=1).mean())
-    if kind == "js":
-        q = softmax(z)
-        m = 0.5 * (t + q)
-        logm = np.log(np.where(m > 0.0, m, 1.0))
-        kl_pm = (_xlogx(t) - t * logm).sum(axis=1)
-        kl_qm = (_xlogx(q) - q * logm).sum(axis=1)
-        return float((0.5 * kl_pm + 0.5 * kl_qm).mean())
-
-    d = z - t
-    if kind == "l1":
-        return float(np.abs(d).sum(axis=1).mean())
-    if kind == "l2":
-        return float((d * d).sum(axis=1).mean())
-    if kind == "smooth_l1":
-        a = np.abs(d)
-        per = np.where(a <= SMOOTH_L1_DELTA, 0.5 * d * d, SMOOTH_L1_DELTA * (a - 0.5 * SMOOTH_L1_DELTA))
-        return float(per.sum(axis=1).mean())
-    # cosine: 1 - cos similarity, averaged; in [0, 2]
-    un = np.linalg.norm(z, axis=1)
-    vn = np.linalg.norm(t, axis=1)
-    if (un == 0.0).any() or (vn == 0.0).any():
-        raise ValueError("cosine loss undefined for zero-norm vectors")
-    cos = (z * t).sum(axis=1) / (un * vn)
-    return float((1.0 - cos).mean())
+    rows, _, _ = _loss_rows(_check_outputs(outputs), targets, spec)
+    return float(rows.mean())
 
 
 def loss_output_grad(outputs: np.ndarray, targets, spec: LossSpec) -> np.ndarray:
     """Gradient of `loss_eval` with respect to `outputs` (includes the 1/batch factor)."""
     z = _check_outputs(outputs)
-    t = _check_targets(z, targets, spec)
-    n = z.shape[0]
-    kind = spec.kind
-
-    if kind == "cross_entropy_hard":
-        q = softmax(z)
-        q[np.arange(n), t] -= 1.0
-        return q / n
-    if kind in ("cross_entropy_soft", "kl"):
-        # both reduce to (softmax - target) / n for normalized targets
-        return (softmax(z) - t) / n
-    if kind == "entropy":
-        q = softmax(z)
-        ls = log_softmax(z)
-        h = -(q * ls).sum(axis=1, keepdims=True)
-        return -(q * (ls + h)) / n
-    if kind == "js":
-        q = softmax(z)
-        m = 0.5 * (t + q)
-        g = np.where(q > 0.0, 0.5 * (np.log(np.where(q > 0.0, q, 1.0)) - np.log(np.where(m > 0.0, m, 1.0))), 0.0)
-        inner = (g * q).sum(axis=1, keepdims=True)
-        return (q * (g - inner)) / n
-
-    d = z - t
-    if kind == "l1":
-        return np.sign(d) / n
-    if kind == "l2":
-        return 2.0 * d / n
-    if kind == "smooth_l1":
-        return np.clip(d, -SMOOTH_L1_DELTA, SMOOTH_L1_DELTA) / n
-    un = np.linalg.norm(z, axis=1, keepdims=True)
-    vn = np.linalg.norm(t, axis=1, keepdims=True)
-    if (un == 0.0).any() or (vn == 0.0).any():
-        raise ValueError("cosine loss undefined for zero-norm vectors")
-    cos = (z * t).sum(axis=1, keepdims=True) / (un * vn)
-    return -(t / (un * vn) - cos * z / (un * un)) / n
+    return _loss_rows(z, targets, spec)[1] / z.shape[0]
 
 
-def _activations(encoder: Sequence[LayerParams], inputs: np.ndarray) -> list:
-    """The inputs, then the output of every encoder layer (tanh after each)."""
+def _activations(layers: Sequence[tuple], inputs: np.ndarray) -> list:
+    """The inputs, then the output of every encoder layer (tanh after each);
+    `layers` are (weight, bias) pairs."""
     h = _as_f64(inputs)
     if h.ndim != 2:
         raise ShapeError(f"inputs must be 2-D (batch, dim), got {h.shape}")
-    if h.shape[1] != encoder[0].in_dim:
-        raise ShapeError(f"input dim {h.shape[1]} != first layer in_dim {encoder[0].in_dim}")
+    if h.shape[1] != layers[0][0].shape[1]:
+        raise ShapeError(f"input dim {h.shape[1]} != first layer in_dim {layers[0][0].shape[1]}")
     acts = [h]
-    for layer in encoder:
-        acts.append(np.tanh(acts[-1] @ layer.weight.T + layer.bias))
+    for weight, bias in layers:
+        acts.append(np.tanh(acts[-1] @ weight.T + bias))
     return acts
 
 
 def encode(encoder: Sequence[LayerParams], inputs: np.ndarray) -> np.ndarray:
     """Push a batch through the encoder chain (tanh after every layer)."""
-    return _activations(encoder, inputs)[-1]
+    return _activations([(l.weight, l.bias) for l in encoder], inputs)[-1]
 
 
 def forward(params: ParamSet, task: str, inputs: np.ndarray) -> np.ndarray:
     """Logits of `task`'s head over encoder features."""
     head = params.head(task)
-    h = encode(params.encoder, inputs)
-    return h @ head.weight.T + head.bias
+    return encode(params.encoder, inputs) @ head.weight.T + head.bias
 
 
 def forward_cached(params: ParamSet, task: str, inputs: np.ndarray):
     """Logits plus the activations `backward` needs (`_activations`).
     Selecting the same rows of each gives the cache of a sub-batch."""
     head = params.head(task)
-    acts = _activations(params.encoder, inputs)
+    acts = _activations([(l.weight, l.bias) for l in params.encoder], inputs)
     return acts[-1] @ head.weight.T + head.bias, acts
 
 
-def _affine_grad(delta: np.ndarray, inputs: np.ndarray) -> LayerParams:
-    """Gradient of an affine layer from the gradient at its output."""
-    flat = np.concatenate([(delta.T @ inputs).ravel(), delta.sum(axis=0)])
-    return LayerParams.from_flat(flat, (delta.shape[1], inputs.shape[1]))
+def _affine_grad(delta: np.ndarray, inputs: np.ndarray) -> np.ndarray:
+    """Flat gradient of an affine layer from the gradient at its output."""
+    return np.concatenate([(delta.T @ inputs).ravel(), delta.sum(axis=0)])
+
+
+def _backprop(g: np.ndarray, acts: list, weights: Sequence[np.ndarray]) -> list:
+    """Flat gradients (`LayerParams.flat` layout) of every encoder layer, then
+    of the head, from the gradient `g` at the logits, the activations
+    `_activations` gave and the weight matrices (encoder layers, then head)."""
+    grads = [_affine_grad(g, acts[-1])]
+    for i in range(len(weights) - 2, -1, -1):
+        post = acts[i + 1]
+        g = (g @ weights[i + 1]) * (1.0 - post * post)  # through the layer above, then d tanh
+        grads.append(_affine_grad(g, acts[i]))
+    return grads[::-1]
 
 
 def backward(params: ParamSet, task: str, inputs: np.ndarray, targets, spec: LossSpec,
@@ -341,22 +344,12 @@ def backward(params: ParamSet, task: str, inputs: np.ndarray, targets, spec: Los
     logits, acts = forward_cached(params, task, inputs) if cache is None else cache
     loss = loss_eval(logits, targets, spec)
     g = loss_output_grad(logits, targets, spec)
-
-    head = params.head(task)
-    head_grad = _affine_grad(g, acts[-1])
-    gh = g @ head.weight
-
-    enc_grads = [None] * len(params.encoder)
-    for i in range(len(params.encoder) - 1, -1, -1):
-        post = acts[i + 1]
-        da = gh * (1.0 - post * post)  # d tanh
-        enc_grads[i] = _affine_grad(da, acts[i])
-        gh = da @ params.encoder[i].weight
-
-    heads = {t: head_grad if t == task else
-             LayerParams.from_flat(np.zeros_like(h.flat), h.weight.shape)
+    grads = _backprop(g, acts, [l.weight for l in (*params.encoder, params.head(task))])
+    heads = {t: LayerParams.from_flat(grads[-1] if t == task else np.zeros_like(h.flat),
+                                      h.weight.shape)
              for t, h in params.heads.items()}
-    return loss, ParamSet(encoder=tuple(enc_grads), heads=heads)
+    return loss, ParamSet(encoder=tuple(LayerParams.from_flat(f, l.weight.shape)
+                                        for f, l in zip(grads, params.encoder)), heads=heads)
 
 
 # ---------------------------------------------------------------------------

@@ -256,10 +256,22 @@ def load_coeffs(path) -> CoefficientMatrix:
         raise BundleError(f"{path}: not a coefficient file")
     if not isinstance(doc.get("task_ids"), list):
         raise BundleError(f"{path}: field 'task_ids' is not a list")
-    values = np.asarray(doc["values"], dtype=np.float64)
-    if values.shape != (len(doc["task_ids"]), doc["num_layers"]):
+    num_layers, rows = doc.get("num_layers"), doc.get("values")
+    if not isinstance(num_layers, int) or isinstance(num_layers, bool):
+        raise BundleError(f"{path}: field 'num_layers' is {num_layers!r}, not an integer")
+    if not (isinstance(rows, list) and all(isinstance(r, list) and len(r) == num_layers
+                                           and all(_is_real(v) for v in r) for r in rows)):
+        raise BundleError(f"{path}: field 'values' is not a list of rows of {num_layers} numbers")
+    if len(rows) != len(doc["task_ids"]):
         raise BundleError(f"{path}: coefficient shape does not match header")
-    return CoefficientMatrix(tuple(doc["task_ids"]), values)
+    try:
+        return CoefficientMatrix(tuple(doc["task_ids"]), np.array(rows, dtype=np.float64))
+    except ValueError as exc:
+        raise BundleError(f"{path}: field 'values': {exc}") from exc
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def save_trainable(trainable: Mapping[str, TrainableLayer], path) -> None:

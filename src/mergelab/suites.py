@@ -11,7 +11,9 @@ stands in for image corruptions.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -36,6 +38,13 @@ class SuiteConfig:
     regression_tasks: tuple = ()  # indices of tasks generated as regression
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and (isinstance(value, bool) or not isinstance(value, Integral)):
+                raise TypeError(f"{f.name}: expected an integer, got {value!r}")
+            if f.type == "float" and (isinstance(value, bool) or not isinstance(value, Real)
+                                      or not math.isfinite(value)):
+                raise TypeError(f"{f.name}: expected a finite real number, got {value!r}")
         if min(self.num_tasks, self.classes_per_task, self.input_dim,
                self.samples_per_split, self.shared_subspace_dim) <= 0:
             raise ValueError("suite dimensions must be positive")

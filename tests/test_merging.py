@@ -310,3 +310,19 @@ def test_coefficient_grad_depth_mismatch():
     shallow = _rand_vector(rng, (5, 6))
     with pytest.raises(ShapeError):
         coefficient_grad(grads, [shallow])
+
+
+def test_coefficient_grad_takes_flat_gradients_with_a_stack():
+    from mergelab.merging import stack_task_vectors
+    rng = np.random.default_rng(20)
+    dims = (5, 6, 4)
+    pre = _rand_encoder(rng, dims)
+    vectors = [_rand_vector(rng, dims) for _ in range(3)]
+    grads = list(_rand_vector(rng, dims).deltas)
+    stack = stack_task_vectors(vectors, pre)
+    flat = coefficient_grad([g.flat for g in grads], stack)
+    assert np.array_equal(flat, coefficient_grad(grads, vectors))
+    with pytest.raises(ShapeError):
+        coefficient_grad([g.flat for g in grads[:1]], stack)
+    with pytest.raises(ShapeError):
+        coefficient_grad([grads[0].flat, grads[1].flat[:-1]], stack)

@@ -554,3 +554,81 @@ def test_cli_analyze_coefficient_analysis_without_coeffs_exits_2(tmp_path, capsy
     err = capsys.readouterr().err
     assert "--coeffs is needed by transfer" in err
     assert "eval" not in err
+
+
+@pytest.mark.parametrize("change, field", [
+    (lambda d: d.pop("values"), "field 'values'"),
+    (lambda d: d.pop("num_layers"), "field 'num_layers'"),
+    (lambda d: d.update(num_layers="3"), "field 'num_layers'"),
+    (lambda d: d.update(num_layers=True), "field 'num_layers'"),
+    (lambda d: d.update(values=[[1.0, 2.0, 3.0], [1.0, 2.0]]), "field 'values'"),
+    (lambda d: d.update(values=[[1.0, "x", 3.0], [1.0, 2.0, 3.0]]), "field 'values'"),
+    (lambda d: d.update(values=[[1.0, None, 3.0], [1.0, 2.0, 3.0]]), "field 'values'"),
+    (lambda d: d.update(values=[[1.0, True, 3.0], [1.0, 2.0, 3.0]]), "field 'values'"),
+    (lambda d: d.update(values=[[1.0, float("nan"), 3.0], [1.0, 2.0, 3.0]]),
+     "field 'values': coefficients must be finite"),
+    (lambda d: d.update(values={"a": 1}), "field 'values'"),
+])
+def test_coeffs_file_with_missing_or_malformed_field_names_file_and_field(tmp_path, change,
+                                                                          field):
+    path = tmp_path / "coeffs.json"
+    save_coeffs(CoefficientMatrix(("a", "b"), np.ones((2, 3))), path)
+    doc = json.loads(path.read_text())
+    change(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(BundleError, match=field) as info:
+        load_coeffs(path)
+    assert str(path) in str(info.value)
+
+
+def test_cli_eval_with_malformed_coeffs_exits_3_naming_the_field(tmp_path):
+    data, ckpts = tmp_path / "data.bundle", tmp_path / "ckpts"
+    assert main(_gen_args(data)) == 0
+    assert main(["finetune", "--data", str(data), "--out-dir", str(ckpts), "--hidden", "6",
+                 "--pre-epochs", "1", "--epochs", "1", "--seed", "5"]) == 0
+    coeffs = tmp_path / "coeffs.json"
+    coeffs.write_text(json.dumps({"format": "coeffs", "task_ids": ["task0", "task1", "task2"],
+                                  "num_layers": 1}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mergelab", "eval", "--data", str(data), "--ckpt-dir",
+         str(ckpts), "--coeffs", str(coeffs), "--out-dir", str(tmp_path / "out")],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert "field 'values'" in proc.stderr and str(coeffs) in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("field, value", [
+    ("num_tasks", "x"), ("num_tasks", True), ("num_tasks", 2.0), ("seed", 1.5),
+    ("samples_per_split", None), ("noise_std", "0.2"), ("noise_std", False),
+    ("noise_std", float("inf")), ("task_rotation_strength", float("nan")),
+])
+def test_suite_config_type_errors_name_the_field(field, value):
+    with pytest.raises(TypeError, match=f"^{field}: expected"):
+        SuiteConfig(**{field: value})
+
+
+def test_suite_config_accepts_ints_for_float_fields_and_numpy_integers():
+    cfg = SuiteConfig(num_tasks=np.int64(2), noise_std=0, task_rotation_strength=1)
+    assert cfg.num_tasks == 2 and cfg.noise_std == 0
+
+
+def test_cli_gen_config_with_wrong_typed_suite_field_exits_2_naming_it(tmp_path, capsys):
+    config = tmp_path / "suite.json"
+    config.write_text(json.dumps({"suite": {"num_tasks": "x"}}))
+    assert main(["gen", "--config", str(config), "--out", str(tmp_path / "d.bundle")]) == 2
+    err = capsys.readouterr().err
+    assert "suite.num_tasks: expected an integer, got 'x'" in err
+    assert "not supported" not in err
+
+
+def test_cli_on_suite_bundle_with_wrong_typed_config_exits_3_naming_the_field(tmp_path,
+                                                                             capsys):
+    path = tmp_path / "suite.bundle"
+    save_suite(gen_suite(SuiteConfig(num_tasks=2, samples_per_split=20, seed=4)), path)
+    bad = _tampered(path, tmp_path / "bad.bundle", lambda m, a: m["config"].update(num_tasks="x"))
+    with pytest.raises(BundleError, match="'config': num_tasks: expected an integer"):
+        load_suite(bad)
+    assert main(["finetune", "--data", str(bad), "--out-dir", str(tmp_path / "ckpts")]) == 3
+    err = capsys.readouterr().err
+    assert "num_tasks: expected an integer" in err and "not supported" not in err
