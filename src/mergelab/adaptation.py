@@ -23,16 +23,18 @@ from .engine import (
     ShapeError,
     UnknownTaskError,
     _activations,
+    _adam_update,
     _backprop,
+    _check_inputs,
     _check_outputs,
+    _check_targets,
     _loss_rows,
-    _views,
+    _split,
     adam_init,
     adam_step,
     backward,
     encode,
     forward,
-    loss_output_grad,
     params_to_arrays,
     arrays_to_params,
     softmax,
@@ -97,13 +99,16 @@ class SelfLabelBatch:
 def make_self_labels(expert: ParamSet, task: str, inputs: np.ndarray,
                      kind: str = "classification") -> SelfLabelBatch:
     """Self-labels from a frozen expert: argmax + top-1 confidence, or raw outputs."""
-    logits = forward(expert, task, inputs)
+    return _self_labels(inputs, forward(expert, task, inputs), kind)
+
+
+def _self_labels(inputs: np.ndarray, logits: np.ndarray, kind: str) -> SelfLabelBatch:
+    """`make_self_labels` from the expert's `logits` over `inputs`."""
     if kind == "classification":
-        probs = softmax(logits)
         return SelfLabelBatch(
             inputs=np.asarray(inputs, dtype=np.float64),
             targets=np.argmax(logits, axis=1).astype(np.int64),
-            expert_confidence=probs.max(axis=1),
+            expert_confidence=softmax(logits).max(axis=1),
         )
     if kind == "regression":
         return SelfLabelBatch(np.asarray(inputs, dtype=np.float64), logits, None)
@@ -123,9 +128,25 @@ def confidence_filter(merged_conf: np.ndarray, expert_conf: np.ndarray) -> np.nd
 # Expert fine-tuning and backbone pretraining
 
 
-def _layers(flats: Sequence[np.ndarray], like: Sequence[LayerParams]) -> tuple:
-    """Checked layers over a loop's flat vectors, shaped like `like` (its result)."""
-    return tuple(LayerParams(*_views(f, l.weight.shape)) for f, l in zip(flats, like))
+def _checked(layers: Sequence[LayerParams]) -> tuple:
+    """Checked copies of a loop's unchecked layers (its result)."""
+    return tuple(LayerParams(l.weight, l.bias) for l in layers)
+
+
+def _adam(x: np.ndarray, lr: float):
+    """Adam over the float64 vector `x`, stepped in place by the returned
+    function of the gradient; the moments and the step count live here."""
+    if lr <= 0.0:
+        raise ValueError("learning rate must be positive")
+    m, v = np.zeros_like(x), np.zeros_like(x)
+    t = 0
+
+    def step(g: np.ndarray):
+        nonlocal t
+        t += 1
+        _adam_update(x, g, m, v, t, lr)
+
+    return step
 
 
 def finetune_expert(pre: ParamSet, x: np.ndarray, y: np.ndarray, task: str,
@@ -146,25 +167,32 @@ def finetune_expert(pre: ParamSet, x: np.ndarray, y: np.ndarray, task: str,
 
     rng = spawn_rng(seed, "finetune", task)
     head = params.head(task)
-    flats = [l.flat for l in params.encoder]
-    state = adam_init(flats)
-    history = []
     n = len(x)
+    x = _check_inputs(x, params.encoder[0].in_dim)
+    y = _check_targets((n, head.out_dim), y, spec)
+    # the encoder (a copy of `pre`'s) and its gradient as one flat vector each
+    flat = np.concatenate([l.flat for l in params.encoder])
+    grad = np.empty_like(flat)
+    encoder = _split(flat, params.encoder)
+    layers = [*encoder, head]
+    grads = [*_split(grad, params.encoder), None]  # the head is frozen: no gradient
+    step = _adam(flat, lr)
+    history = []
     bs = min(batch_size, n)
     for _ in range(epochs):
         order = rng.permutation(n)
         epoch_losses = []
         for start in range(0, n - bs + 1, bs):
             idx = order[start:start + bs]
-            layers = [_views(f, l.weight.shape) for f, l in zip(flats, params.encoder)]
-            acts = _activations(layers, x[idx])
+            acts = _activations(encoder, x[idx])
             logits = _check_outputs(acts[-1] @ head.weight.T + head.bias)
-            rows, grad, _ = _loss_rows(logits, _slice_targets(y, idx, spec), spec)
-            grads = _backprop(grad / len(idx), acts, [w for w, _ in layers] + [head.weight])
-            flats, state = adam_step(flats, grads[:-1], state, lr)
-            epoch_losses.append(float(rows.mean()))
+            rows, g, _ = _loss_rows(logits, y[idx], spec)
+            g /= bs
+            _backprop(g, acts, layers, grads)
+            step(grad)
+            epoch_losses.append(float(rows.sum()) / bs)
         history.append(float(np.mean(epoch_losses)))
-    params = ParamSet(encoder=_layers(flats, params.encoder), heads=params.heads)
+    params = ParamSet(encoder=_checked(encoder), heads=params.heads)
     return (params, history) if return_history else params
 
 
@@ -175,8 +203,15 @@ def pretrain_backbone(init: ParamSet, suite: TaskSuite, epochs: int, lr: float,
     Stand-in for generic pretraining: yields a shared encoder plus per-task
     heads that are deliberately mediocre compared to fine-tuned experts.
     """
-    params = init
-    state = adam_init(params_to_arrays(params))
+    # every layer in one flat vector (`params_to_arrays` order); `params` is
+    # an unchecked view of it, each step's Adam result is copied into it, and
+    # the result is checked once at the end
+    task_ids = sorted(init.heads)
+    flat = np.concatenate(params_to_arrays(init))
+    views = _split(flat, [*init.encoder, *(init.heads[t] for t in task_ids)])
+    depth = len(init.encoder)
+    params = ParamSet(encoder=views[:depth], heads=dict(zip(task_ids, views[depth:])))
+    state = adam_init([flat])
     streams = {}
     for t in suite.tasks:
         streams[t.task_id] = _BatchStream(len(t.x_train), batch_size,
@@ -187,12 +222,11 @@ def pretrain_backbone(init: ParamSet, suite: TaskSuite, epochs: int, lr: float,
             for t in suite.tasks:
                 spec = LossSpec("cross_entropy_hard" if t.kind == "classification" else "l2")
                 idx = streams[t.task_id].next_indices()
-                _, grads = backward(params, t.task_id, t.x_train[idx],
-                                    _slice_targets(t.y_train, idx, spec), spec)
-                arrays, state = adam_step(params_to_arrays(params),
-                                          params_to_arrays(grads), state, lr)
-                params = arrays_to_params(params, arrays)
-    return params
+                _, grads = backward(params, t.task_id, t.x_train[idx], t.y_train[idx], spec)
+                (new,), state = adam_step([flat], [np.concatenate(params_to_arrays(grads))],
+                                          state, lr)
+                flat[...] = new
+    return arrays_to_params(init, params_to_arrays(params))
 
 
 # ---------------------------------------------------------------------------
@@ -236,12 +270,6 @@ class _BatchStream:
         return idx
 
 
-def _slice_targets(targets, idx, spec: LossSpec):
-    if spec.target_arity == "none":
-        return None
-    return targets[idx]
-
-
 def _trainable_init(selector, expert: ParamSet, task: str):
     if selector is None:
         return None
@@ -252,6 +280,8 @@ def _trainable_init(selector, expert: ParamSet, task: str):
         return TrainableLayer(selector, expert.encoder[selector])
     for i in selector:
         _check_layer_index(i, len(expert.encoder))
+    if len(set(selector)) != len(selector):
+        raise ValueError(f"trainable encoder indices {tuple(selector)} repeat a layer")
     return TrainableLayer(tuple(selector), tuple(expert.encoder[i] for i in selector))
 
 
@@ -307,16 +337,18 @@ def symerge(pre: ParamSet, vectors: Mapping[str, TaskVector],
     _validate_adapt_inputs(task_ids, vectors, inputs_by_task)
     kinds = {t: (task_kinds or {}).get(t, "classification") for t in task_ids}
 
-    labels = {t: make_self_labels(experts[t], t, inputs_by_task[t], kinds[t]) for t in task_ids}
-    specs = {}
+    specs, labels, targets_full = {}, {}, {}
     for t in task_ids:
         if cfg.loss is not None:
             specs[t] = cfg.loss
         else:
             specs[t] = LossSpec("cross_entropy_hard" if kinds[t] == "classification" else "l1")
-
-    # full target material per task, shaped for the chosen loss
-    targets_full = {t: _targets_for_spec(labels[t], experts[t], t, specs[t]) for t in task_ids}
+        # one expert forward gives the self-labels and the targets of the chosen loss
+        logits = forward(experts[t], t, inputs_by_task[t])
+        if not np.isfinite(logits).all():
+            raise ValueError(f"expert outputs for task '{t}' are not finite")
+        labels[t] = _self_labels(inputs_by_task[t], logits, kinds[t])
+        targets_full[t] = _targets_for_spec(labels[t], logits, t, specs[t])
 
     trainable = {}
     if cfg.trainable_layer is not None:
@@ -367,7 +399,8 @@ def adamerging_entropy(pre: ParamSet, vectors: Mapping[str, TaskVector],
     return result.coeffs
 
 
-def _targets_for_spec(batch: SelfLabelBatch, expert: ParamSet, task: str, spec: LossSpec):
+def _targets_for_spec(batch: SelfLabelBatch, logits: np.ndarray, task: str, spec: LossSpec):
+    """Full-split targets for `spec` from the self-labels and the expert's logits."""
     arity = spec.target_arity
     if arity == "none":
         return None
@@ -375,7 +408,6 @@ def _targets_for_spec(batch: SelfLabelBatch, expert: ParamSet, task: str, spec: 
         if batch.expert_confidence is None:
             raise ValueError(f"hard-label loss needs classification self-labels for '{task}'")
         return batch.targets
-    logits = forward(expert, task, batch.inputs)
     if arity == "distribution":
         return softmax(logits)
     return logits  # vector losses mimic expert logits directly
@@ -391,34 +423,65 @@ def _validate_adapt_inputs(task_ids, vectors, inputs_by_task):
             raise ValueError(f"empty input split for task '{t}'")
 
 
+class _TaskRun:
+    """What one task's adaptation steps read, fixed for the run.
+
+    `layers` are the encoder layers, then the head: views of the shared
+    merged buffer, the frozen head, or views of `flat`, the task's
+    trainable layers as one vector (a copy of the expert's) that `step`
+    updates in place. `grads[i]` is a view of layer i's gradient, or None
+    when nothing reads it; the gradient buffer holds the trainable layers
+    first, in `flat`'s order (`train_grad`), then the encoder layers the
+    coefficient gradient needs, and `lowest` is the lowest layer in it.
+    """
+
+    def __init__(self, x, y, conf, spec, head, tr, merged, train_coeffs, lr):
+        self.x, self.y, self.conf, self.spec = x, y, conf, spec
+        depth = len(merged)
+        self.layers = [*merged, head]
+        self.positions = (() if tr is None else (depth,) if tr.selector == "head"
+                          else tr.layer_indices())
+        self.merged = tuple(i for i in range(depth) if i not in self.positions)
+        self.replaced = tuple(i for i in self.positions if i < depth)
+        self.step = self.train_grad = None
+        if tr is not None:
+            flat = np.concatenate([l.flat for l in tr.layers()])
+            for i, layer in zip(self.positions, _split(flat, tr.layers())):
+                self.layers[i] = layer
+            self.step = _adam(flat, lr)
+        need = [*self.positions, *(self.merged if train_coeffs else ())]
+        buf = np.empty(sum(self.layers[i].flat.size for i in need))
+        self.grads = [None] * (depth + 1)
+        for i, layer in zip(need, _split(buf, [self.layers[i] for i in need])):
+            self.grads[i] = layer
+        self.lowest = min(need, default=depth + 1)
+        if tr is not None:
+            self.train_grad = buf[:flat.size]
+
+
 def _run_adaptation(pre, vectors, heads, inputs_by_task, cfg, task_ids, specs,
                     targets_full, expert_conf, kinds, trainable) -> AdaptResult:
-    # The assembly checks the vectors and trainable layers once. A step works
-    # on flat layer vectors (the encoder's, then the head at index `depth`):
-    # merge from the stack, swap in the task's trainable layers, then one
-    # forward, one loss kernel and one backprop. The result is validated.
+    # The assembly checks the vectors and trainable layers once, and each
+    # task's inputs and targets are checked whole here, before the first
+    # step. A step merges the layers its task uses from the stack into one
+    # shared buffer, runs one forward, one loss kernel and one backprop that
+    # stops at the lowest layer it trains, and Adam steps the coefficients
+    # and the task's trainable vector in place. The result is validated once.
     depth = len(pre.encoder)
     coeffs = CoefficientMatrix.constant(task_ids, depth, cfg.init_coeff)
     values = coeffs.values
     stack = MergedAssembly(pre_encoder=tuple(pre.encoder), vectors=[vectors[t] for t in task_ids],
                            coeffs=coeffs, heads=heads, trainable=trainable).vectors
-    pre_flats = [l.flat for l in pre.encoder]
-    shapes = {t: (*stack.shapes, heads[t].weight.shape) for t in task_ids}
-    positions = {t: (depth,) if tr.selector == "head" else tr.layer_indices()
-                 for t, tr in trainable.items()}
-    layer_flats = {t: [l.flat for l in tr.layers()] for t, tr in trainable.items()}
+    merged = _split(np.empty(sum(l.flat.size for l in pre.encoder)), pre.encoder)
 
-    coeff_state = adam_init([values])
-    layer_states = {t: adam_init(flats) for t, flats in layer_flats.items()}
-
-    def step_coeffs(grad):
-        nonlocal coeff_state
-        (new_vals,), coeff_state = adam_step([values], [grad], coeff_state, cfg.lr_coeffs)
-        values[...] = new_vals
-
-    def step_layer(task, layer_grads):
-        layer_flats[task], layer_states[task] = adam_step(layer_flats[task], layer_grads,
-                                                          layer_states[task], cfg.lr_layer)
+    runs = {}
+    for t in task_ids:
+        x = _check_inputs(inputs_by_task[t], pre.encoder[0].in_dim)
+        y = _check_targets((len(x), heads[t].out_dim), targets_full[t], specs[t])
+        filtered = cfg.filter_enabled and kinds[t] == "classification"
+        runs[t] = _TaskRun(x, y, expert_conf[t] if filtered else None, specs[t], heads[t],
+                           trainable.get(t), merged, cfg.train_coeffs, cfg.lr_layer)
+    step_coeffs = _adam(values, cfg.lr_coeffs)
 
     order_rng = spawn_rng(cfg.seed, "task-order")
     streams = {
@@ -428,6 +491,7 @@ def _run_adaptation(pre, vectors, heads, inputs_by_task, cfg, task_ids, specs,
 
     trace = []
     stats = []
+    filtered_passes = 0
     for pass_idx in range(cfg.iterations):
         if cfg.task_order == "shuffled_each_pass":
             order = [task_ids[i] for i in order_rng.permutation(len(task_ids))]
@@ -435,31 +499,28 @@ def _run_adaptation(pre, vectors, heads, inputs_by_task, cfg, task_ids, specs,
             order = list(task_ids)
 
         agg_coeff_grad = np.zeros_like(values)
-        agg_layer_grads = {}
+        agg_layer = []  # runs whose gradient buffer holds this pass's layer gradient
         pass_losses = []
         any_update = False
 
         for task in order:
+            run = runs[task]
             idx = streams[task].next_indices()
-            flats = [pre_flats[l] + values[:, l] @ d for l, d in enumerate(stack.matrices)]
-            flats.append(heads[task].flat)
-            for l, f in zip(positions.get(task, ()), layer_flats.get(task, ())):
-                flats[l] = f
-            layers = [_views(f, shape) for f, shape in zip(flats, shapes[task])]
-            acts = _activations(layers[:-1], inputs_by_task[task][idx])
-            head_w, head_b = layers[-1]
-            logits = acts[-1] @ head_w.T + head_b
+            for l in run.merged:
+                np.add(pre.encoder[l].flat, values[:, l] @ stack.matrices[l], out=merged[l].flat)
+            acts = _activations(run.layers[:depth], run.x[idx])
+            head = run.layers[depth]
+            logits = acts[-1] @ head.weight.T + head.bias
             if not np.isfinite(logits).all():
                 raise ValueError(f"adaptation diverged: non-finite outputs on pass {pass_idx} "
                                  f"for task '{task}'")
-            rows, grad, probs = _loss_rows(
-                logits, _slice_targets(targets_full[task], idx, specs[task]), specs[task])
-            batch_loss = float(rows.mean())
+            rows, grad, probs = _loss_rows(logits, None if run.y is None else run.y[idx], run.spec)
+            batch_loss = float(rows.sum()) / len(idx)
 
             kept = len(idx)
-            if cfg.filter_enabled and kinds[task] == "classification" and expert_conf[task] is not None:
+            if run.conf is not None:
                 probs = softmax(logits) if probs is None else probs
-                keep = np.flatnonzero(confidence_filter(probs.max(axis=1), expert_conf[task][idx]))
+                keep = confidence_filter(probs.max(axis=1), run.conf[idx]).nonzero()[0]
                 kept = keep.size
                 if kept == 0:
                     pass_losses.append(batch_loss)
@@ -467,44 +528,50 @@ def _run_adaptation(pre, vectors, heads, inputs_by_task, cfg, task_ids, specs,
                     continue
                 if kept < len(idx):
                     rows, grad = rows[keep], grad[keep]
-                    acts = [a.take(keep, axis=0) for a in acts]
+                    for i in range(run.lowest, depth + 1):
+                        acts[i] = acts[i].take(keep, axis=0)
 
-            grads = _backprop(grad / kept, acts, [w for w, _ in layers])
             pass_losses.append(batch_loss)
             any_update = True
-            stats.append(StepStats(pass_idx, task, len(idx), kept, float(rows.mean()), batch_loss))
+            stats.append(StepStats(pass_idx, task, len(idx), kept, float(rows.sum()) / kept,
+                                   batch_loss))
+            if run.lowest > depth:
+                continue  # nothing is trained
+            grad /= kept
+            _backprop(grad, acts, run.layers, run.grads)
 
-            cgrad = coefficient_grad(grads[:depth], stack)
-            tr = trainable.get(task)
-            if tr is not None:
-                for l in tr.layer_indices():
+            if cfg.train_coeffs:
+                cgrad = coefficient_grad([g.flat for g in run.grads[:depth]], stack)
+                for l in run.replaced:
                     cgrad[:, l] = 0.0  # replaced layer: loss does not see the merged layer
-                layer_grads = [grads[l] for l in positions[task]]
-
             if cfg.update_mode == "sequential":
                 if cfg.train_coeffs:
                     step_coeffs(cgrad)
-                if tr is not None:
-                    step_layer(task, layer_grads)
+                if run.step is not None:
+                    run.step(run.train_grad)
             else:
-                agg_coeff_grad += cgrad
-                if tr is not None:
-                    agg_layer_grads[task] = layer_grads
+                if cfg.train_coeffs:
+                    agg_coeff_grad += cgrad
+                if run.step is not None:
+                    agg_layer.append(run)  # each task runs once a pass: its buffer stays
 
         if cfg.update_mode == "aggregated" and any_update:
             if cfg.train_coeffs:
                 step_coeffs(agg_coeff_grad)
-            for task, layer_grads in agg_layer_grads.items():
-                step_layer(task, layer_grads)
+            for run in agg_layer:
+                run.step(run.train_grad)
 
         if not any_update:
-            warnings.warn(f"pass {pass_idx}: every batch fully filtered, no update applied")
+            filtered_passes += 1
         if pass_losses:
             trace.append(float(np.mean(pass_losses)))
 
+    if filtered_passes:
+        warnings.warn(f"{filtered_passes} of {cfg.iterations} passes fully filtered: "
+                      "every batch lost all its rows to the confidence filter, no update applied")
     return AdaptResult(
         coeffs=CoefficientMatrix(task_ids, values),
-        trainable={t: tr.with_layers(_layers(layer_flats[t], tr.layers()))
+        trainable={t: tr.with_layers(_checked([runs[t].layers[i] for i in runs[t].positions]))
                    for t, tr in trainable.items()},
         loss_trace=trace,
         step_stats=stats,
@@ -518,18 +585,23 @@ def _run_adaptation(pre, vectors, heads, inputs_by_task, cfg, task_ids, specs,
 def _train_head(head: LayerParams, feats: np.ndarray, y: np.ndarray, epochs: int,
                 lr: float, batch_size: int, rng: np.random.Generator) -> LayerParams:
     spec = LossSpec("cross_entropy_hard")
-    flat = head.flat
-    state = adam_init([flat])
+    flat = head.flat.copy()  # stepped in place; the expert's head is not written
+    grad = np.empty_like(flat)
+    (layer,), (layer_grad,) = _split(flat, [head]), _split(grad, [head])
+    step = _adam(flat, lr)
     n = len(feats)
+    y = _check_targets((n, head.out_dim), y, spec)
     bs = min(batch_size, n)
     for _ in range(epochs):
         order = rng.permutation(n)
         for start in range(0, n - bs + 1, bs):
             idx = order[start:start + bs]
-            w, b = _views(flat, head.weight.shape)
-            g = loss_output_grad(feats[idx] @ w.T + b, y[idx], spec)
-            (flat,), state = adam_step([flat], _backprop(g, [feats[idx]], [w]), state, lr)
-    return LayerParams(*_views(flat, head.weight.shape))
+            f = feats[idx]
+            g = _loss_rows(_check_outputs(f @ layer.weight.T + layer.bias), y[idx], spec)[1]
+            g /= bs
+            _backprop(g, [f], [layer], [layer_grad])
+            step(grad)
+    return LayerParams(layer.weight, layer.bias)
 
 
 def pilot_two_stage(merged_encoder, suite: TaskSuite, experts: Mapping[str, ParamSet],

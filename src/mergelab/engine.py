@@ -2,18 +2,24 @@
 
 Everything runs in 64-bit floats. The model is a chain of affine encoder
 layers with tanh activations, followed by one affine head per task (no
-activation on the head). All functions here are pure: parameters go in,
-new values come out, nothing is mutated in place.
+activation on the head). The public functions are pure: parameters go in,
+new values come out, and the caller's arrays are never written.
 
-The loss math of every kind lives in one row-wise kernel (`_loss_rows`) and
-the affine backprop in one helper over flat layer vectors (`_backprop`):
-`loss_eval`, `loss_output_grad` and `backward` wrap them, and the
-fine-tuning and adaptation steps in `adaptation` call them directly.
+The loss math of every kind lives in one row-wise kernel (`_loss_rows`), the
+affine backprop in one helper that writes flat layer gradients into
+caller-given buffers (`_backprop`), and the Adam arithmetic in one in-place
+update of a flat vector (`_adam_update`). `loss_eval`, `loss_output_grad`,
+`backward` and `adam_step` wrap them; the training loops in `adaptation`
+call them directly, each over flat buffers that it owns (parameters, their
+gradients and Adam moments), which are updated in place. Inputs and targets
+are checked at the boundary: the wrappers check each call's, the loops each
+task's whole arrays once before the first step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -186,7 +192,8 @@ def _check_outputs(outputs: np.ndarray) -> np.ndarray:
     return outputs
 
 
-def _check_targets(outputs: np.ndarray, targets, spec: LossSpec):
+def _check_targets(shape: tuple, targets, spec: LossSpec):
+    """`targets` checked and converted for outputs of `shape` (batch, dim)."""
     arity = spec.target_arity
     if arity == "none":
         if targets is not None:
@@ -196,17 +203,17 @@ def _check_targets(outputs: np.ndarray, targets, spec: LossSpec):
         raise ValueError(f"loss '{spec.kind}' requires targets")
     if arity == "labels":
         t = np.asarray(targets)
-        if t.ndim != 1 or t.shape[0] != outputs.shape[0]:
-            raise ShapeError(f"labels must be 1-D of length {outputs.shape[0]}")
+        if t.ndim != 1 or t.shape[0] != shape[0]:
+            raise ShapeError(f"labels must be 1-D of length {shape[0]}")
         if t.dtype.kind not in "iu":
             raise ValueError("class labels must be integers")
         t = t.astype(np.int64, copy=False)
-        if t.min() < 0 or t.max() >= outputs.shape[1]:
+        if t.min() < 0 or t.max() >= shape[1]:
             raise ValueError("class label out of range")
         return t
     t = _as_f64(targets)
-    if t.shape != outputs.shape:
-        raise ShapeError(f"targets shape {t.shape} != outputs shape {outputs.shape}")
+    if t.shape != tuple(shape):
+        raise ShapeError(f"targets shape {t.shape} != outputs shape {tuple(shape)}")
     if not np.isfinite(t).all():
         raise ValueError("targets contain non-finite values")
     if arity == "distribution":
@@ -215,15 +222,15 @@ def _check_targets(outputs: np.ndarray, targets, spec: LossSpec):
     return t
 
 
-def _loss_rows(z: np.ndarray, targets, spec: LossSpec):
+def _loss_rows(z: np.ndarray, t, spec: LossSpec):
     """The loss kernel: per-row loss, per-row output gradient and softmax.
 
-    `z` are checked outputs (`_check_outputs`); `targets` are checked here.
-    The batch-mean loss is the rows' mean and its output gradient the
-    gradient rows / batch size, so a subset of rows gives that subset's loss
-    and gradient. The softmax is None for the vector kinds, which need none.
+    `z` are checked outputs (`_check_outputs`) and `t` checked targets
+    (`_check_targets`, or rows of a checked array). The batch-mean loss is
+    the rows' mean and its output gradient the gradient rows / batch size,
+    so a subset of rows gives that subset's loss and gradient. The softmax
+    is None for the vector kinds, which need none.
     """
-    t = _check_targets(z, targets, spec)
     kind = spec.kind
     if spec.target_arity == "vector":
         d = z - t
@@ -247,13 +254,16 @@ def _loss_rows(z: np.ndarray, targets, spec: LossSpec):
     # one softmax: q = softmax(z), ls = log_softmax(z)
     zs = z - z.max(axis=1, keepdims=True)
     e = np.exp(zs)
-    q = e / e.sum(axis=1, keepdims=True)
-    ls = zs - np.log(e.sum(axis=1, keepdims=True))
+    s = e.sum(axis=1, keepdims=True)
+    q = e / s
     if kind == "cross_entropy_hard":
+        # -ls[r, t] from the picked entries alone (negated as written, so a
+        # zero loss keeps the sign the full log-softmax gives it)
         r = np.arange(z.shape[0])
         g = q.copy()
         g[r, t] -= 1.0
-        return -ls[r, t], g, q
+        return -(zs[r, t] - np.log(s[:, 0])), g, q
+    ls = zs - np.log(s)
     if kind in ("cross_entropy_soft", "kl"):
         # both gradients reduce to softmax - target for normalized targets
         per = -(t * ls) if kind == "cross_entropy_soft" else _xlogx(t) - t * ls
@@ -273,33 +283,39 @@ def _loss_rows(z: np.ndarray, targets, spec: LossSpec):
 
 def loss_eval(outputs: np.ndarray, targets, spec: LossSpec) -> float:
     """Mean-over-batch scalar loss of `outputs` against `targets`."""
-    rows, _, _ = _loss_rows(_check_outputs(outputs), targets, spec)
-    return float(rows.mean())
+    z = _check_outputs(outputs)
+    rows = _loss_rows(z, _check_targets(z.shape, targets, spec), spec)[0]
+    return float(rows.sum()) / z.shape[0]
 
 
 def loss_output_grad(outputs: np.ndarray, targets, spec: LossSpec) -> np.ndarray:
     """Gradient of `loss_eval` with respect to `outputs` (includes the 1/batch factor)."""
     z = _check_outputs(outputs)
-    return _loss_rows(z, targets, spec)[1] / z.shape[0]
+    return _loss_rows(z, _check_targets(z.shape, targets, spec), spec)[1] / z.shape[0]
 
 
-def _activations(layers: Sequence[tuple], inputs: np.ndarray) -> list:
-    """The inputs, then the output of every encoder layer (tanh after each);
-    `layers` are (weight, bias) pairs."""
+def _check_inputs(inputs: np.ndarray, in_dim: int) -> np.ndarray:
+    """`inputs` as a float64 (batch, in_dim) array."""
     h = _as_f64(inputs)
     if h.ndim != 2:
         raise ShapeError(f"inputs must be 2-D (batch, dim), got {h.shape}")
-    if h.shape[1] != layers[0][0].shape[1]:
-        raise ShapeError(f"input dim {h.shape[1]} != first layer in_dim {layers[0][0].shape[1]}")
+    if h.shape[1] != in_dim:
+        raise ShapeError(f"input dim {h.shape[1]} != first layer in_dim {in_dim}")
+    return h
+
+
+def _activations(layers: Sequence[LayerParams], h: np.ndarray) -> list:
+    """The checked inputs `h` (`_check_inputs`), then the output of every
+    encoder layer in `layers` (tanh after each)."""
     acts = [h]
-    for weight, bias in layers:
-        acts.append(np.tanh(acts[-1] @ weight.T + bias))
+    for layer in layers:
+        acts.append(np.tanh(acts[-1] @ layer.weight.T + layer.bias))
     return acts
 
 
 def encode(encoder: Sequence[LayerParams], inputs: np.ndarray) -> np.ndarray:
     """Push a batch through the encoder chain (tanh after every layer)."""
-    return _activations([(l.weight, l.bias) for l in encoder], inputs)[-1]
+    return _activations(encoder, _check_inputs(inputs, encoder[0].in_dim))[-1]
 
 
 def forward(params: ParamSet, task: str, inputs: np.ndarray) -> np.ndarray:
@@ -312,25 +328,31 @@ def forward_cached(params: ParamSet, task: str, inputs: np.ndarray):
     """Logits plus the activations `backward` needs (`_activations`).
     Selecting the same rows of each gives the cache of a sub-batch."""
     head = params.head(task)
-    acts = _activations([(l.weight, l.bias) for l in params.encoder], inputs)
+    acts = _activations(params.encoder, _check_inputs(inputs, params.encoder[0].in_dim))
     return acts[-1] @ head.weight.T + head.bias, acts
 
 
-def _affine_grad(delta: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-    """Flat gradient of an affine layer from the gradient at its output."""
-    return np.concatenate([(delta.T @ inputs).ravel(), delta.sum(axis=0)])
+def _backprop(g: np.ndarray, acts: list, layers: Sequence[LayerParams], out: Sequence) -> None:
+    """Write the gradients of the encoder layers and the head (`layers`, in
+    that order) into the layers `out`, from the gradient `g` at the logits
+    and the activations `_activations` gave. `out[i]` is None when layer i's
+    gradient is not wanted; the pass stops at the lowest layer that has one."""
+    top = len(layers) - 1
+    lowest = next(i for i, o in enumerate(out) if o is not None)
+    for i in range(top, lowest - 1, -1):
+        if i < top:
+            post = acts[i + 1]
+            g = (g @ layers[i + 1].weight) * (1.0 - post * post)  # through the layer above, then d tanh
+        if out[i] is not None:
+            np.matmul(g.T, acts[i], out=out[i].weight)
+            g.sum(axis=0, out=out[i].bias)
 
 
-def _backprop(g: np.ndarray, acts: list, weights: Sequence[np.ndarray]) -> list:
-    """Flat gradients (`LayerParams.flat` layout) of every encoder layer, then
-    of the head, from the gradient `g` at the logits, the activations
-    `_activations` gave and the weight matrices (encoder layers, then head)."""
-    grads = [_affine_grad(g, acts[-1])]
-    for i in range(len(weights) - 2, -1, -1):
-        post = acts[i + 1]
-        g = (g @ weights[i + 1]) * (1.0 - post * post)  # through the layer above, then d tanh
-        grads.append(_affine_grad(g, acts[i]))
-    return grads[::-1]
+def _split(flat: np.ndarray, like: Sequence[LayerParams]) -> list:
+    """Unchecked layers over consecutive slices of `flat`, shaped like `like`."""
+    ends = list(accumulate(l.flat.size for l in like))
+    return [LayerParams.from_flat(flat[a:b], l.weight.shape)
+            for a, b, l in zip([0] + ends, ends, like)]
 
 
 def backward(params: ParamSet, task: str, inputs: np.ndarray, targets, spec: LossSpec,
@@ -344,12 +366,13 @@ def backward(params: ParamSet, task: str, inputs: np.ndarray, targets, spec: Los
     logits, acts = forward_cached(params, task, inputs) if cache is None else cache
     loss = loss_eval(logits, targets, spec)
     g = loss_output_grad(logits, targets, spec)
-    grads = _backprop(g, acts, [l.weight for l in (*params.encoder, params.head(task))])
-    heads = {t: LayerParams.from_flat(grads[-1] if t == task else np.zeros_like(h.flat),
-                                      h.weight.shape)
+    layers = (*params.encoder, params.head(task))
+    grads = _split(np.empty(sum(l.flat.size for l in layers)), layers)
+    _backprop(g, acts, layers, grads)
+    heads = {t: grads[-1] if t == task else LayerParams.from_flat(np.zeros_like(h.flat),
+                                                                  h.weight.shape)
              for t, h in params.heads.items()}
-    return loss, ParamSet(encoder=tuple(LayerParams.from_flat(f, l.weight.shape)
-                                        for f, l in zip(grads, params.encoder)), heads=heads)
+    return loss, ParamSet(encoder=grads[:-1], heads=heads)
 
 
 # ---------------------------------------------------------------------------
@@ -380,27 +403,47 @@ def adam_init(arrays: Sequence[np.ndarray], beta1: float = 0.9, beta2: float = 0
     )
 
 
+def _adam_update(x: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray, t: int,
+                 lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    """Bias-corrected Adam step number `t` (from 1) of the float64 vector
+    `x` by gradient `g`, in place; `m` and `v` are its moments, also
+    updated in place. Each operation rounds as in the textbook expressions
+    `m = b1*m + (1-b1)*g`, `x - lr*m_hat / (sqrt(v_hat) + eps)`."""
+    m *= beta1
+    m += (1.0 - beta1) * g
+    g2 = g * g
+    g2 *= 1.0 - beta2
+    v *= beta2
+    v += g2
+    step = m / (1.0 - beta1 ** t)
+    step *= lr
+    den = v / (1.0 - beta2 ** t)
+    np.sqrt(den, out=den)
+    den += eps
+    step /= den
+    x -= step
+
+
 def adam_step(values: Sequence[np.ndarray], grads: Sequence[np.ndarray],
               state: AdamState, lr: float):
-    """One bias-corrected Adam update; returns (new values, new state)."""
+    """One bias-corrected Adam update; returns (new values, new state).
+
+    `_adam_update` applied to float64 copies of the values and moments."""
     if lr <= 0.0:
         raise ValueError("learning rate must be positive")
     if len(values) != len(grads) or len(values) != len(state.first_moment):
         raise ShapeError("values / grads / state length mismatch")
     t = state.step_count + 1
-    b1, b2 = state.beta1, state.beta2
     new_vals, new_m, new_v = [], [], []
     for x, g, m, v in zip(values, grads, state.first_moment, state.second_moment):
         if x.shape != g.shape:
             raise ShapeError(f"grad shape {g.shape} != value shape {x.shape}")
-        m = b1 * m + (1.0 - b1) * g
-        v = b2 * v + (1.0 - b2) * (g * g)
-        m_hat = m / (1.0 - b1 ** t)
-        v_hat = v / (1.0 - b2 ** t)
-        new_vals.append(x - lr * m_hat / (np.sqrt(v_hat) + state.eps))
+        x, m, v = (np.array(a, dtype=np.float64) for a in (x, m, v))
+        _adam_update(x, g, m, v, t, lr, state.beta1, state.beta2, state.eps)
+        new_vals.append(x)
         new_m.append(m)
         new_v.append(v)
-    return new_vals, AdamState(new_m, new_v, t, b1, b2, state.eps)
+    return new_vals, AdamState(new_m, new_v, t, state.beta1, state.beta2, state.eps)
 
 
 # ---------------------------------------------------------------------------
