@@ -157,10 +157,6 @@ def cross_merge_pairs(experts: Mapping[str, ParamSet], test_sets: Mapping[str, t
     return pairs, rho
 
 
-PROXIES = ("entropy", "self_ce")
-STAGES = ("initial", "adapted")
-
-
 @dataclass
 class CorrelationCell:
     task: str

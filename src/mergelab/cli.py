@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -44,13 +44,20 @@ from .analysis import (
 from .config import (
     ANALYSES,
     COEFF_ANALYSES,
+    CONSTANT_METHODS,
+    DEFAULT_METHOD,
+    LEARNED,
+    LEARNED_METHODS,
+    METHOD_COEFFS,
+    METHODS,
     ConfigError,
     adapt_config_from_dict,
+    adapt_config_to_dict,
     load_config_file,
     suite_config_from_dict,
 )
 from .engine import LossSpec, ParamSet, forward, init_params
-from .merging import CoefficientMatrix, merge_task_arithmetic, merge_uniform
+from .merging import CoefficientMatrix, MergedAssembly, merge_layerwise, merge_task_arithmetic
 from .reports import aggregate_reports, write_combined, write_report
 from .serialization import (
     BundleError,
@@ -65,7 +72,7 @@ from .serialization import (
     save_trainable,
     write_manifest,
 )
-from .suites import CorruptionSpec, TaskSuite, corrupt_suite, gen_suite, spawn_rng
+from .suites import CorruptionSpec, SuiteConfig, TaskSuite, corrupt_suite, gen_suite, spawn_rng
 from .theory import Prop1Instance, prop1_verify, random_linear_instance
 
 EXIT_OK = 0
@@ -113,11 +120,8 @@ def _load_ckpt_dir(path: Path):
     return pre, experts, digests
 
 
-def _suite_dict(suite):
-    kinds = {t.task_id: t.kind for t in suite.tasks}
-    test_inputs = {t.task_id: t.x_test for t in suite.tasks}
-    test_sets = {t.task_id: (t.x_test, t.y_test) for t in suite.tasks}
-    return kinds, test_inputs, test_sets
+def _indices(value: str) -> tuple:
+    return tuple(int(i) for i in value.split(","))
 
 
 def _parse_trainable(value: str):
@@ -131,29 +135,21 @@ def _parse_trainable(value: str):
     return int(value)
 
 
+def _given(args, cls) -> dict:
+    """The flags given on the command line that set a field of the config
+    dataclass `cls`; each such flag stores under the field's name."""
+    return {f.name: getattr(args, f.name) for f in fields(cls)
+            if getattr(args, f.name, None) is not None}
+
+
 def _adapt_config(args, num_tasks: int) -> AdaptConfig:
     base = {}
     if args.config:
         data = load_config_file(args.config)
         base = data.get("adapt", data)  # accept full experiment configs too
-    overrides = {
-        "iterations": args.iterations,
-        "batch_size": args.batch_size,
-        "lr_coeffs": args.lr_coeffs,
-        "lr_layer": args.lr_layer,
-        "init_coeff": args.init_coeff,
-        "seed": args.seed,
-        "update_mode": args.update_mode,
-        "task_order": args.task_order,
-        "loss": args.loss,
-    }
+    base.update(_given(args, AdaptConfig))
     if args.trainable_layer is not None:
-        overrides["trainable_layer"] = _parse_trainable(args.trainable_layer)
-    if args.no_filter:
-        overrides["filter_enabled"] = False
-    if args.no_train_coeffs:
-        overrides["train_coeffs"] = False
-    base.update({k: v for k, v in overrides.items() if v is not None})
+        base["trainable_layer"] = _parse_trainable(args.trainable_layer)
     if "init_coeff" not in base or base["init_coeff"] == "auto":
         base["init_coeff"] = default_init_coeff(num_tasks)
     return adapt_config_from_dict(base)
@@ -165,20 +161,8 @@ def _adapt_config(args, num_tasks: int) -> AdaptConfig:
 
 def _cmd_gen(args) -> int:
     base = load_config_file(args.config) if args.config else {}
-    base = base.get("suite", base) if isinstance(base, dict) else base
-    overrides = {
-        "num_tasks": args.tasks,
-        "classes_per_task": args.classes,
-        "input_dim": args.input_dim,
-        "samples_per_split": args.samples,
-        "shared_subspace_dim": args.subspace_dim,
-        "task_rotation_strength": args.rotation,
-        "noise_std": args.noise,
-        "seed": args.seed,
-    }
-    if args.regression:
-        overrides["regression_tasks"] = tuple(int(i) for i in args.regression.split(","))
-    base.update({k: v for k, v in overrides.items() if v is not None})
+    base = base.get("suite", base)
+    base.update(_given(args, SuiteConfig))
     cfg = suite_config_from_dict(base)
 
     suite = gen_suite(cfg)
@@ -201,10 +185,7 @@ def _cmd_gen(args) -> int:
 def _cmd_finetune(args) -> int:
     data_path = _out_path(args.data)
     suite = load_suite(data_path)
-    hidden = tuple(int(d) for d in args.hidden.split(","))
-    if not hidden:
-        raise ConfigError("hidden: need at least one encoder layer width")
-    encoder_dims = (suite.config.input_dim, *hidden)
+    encoder_dims = (suite.config.input_dim, *args.hidden)
     head_dims = {t.task_id: t.num_outputs for t in suite.tasks}
 
     rng = spawn_rng(args.seed, "init")
@@ -222,7 +203,7 @@ def _cmd_finetune(args) -> int:
         save_checkpoint(expert, out_dir / f"expert_{t.task_id}.ckpt")
 
     cfg = {
-        "hidden": list(hidden),
+        "hidden": list(args.hidden),
         "pre_epochs": args.pre_epochs, "pre_lr": args.pre_lr,
         "epochs": args.epochs, "lr": args.lr, "batch_size": args.batch_size,
         "inputs": {"data": _sha256(data_path)},
@@ -234,21 +215,13 @@ def _cmd_finetune(args) -> int:
 
 
 def _cmd_merge(args) -> int:
-    ckpt_dir = _out_path(args.ckpt_dir)
-    pre, experts, digests = _load_ckpt_dir(ckpt_dir)
+    pre, experts, digests = _load_ckpt_dir(_out_path(args.ckpt_dir))
     task_ids = tuple(sorted(experts))
     vectors = task_vectors_from_experts(pre, experts)
-    vec_list = [vectors[t] for t in task_ids]
+    coeff = METHOD_COEFFS[args.method](len(task_ids), args.coeff)
+    coeffs = CoefficientMatrix.constant(task_ids, len(pre.encoder), coeff)
 
-    if args.method == "weight_avg":
-        encoder = merge_uniform([experts[t] for t in task_ids])
-        coeffs = CoefficientMatrix.constant(task_ids, len(pre.encoder), 1.0 / len(task_ids))
-    elif args.method == "task_arithmetic":
-        encoder = merge_task_arithmetic(pre, vec_list, args.coeff)
-        coeffs = CoefficientMatrix.constant(task_ids, len(pre.encoder), args.coeff)
-    else:
-        raise ConfigError(f"method: merge handles weight_avg|task_arithmetic, got '{args.method}'")
-
+    encoder = merge_layerwise(pre, [vectors[t] for t in task_ids], coeffs)
     merged = ParamSet(encoder=encoder, heads=dict(pre.heads))
     out_dir = _out_path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -263,9 +236,9 @@ def _cmd_merge(args) -> int:
 def _cmd_adapt(args) -> int:
     data_path = _out_path(args.data)
     suite = load_suite(data_path)
-    ckpt_dir = _out_path(args.ckpt_dir)
-    pre, experts, digests = _load_ckpt_dir(ckpt_dir)
-    kinds, test_inputs, _ = _suite_dict(suite)
+    pre, experts, digests = _load_ckpt_dir(_out_path(args.ckpt_dir))
+    kinds = {t.task_id: t.kind for t in suite.tasks}
+    test_inputs = {t.task_id: t.x_test for t in suite.tasks}
     vectors = task_vectors_from_experts(pre, experts)
 
     cfg = _adapt_config(args, num_tasks=len(experts))
@@ -276,22 +249,15 @@ def _cmd_adapt(args) -> int:
         cfg.trainable_layer = None
         heads = {t: experts[t].head(t) for t in experts}
         coeffs = adamerging_entropy(pre, vectors, heads, test_inputs, cfg, kinds)
-        save_coeffs(coeffs, out_dir / "coeffs.json")
         trained = {}
-    elif args.method == "symerge":
-        result = symerge(pre, vectors, experts, test_inputs, cfg, kinds)
-        save_coeffs(result.coeffs, out_dir / "coeffs.json")
-        trained = result.trainable
-        if trained:
-            save_trainable(trained, out_dir / "trainable.bundle")
     else:
-        raise ConfigError(f"method: adapt handles adamerging|symerge, got '{args.method}'")
+        result = symerge(pre, vectors, experts, test_inputs, cfg, kinds)
+        coeffs, trained = result.coeffs, result.trainable
+    save_coeffs(coeffs, out_dir / "coeffs.json")
+    if trained:
+        save_trainable(trained, out_dir / "trainable.bundle")
 
-    cfg_doc = asdict(cfg)
-    cfg_doc["loss"] = cfg.loss.kind if cfg.loss else None
-    if isinstance(cfg_doc["trainable_layer"], tuple):
-        cfg_doc["trainable_layer"] = list(cfg_doc["trainable_layer"])
-    manifest_cfg = {"method": args.method, "adapt": cfg_doc,
+    manifest_cfg = {"method": args.method, "adapt": adapt_config_to_dict(cfg),
                     "inputs": dict(digests, data=_sha256(data_path))}
     write_manifest(out_dir / "adapt.manifest.json",
                    manifest_payload("adapt", manifest_cfg, cfg.seed))
@@ -300,121 +266,232 @@ def _cmd_adapt(args) -> int:
     return EXIT_OK
 
 
-def _assembly_from_args(args, pre, experts, vectors, task_ids):
-    if args.coeffs:
-        coeffs = load_coeffs(_out_path(args.coeffs))
-    else:
-        coeffs = CoefficientMatrix.constant(task_ids, len(pre.encoder),
-                                            default_init_coeff(len(task_ids)))
-    trainable = load_trainable(_out_path(args.layers)) if args.layers else {}
-    return build_assembly(pre, vectors, experts, coeffs, trainable), coeffs
+class _Inputs:
+    """What `eval` and `analyze` read, loaded once. The merged model that
+    `--method` and its flags name is built on first use."""
+
+    def __init__(self, args):
+        self.args = args
+        self.data_path = _out_path(args.data)
+        self.suite = load_suite(self.data_path)
+        self.pre, self.experts, self.digests = _load_ckpt_dir(_out_path(args.ckpt_dir))
+        self.kinds = {t.task_id: t.kind for t in self.suite.tasks}
+        self.test_sets = {t.task_id: (t.x_test, t.y_test) for t in self.suite.tasks}
+        self.task_ids = tuple(sorted(self.experts))
+        self.cls_ids = tuple(t for t in self.task_ids if self.kinds[t] == "classification")
+        # a flag that the chosen method would ignore is an error, never dropped
+        self.given = [name for name in ("checkpoint", "coeffs", "layers") if getattr(args, name)]
+        if METHOD_COEFFS[args.method] is None and self.given:
+            raise ConfigError(f"method: {args.method} evaluates each expert alone, "
+                              f"so --{self.given[0]} is not used")
+        if args.checkpoint and len(self.given) > 1:
+            raise ConfigError(f"--{self.given[1]}: not used with --checkpoint, "
+                              "a checkpoint that is merged already")
+
+    @cached_property
+    def vectors(self) -> dict:
+        return task_vectors_from_experts(self.pre, self.experts)
+
+    def constant_coeffs(self, value: float) -> CoefficientMatrix:
+        return CoefficientMatrix.constant(self.task_ids, len(self.pre.encoder), value)
+
+    @cached_property
+    def assembly(self) -> MergedAssembly | None:
+        """The merged model: the `--checkpoint`, or the pre-trained encoder
+        plus the method's coefficients times the task vectors, with the
+        `--layers` swapped in. None for a method that merges nothing."""
+        args, source = self.args, METHOD_COEFFS[self.args.method]
+        if source is None:
+            return None
+        if args.checkpoint:
+            # a merged checkpoint is an assembly with no task vectors left to add
+            model = load_checkpoint(_out_path(args.checkpoint))
+            no_coeffs = CoefficientMatrix((), np.zeros((0, len(model.encoder))))
+            return MergedAssembly(tuple(model.encoder), (), no_coeffs, dict(model.heads), {})
+        if args.coeffs:
+            coeffs = load_coeffs(_out_path(args.coeffs))
+        elif source == LEARNED:
+            raise ConfigError(f"method: {args.method} needs --coeffs, the coefficient "
+                              "file that `mergelab adapt` writes")
+        else:
+            k = len(self.task_ids)
+            coeffs = self.constant_coeffs(source(k, default_init_coeff(k)))
+        trainable = load_trainable(_out_path(args.layers)) if args.layers else {}
+        return build_assembly(self.pre, self.vectors, self.experts, coeffs, trainable)
+
+    def manifest_cfg(self) -> dict:
+        inputs = dict(self.digests, data=_sha256(self.data_path))
+        inputs.update({name: _sha256(_out_path(getattr(self.args, name))) for name in self.given})
+        return {"method": self.args.method, "inputs": inputs}
 
 
-def _eval_rows(args, suite, pre, experts):
-    kinds, _, test_sets = _suite_dict(suite)
-    task_ids = tuple(sorted(experts))
+# ---------------------------------------------------------------------------
+# Row builders, one per registered analysis (`reports.ANALYSIS_TABLE`)
+
+
+def _eval_rows(run: _Inputs) -> list:
+    assembly = run.assembly
     rows = []
-    if args.method == "individual":
-        for t in task_ids:
-            x, y = test_sets[t]
-            metric = "accuracy" if kinds[t] == "classification" else "l1_error"
-            value = evaluate(experts[t].encoder, experts[t].head(t), x, y, kinds[t])
-            rows.append({"task": t, "metric": metric, "value": value})
-    elif args.checkpoint:
-        model = load_checkpoint(_out_path(args.checkpoint))
-        for t in task_ids:
-            x, y = test_sets[t]
-            metric = "accuracy" if kinds[t] == "classification" else "l1_error"
-            value = evaluate(model.encoder, model.head(t), x, y, kinds[t])
-            rows.append({"task": t, "metric": metric, "value": value})
-    else:
-        vectors = task_vectors_from_experts(pre, experts)
-        assembly, _ = _assembly_from_args(args, pre, experts, vectors, task_ids)
-        for t in task_ids:
-            x, y = test_sets[t]
-            metric = "accuracy" if kinds[t] == "classification" else "l1_error"
-            value = evaluate_assembly(assembly, t, x, y, kinds[t])
-            rows.append({"task": t, "metric": metric, "value": value})
+    for t in run.task_ids:
+        x, y = run.test_sets[t]
+        kind = run.kinds[t]
+        if assembly is None:
+            value = evaluate(run.experts[t].encoder, run.experts[t].head(t), x, y, kind)
+        else:
+            value = evaluate_assembly(assembly, t, x, y, kind)
+        metric = "accuracy" if kind == "classification" else "l1_error"
+        rows.append({"task": t, "metric": metric, "value": value})
     acc = [r["value"] for r in rows if r["metric"] == "accuracy"]
     if acc:
         rows.append({"task": "MEAN", "metric": "accuracy", "value": float(np.mean(acc))})
     return rows
 
 
-def _eval_manifest_cfg(args, digests, data_digest):
-    inputs = dict(digests, data=data_digest)
-    for name in ("coeffs", "layers", "checkpoint"):
-        value = getattr(args, name)
-        if value:
-            inputs[name] = _sha256(_out_path(value))
-    return {"method": args.method, "inputs": inputs}
+def _cross_matrix_rows(run: _Inputs) -> list:
+    ids = run.cls_ids
+    mat = cross_task_matrix([run.experts[t].encoder for t in ids],
+                            [run.experts[t].head(t) for t in ids],
+                            [run.test_sets[t] for t in ids])
+    return [{"encoder_task": a, "head_task": b, "accuracy": float(mat[i, j])}
+            for i, a in enumerate(ids) for j, b in enumerate(ids)]
+
+
+def _cross_merge_rows(run: _Inputs) -> list:
+    pairs, rho = cross_merge_pairs({t: run.experts[t] for t in run.cls_ids},
+                                   {t: run.test_sets[t] for t in run.cls_ids})
+    rows = [{"row_type": "pair", "encoder_task": p.encoder_task, "head_task": p.head_task,
+             "cross_accuracy": p.cross_accuracy, "merge_accuracy": p.merge_accuracy,
+             "spearman_rho": None} for p in pairs]
+    rows.append({"row_type": "summary", "encoder_task": None, "head_task": None,
+                 "cross_accuracy": None, "merge_accuracy": None, "spearman_rho": rho})
+    return rows
+
+
+def _transfer_rows(run: _Inputs) -> list:
+    ids, assembly = run.cls_ids, run.assembly
+    coeffs = CoefficientMatrix(ids, np.stack([assembly.coeffs.row(t) for t in ids]))
+    heads = {"baseline": [run.experts[t].head(t) for t in ids]}
+    trained = assembly.trainable
+    if trained and all(tr.selector == "head" for tr in trained.values()):
+        heads["adapted"] = [trained[t].params if t in trained else run.experts[t].head(t)
+                            for t in ids]
+    rows = []
+    for name, task_heads in heads.items():
+        m, c = transfer_metrics(run.pre.encoder, [run.vectors[t] for t in ids], coeffs,
+                                task_heads, [run.test_sets[t] for t in ids])
+        rows.append({"heads": name, "merged_score": m, "cross_score": c})
+    return rows
+
+
+def _correlation_rows(run: _Inputs) -> list:
+    init = run.constant_coeffs(default_init_coeff(len(run.task_ids)))
+    initial = build_assembly(run.pre, run.vectors, run.experts, init, {})
+    report = loss_correlation_report(initial, run.assembly, run.experts,
+                                     {t: run.test_sets[t] for t in run.cls_ids},
+                                     run.args.batch_size)
+    return [{"task": c.task, "proxy": c.proxy, "stage": c.stage,
+             "spearman_rho": c.rho, "status": c.status} for c in report.cells]
+
+
+def _discrepancy_rows(run: _Inputs) -> list:
+    rows = []
+    for t in run.cls_ids:
+        x, y = run.test_sets[t]
+        merged_pred = np.argmax(forward(run.assembly.materialize(t), t, x), axis=1)
+        expert_pred = np.argmax(forward(run.experts[t], t, x), axis=1)
+        rep = discrepancy(merged_pred, expert_pred, y)
+        rows.append({"task": t, "fails": rep.fails, "gains": rep.gains,
+                     "net": rep.net, "n": rep.n})
+    return rows
+
+
+def _sparsity_rows(run: _Inputs) -> list:
+    rep = sparsity_report(run.assembly.coeffs)
+    rows = [{"scope": "overall", "threshold": rep.threshold, "fraction": rep.overall}]
+    rows += [{"scope": f"layer_{i}", "threshold": rep.threshold, "fraction": f}
+             for i, f in enumerate(rep.per_layer)]
+    return rows
+
+
+def _prop1_rows(run: _Inputs) -> list:
+    rows = []
+    for i in range(100):
+        inst = random_linear_instance(spawn_rng(run.args.seed, "prop1", i))
+        rows.append(_prop1_row(f"linear-{i}", "linear", "l2", prop1_verify(inst)))
+    for ti in run.task_ids:
+        for tj in run.task_ids:
+            if ti == tj:
+                continue
+            x, y = run.test_sets[tj]
+            loss = LossSpec("cross_entropy_hard" if run.kinds[tj] == "classification" else "l2")
+            inst = Prop1Instance(
+                family="nonlinear-net",
+                theta_0=tuple(run.pre.encoder),
+                theta_i=tuple(run.experts[ti].encoder),
+                theta_j=tuple(run.experts[tj].encoder),
+                inputs=x,
+                targets=y,
+                loss=loss,
+                head=run.experts[tj].head(tj),
+            )
+            rows.append(_prop1_row(f"experts-{ti}-{tj}", "nonlinear-net", loss.kind,
+                                   prop1_verify(inst)))
+    return rows
+
+
+def _prop1_row(name, family, loss, rep) -> dict:
+    row = {"instance": name, "family": family, "loss": loss, **asdict(rep)}
+    row["ctl_residual_max"] = row.pop("ctl_residual")
+    return row
+
+
+def _pilot_rows(run: _Inputs) -> list:
+    # merged encoder uses every task vector; head retraining and
+    # scoring only make sense for classification tasks
+    ids = run.cls_ids
+    cls_suite = TaskSuite(config=run.suite.config,
+                          tasks=[t for t in run.suite.tasks if t.kind == "classification"])
+    vectors = [run.vectors[t] for t in run.task_ids]
+    rows = []
+    for coeff in [round(0.1 * i, 1) for i in range(1, 11)]:
+        merged_enc = merge_task_arithmetic(run.pre, vectors, coeff)
+        gains = pilot_two_stage(merged_enc, cls_suite, {t: run.experts[t] for t in ids},
+                                seed=run.args.seed)
+        rows += [{"coeff": coeff, "encoder_task": enc_t, "head_task": head_t,
+                  "gain": float(gains[i, j])}
+                 for i, enc_t in enumerate(ids) for j, head_t in enumerate(ids)]
+    return rows
+
+
+_ROW_BUILDERS = {
+    "eval": _eval_rows, "cross_matrix": _cross_matrix_rows, "cross_merge": _cross_merge_rows,
+    "transfer": _transfer_rows, "correlation": _correlation_rows,
+    "discrepancy": _discrepancy_rows, "sparsity": _sparsity_rows, "prop1": _prop1_rows,
+    "pilot": _pilot_rows,
+}
+
+
+def _write_reports(args, command: str, cfg: dict, seed: int, reports: list) -> None:
+    """The run's manifest, then each (analysis, rows) report stamped with its hash."""
+    out_dir = _out_path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    digest = write_manifest(out_dir / f"{command}.manifest.json",
+                            manifest_payload(command, cfg, seed))
+    for analysis, rows in reports:
+        write_report(out_dir, analysis, rows, digest)
 
 
 def _cmd_eval(args) -> int:
-    data_path = _out_path(args.data)
-    suite = load_suite(data_path)
-    pre, experts, digests = _load_ckpt_dir(_out_path(args.ckpt_dir))
-    rows = _eval_rows(args, suite, pre, experts)
-    out_dir = _out_path(args.out_dir)
-    cfg = _eval_manifest_cfg(args, digests, _sha256(data_path))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    digest = write_manifest(out_dir / "eval.manifest.json", manifest_payload("eval", cfg, 0))
-    write_report(out_dir, "eval", rows, digest)
+    run = _Inputs(args)
+    rows = _eval_rows(run)
+    _write_reports(args, "eval", run.manifest_cfg(), 0, [("eval", rows)])
     for r in rows:
         print(f"{r['task']}: {r['metric']}={r['value']:.4f}")
     return EXIT_OK
 
 
-def _prop1_rows(pre, experts, test_sets, kinds, seed: int):
-    rows = []
-    for i in range(100):
-        inst = random_linear_instance(spawn_rng(seed, "prop1", i))
-        rep = prop1_verify(inst)
-        rows.append(_prop1_row(f"linear-{i}", "linear", "l2", rep))
-    task_ids = tuple(sorted(experts))
-    for ti in task_ids:
-        for tj in task_ids:
-            if ti == tj:
-                continue
-            x, y = test_sets[tj]
-            loss = LossSpec("cross_entropy_hard" if kinds[tj] == "classification" else "l2")
-            inst = Prop1Instance(
-                family="nonlinear-net",
-                theta_0=tuple(pre.encoder),
-                theta_i=tuple(experts[ti].encoder),
-                theta_j=tuple(experts[tj].encoder),
-                inputs=x,
-                targets=y,
-                loss=loss,
-                head=experts[tj].head(tj),
-            )
-            rep = prop1_verify(inst)
-            rows.append(_prop1_row(f"experts-{ti}-{tj}", "nonlinear-net", loss.kind, rep))
-    return rows
-
-
-def _prop1_row(name, family, loss, rep):
-    return {
-        "instance": name, "family": family, "loss": loss,
-        "ctl_residual_max": rep.ctl_residual, "ctl_residual_mean": rep.ctl_residual_mean,
-        "loss_pre": rep.loss_pre, "loss_i": rep.loss_i, "loss_j": rep.loss_j,
-        "loss_merge": rep.loss_merge, "jensen_bound": rep.jensen_bound,
-        "jensen_slack": rep.jensen_slack, "jensen_holds": rep.jensen_holds,
-        "eps": rep.eps, "bound_disentangled": rep.bound_disentangled,
-        "bound_synergy": rep.bound_synergy, "classification": rep.classification,
-    }
-
-
 def _cmd_analyze(args) -> int:
-    data_path = _out_path(args.data)
-    suite = load_suite(data_path)
-    pre, experts, digests = _load_ckpt_dir(_out_path(args.ckpt_dir))
-    kinds, _, test_sets = _suite_dict(suite)
-    task_ids = tuple(sorted(experts))
-    vectors = task_vectors_from_experts(pre, experts)
-    vec_list = [vectors[t] for t in task_ids]
-
-    cls_ids = tuple(t for t in task_ids if kinds[t] == "classification")
+    run = _Inputs(args)
     analyses = tuple(args.analyses.split(","))
     for a in analyses:
         if a not in ANALYSES:
@@ -422,100 +499,11 @@ def _cmd_analyze(args) -> int:
     needs_coeffs = [a for a in analyses if a in COEFF_ANALYSES]
     if needs_coeffs and not args.coeffs:
         raise ConfigError(f"analyses: --coeffs is needed by {', '.join(needs_coeffs)}")
-
-    assembly = coeffs = None
-    if args.coeffs:
-        assembly, coeffs = _assembly_from_args(args, pre, experts, vectors, task_ids)
-
-    out_dir = _out_path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    cfg = _eval_manifest_cfg(args, digests, _sha256(data_path))
-    cfg["analyses"] = list(analyses)
-    cfg["batch_size"] = args.batch_size
-    digest = write_manifest(out_dir / "analyze.manifest.json",
-                            manifest_payload("analyze", cfg, args.seed))
-
-    for analysis in analyses:
-        if analysis == "eval":
-            rows = _eval_rows(args, suite, pre, experts)
-        elif analysis == "cross_matrix":
-            mat = cross_task_matrix(
-                [experts[t].encoder for t in cls_ids],
-                [experts[t].head(t) for t in cls_ids],
-                [test_sets[t] for t in cls_ids])
-            rows = [{"encoder_task": cls_ids[i], "head_task": cls_ids[j],
-                     "accuracy": float(mat[i, j])}
-                    for i in range(len(cls_ids)) for j in range(len(cls_ids))]
-        elif analysis == "cross_merge":
-            pairs, rho = cross_merge_pairs({t: experts[t] for t in cls_ids},
-                                           {t: test_sets[t] for t in cls_ids})
-            rows = [{"row_type": "pair", "encoder_task": p.encoder_task,
-                     "head_task": p.head_task, "cross_accuracy": p.cross_accuracy,
-                     "merge_accuracy": p.merge_accuracy, "spearman_rho": None}
-                    for p in pairs]
-            rows.append({"row_type": "summary", "encoder_task": None, "head_task": None,
-                         "cross_accuracy": None, "merge_accuracy": None,
-                         "spearman_rho": rho})
-        elif analysis == "transfer":
-            rows = []
-            cls_vecs = [vectors[t] for t in cls_ids]
-            cls_coeffs = CoefficientMatrix(
-                cls_ids, np.stack([coeffs.row(t) for t in cls_ids]))
-            base_heads = [experts[t].head(t) for t in cls_ids]
-            m, c = transfer_metrics(pre.encoder, cls_vecs, cls_coeffs, base_heads,
-                                    [test_sets[t] for t in cls_ids])
-            rows.append({"heads": "baseline", "merged_score": m, "cross_score": c})
-            trained = load_trainable(_out_path(args.layers)) if args.layers else {}
-            if trained and all(trained[t].selector == "head" for t in trained):
-                new_heads = [trained[t].params if t in trained else experts[t].head(t)
-                             for t in cls_ids]
-                m, c = transfer_metrics(pre.encoder, cls_vecs, cls_coeffs, new_heads,
-                                        [test_sets[t] for t in cls_ids])
-                rows.append({"heads": "adapted", "merged_score": m, "cross_score": c})
-        elif analysis == "correlation":
-            init_coeffs = CoefficientMatrix.constant(task_ids, len(pre.encoder),
-                                                     default_init_coeff(len(task_ids)))
-            initial = build_assembly(pre, vectors, experts, init_coeffs, {})
-            cls_sets = {t: test_sets[t] for t in task_ids if kinds[t] == "classification"}
-            report = loss_correlation_report(initial, assembly, experts, cls_sets,
-                                             args.batch_size)
-            rows = [{"task": c.task, "proxy": c.proxy, "stage": c.stage,
-                     "spearman_rho": c.rho, "status": c.status} for c in report.cells]
-        elif analysis == "discrepancy":
-            rows = []
-            for t in task_ids:
-                if kinds[t] != "classification":
-                    continue
-                x, y = test_sets[t]
-                model = assembly.materialize(t)
-                merged_pred = np.argmax(forward(model, t, x), axis=1)
-                expert_pred = np.argmax(forward(experts[t], t, x), axis=1)
-                rep = discrepancy(merged_pred, expert_pred, y)
-                rows.append({"task": t, "fails": rep.fails, "gains": rep.gains,
-                             "net": rep.net, "n": rep.n})
-        elif analysis == "sparsity":
-            rep = sparsity_report(coeffs)
-            rows = [{"scope": "overall", "threshold": rep.threshold, "fraction": rep.overall}]
-            rows += [{"scope": f"layer_{i}", "threshold": rep.threshold, "fraction": f}
-                     for i, f in enumerate(rep.per_layer)]
-        elif analysis == "prop1":
-            rows = _prop1_rows(pre, experts, test_sets, kinds, args.seed)
-        elif analysis == "pilot":
-            # merged encoder uses every task vector; head retraining and
-            # scoring only make sense for classification tasks
-            cls_suite = TaskSuite(config=suite.config,
-                                  tasks=[t for t in suite.tasks
-                                         if t.kind == "classification"])
-            cls_experts = {t: experts[t] for t in cls_ids}
-            rows = []
-            for coeff in [round(0.1 * i, 1) for i in range(1, 11)]:
-                merged_enc = merge_task_arithmetic(pre, vec_list, coeff)
-                gains = pilot_two_stage(merged_enc, cls_suite, cls_experts, seed=args.seed)
-                for i, enc_t in enumerate(cls_ids):
-                    for j, head_t in enumerate(cls_ids):
-                        rows.append({"coeff": coeff, "encoder_task": enc_t,
-                                     "head_task": head_t, "gain": float(gains[i, j])})
-        write_report(out_dir, analysis, rows, digest)
+    # every report is built before any file is written
+    reports = [(a, _ROW_BUILDERS[a](run)) for a in analyses]
+    cfg = dict(run.manifest_cfg(), analyses=list(analyses), batch_size=args.batch_size)
+    _write_reports(args, "analyze", cfg, args.seed, reports)
+    for analysis, rows in reports:
         print(f"wrote {analysis} report ({len(rows)} rows)")
     return EXIT_OK
 
@@ -542,15 +530,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", parents=[], help="generate a synthetic task suite")
     p.add_argument("--config", help="suite config JSON (or a gen manifest)")
     p.add_argument("--out", required=True, help="output dataset bundle")
-    p.add_argument("--tasks", type=int)
-    p.add_argument("--classes", type=int)
+    p.add_argument("--tasks", dest="num_tasks", type=int)
+    p.add_argument("--classes", dest="classes_per_task", type=int)
     p.add_argument("--input-dim", type=int)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--subspace-dim", type=int)
-    p.add_argument("--rotation", type=float)
-    p.add_argument("--noise", type=float)
+    p.add_argument("--samples", dest="samples_per_split", type=int)
+    p.add_argument("--subspace-dim", dest="shared_subspace_dim", type=int)
+    p.add_argument("--rotation", dest="task_rotation_strength", type=float)
+    p.add_argument("--noise", dest="noise_std", type=float)
     p.add_argument("--seed", type=int)
-    p.add_argument("--regression", help="comma-separated task indices generated as regression")
+    p.add_argument("--regression", dest="regression_tasks", type=_indices,
+                   help="comma-separated task indices generated as regression")
     p.add_argument("--corruption", choices=["gaussian_noise", "feature_mask", "contrast_scale"])
     p.add_argument("--severity", type=int, default=5)
     p.set_defaults(func=_cmd_gen)
@@ -558,7 +547,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("finetune", help="pretrain a backbone and fine-tune per-task experts")
     p.add_argument("--data", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--hidden", default="32,24,16", help="encoder layer widths, comma-separated")
+    p.add_argument("--hidden", default="32,24,16", type=_indices,
+                   help="encoder layer widths, comma-separated")
     p.add_argument("--pre-epochs", type=int, default=2)
     p.add_argument("--pre-lr", type=float, default=5e-3)
     p.add_argument("--epochs", type=int, default=10)
@@ -569,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("merge", help="training-free merge of expert checkpoints")
     p.add_argument("--ckpt-dir", required=True)
-    p.add_argument("--method", required=True, choices=["weight_avg", "task_arithmetic"])
+    p.add_argument("--method", required=True, choices=CONSTANT_METHODS)
     p.add_argument("--lambda", "--coeff", dest="coeff", type=float, default=0.3,
                    help="task-arithmetic scale")
     p.add_argument("--out-dir", required=True)
@@ -578,7 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("adapt", help="test-time adaptation of merging coefficients")
     p.add_argument("--data", required=True)
     p.add_argument("--ckpt-dir", required=True)
-    p.add_argument("--method", required=True, choices=["adamerging", "symerge"])
+    p.add_argument("--method", required=True, choices=LEARNED_METHODS)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--config", help="adapt config JSON (or an adapt manifest)")
     p.add_argument("--iterations", type=int)
@@ -587,38 +577,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr-layer", type=float)
     p.add_argument("--init-coeff", type=float)
     p.add_argument("--trainable-layer", help="head | none | <index> | <lo>:<hi>")
-    p.add_argument("--no-filter", action="store_true")
-    p.add_argument("--no-train-coeffs", action="store_true")
+    p.add_argument("--no-filter", dest="filter_enabled", action="store_false", default=None)
+    p.add_argument("--no-train-coeffs", dest="train_coeffs", action="store_false",
+                   default=None)
     p.add_argument("--update-mode", choices=["sequential", "aggregated"])
     p.add_argument("--task-order", choices=["shuffled_each_pass", "fixed"])
     p.add_argument("--loss", help="override the self-labeling loss kind")
     p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_adapt)
 
-    p = sub.add_parser("eval", help="evaluate experts, a checkpoint, or a merged assembly")
-    p.add_argument("--data", required=True)
-    p.add_argument("--ckpt-dir", required=True)
-    p.add_argument("--method", default="symerge",
-                   choices=["individual", "weight_avg", "task_arithmetic", "adamerging", "symerge"])
-    p.add_argument("--checkpoint", help="evaluate this merged checkpoint instead")
-    p.add_argument("--coeffs", help="coefficient JSON from merge/adapt")
-    p.add_argument("--layers", help="trainable-layer bundle from adapt")
-    p.add_argument("--out-dir", required=True)
+    # what eval and analyze score: the experts, a checkpoint, or a merge
+    inputs = argparse.ArgumentParser(add_help=False)
+    inputs.add_argument("--data", required=True)
+    inputs.add_argument("--ckpt-dir", required=True)
+    inputs.add_argument("--method", default=DEFAULT_METHOD, choices=METHODS)
+    inputs.add_argument("--checkpoint", help="evaluate this merged checkpoint instead")
+    inputs.add_argument("--coeffs", help="coefficient JSON from merge/adapt")
+    inputs.add_argument("--layers", help="trainable-layer bundle from adapt")
+    inputs.add_argument("--out-dir", required=True)
+
+    p = sub.add_parser("eval", parents=[inputs],
+                       help="evaluate experts, a checkpoint, or a merged assembly")
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("analyze", help="run diagnostic analyses and emit reports")
-    p.add_argument("--data", required=True)
-    p.add_argument("--ckpt-dir", required=True)
+    p = sub.add_parser("analyze", parents=[inputs],
+                       help="run diagnostic analyses and emit reports")
     p.add_argument("--analyses", required=True,
                    help=f"comma-separated subset of {','.join(ANALYSES)}")
-    p.add_argument("--method", default="symerge",
-                   choices=["individual", "weight_avg", "task_arithmetic", "adamerging", "symerge"])
-    p.add_argument("--checkpoint")
-    p.add_argument("--coeffs")
-    p.add_argument("--layers")
     p.add_argument("--batch-size", type=int, default=16)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("report", help="aggregate emitted JSON reports into combined tables")

@@ -4,19 +4,34 @@ offending field, plus the method/analysis compatibility rules."""
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .adaptation import AdaptConfig
+from .reports import ANALYSIS_TABLE
 from .suites import SuiteConfig
 
-METHODS = ("individual", "weight_avg", "task_arithmetic", "adamerging", "symerge")
-ANALYSES = ("eval", "cross_matrix", "cross_merge", "transfer", "correlation",
-            "discrepancy", "sparsity", "prop1", "pilot")
+# Every merge method as a source of one coefficient per (task, encoder layer):
+# None merges nothing; a constant is a function of the task count K and task
+# arithmetic's lambda; LEARNED coefficients come from `adapt`, in the file that
+# `eval` and `analyze` read with `--coeffs` (a file always takes precedence).
+LEARNED = "learned"
+METHOD_COEFFS = {
+    "individual": None,
+    "weight_avg": lambda k, lam: 1.0 / k,
+    "task_arithmetic": lambda k, lam: lam,
+    "adamerging": LEARNED,
+    "symerge": LEARNED,
+}
+METHODS = tuple(METHOD_COEFFS)
+CONSTANT_METHODS = tuple(m for m, c in METHOD_COEFFS.items() if callable(c))
+LEARNED_METHODS = tuple(m for m, c in METHOD_COEFFS.items() if c == LEARNED)
+DEFAULT_METHOD = "symerge"
 
+ANALYSES = tuple(ANALYSIS_TABLE)
 # analyses that read a merge's coefficients (`mergelab analyze --coeffs`)
-COEFF_ANALYSES = frozenset({"sparsity", "transfer", "correlation", "discrepancy"})
-_COEFF_METHODS = frozenset({"task_arithmetic", "weight_avg", "adamerging", "symerge"})
+COEFF_ANALYSES = frozenset(a for a, (_, needs_coeffs) in ANALYSIS_TABLE.items()
+                           if needs_coeffs)
 
 
 class ConfigError(ValueError):
@@ -27,7 +42,7 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     suite: SuiteConfig = field(default_factory=SuiteConfig)
     adapt: AdaptConfig = field(default_factory=AdaptConfig)
-    method: str = "symerge"
+    method: str = DEFAULT_METHOD
     analyses: tuple = ("eval",)
     output_dir: str = "runs/out"
 
@@ -38,8 +53,7 @@ class ExperimentConfig:
         for a in self.analyses:
             if a not in ANALYSES:
                 raise ConfigError(f"analyses: '{a}' is not one of {ANALYSES}")
-        for a in self.analyses:
-            if a in COEFF_ANALYSES and self.method not in _COEFF_METHODS:
+            if a in COEFF_ANALYSES and METHOD_COEFFS[self.method] is None:
                 raise ConfigError(
                     f"analyses: '{a}' requires a coefficient-bearing method, got '{self.method}'")
 
@@ -47,8 +61,7 @@ class ExperimentConfig:
 def _build(cls, data: dict, where: str):
     if not isinstance(data, dict):
         raise ConfigError(f"{where}: expected an object")
-    import dataclasses
-    names = {f.name for f in dataclasses.fields(cls)}
+    names = {f.name for f in fields(cls)}
     unknown = set(data) - names
     if unknown:
         raise ConfigError(f"{where}.{sorted(unknown)[0]}: unknown field")
@@ -86,35 +99,30 @@ def adapt_config_from_dict(data: dict) -> AdaptConfig:
 def experiment_config_from_dict(data: dict) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise ConfigError("top level: expected an object")
-    known = {"suite", "adapt", "method", "analyses", "output_dir"}
-    unknown = set(data) - known
+    unknown = set(data) - {f.name for f in fields(ExperimentConfig)}
     if unknown:
         raise ConfigError(f"{sorted(unknown)[0]}: unknown field")
-    kwargs = {}
+    kwargs = dict(data)
     if "suite" in data:
         kwargs["suite"] = suite_config_from_dict(data["suite"])
     if "adapt" in data:
         kwargs["adapt"] = adapt_config_from_dict(data["adapt"])
-    for key in ("method", "analyses", "output_dir"):
-        if key in data:
-            kwargs[key] = data[key]
     return ExperimentConfig(**kwargs)
 
 
+def adapt_config_to_dict(cfg: AdaptConfig) -> dict:
+    """The JSON form of `cfg`, as `adapt_config_from_dict` reads it."""
+    doc = asdict(cfg)
+    doc["loss"] = cfg.loss.kind if cfg.loss else None
+    if isinstance(cfg.trainable_layer, tuple):
+        doc["trainable_layer"] = list(cfg.trainable_layer)
+    return doc
+
+
 def experiment_config_to_dict(cfg: ExperimentConfig) -> dict:
-    doc = {
-        "suite": asdict(cfg.suite),
-        "adapt": asdict(cfg.adapt),
-        "method": cfg.method,
-        "analyses": list(cfg.analyses),
-        "output_dir": cfg.output_dir,
-    }
+    doc = asdict(cfg)
+    doc.update(adapt=adapt_config_to_dict(cfg.adapt), analyses=list(cfg.analyses))
     doc["suite"]["regression_tasks"] = list(cfg.suite.regression_tasks)
-    sel = doc["adapt"]["trainable_layer"]
-    if isinstance(sel, tuple):
-        doc["adapt"]["trainable_layer"] = list(sel)
-    if cfg.adapt.loss is not None:
-        doc["adapt"]["loss"] = cfg.adapt.loss.kind
     return doc
 
 

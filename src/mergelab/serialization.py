@@ -250,8 +250,11 @@ def save_coeffs(coeffs: CoefficientMatrix, path) -> None:
 
 
 def load_coeffs(path) -> CoefficientMatrix:
-    with open(path, encoding="utf-8") as f:
-        doc = json.load(f)
+    try:
+        with open(path, encoding="utf-8") as f:
+            doc = json.load(f)
+    except ValueError as exc:  # bad UTF-8 or bad JSON
+        raise BundleError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict) or doc.get("format") != "coeffs":
         raise BundleError(f"{path}: not a coefficient file")
     if not isinstance(doc.get("task_ids"), list):
