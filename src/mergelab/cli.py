@@ -9,38 +9,15 @@ producing run's manifest hash. Exit codes: 0 success, 1 usage, 2 config,
 from __future__ import annotations
 
 import argparse
-import hashlib
 import os
 import sys
 from dataclasses import asdict, fields
 from functools import cached_property
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
+from . import __getattr__  # noqa: F401  (the package's exports read as `cli.<name>`)
 from . import __version__
-from .adaptation import (
-    AdaptConfig,
-    adamerging_entropy,
-    build_assembly,
-    default_init_coeff,
-    finetune_expert,
-    pilot_two_stage,
-    pretrain_backbone,
-    symerge,
-    task_vectors_from_experts,
-)
-from .analysis import (
-    DegenerateDataError,
-    cross_merge_pairs,
-    cross_task_matrix,
-    discrepancy,
-    evaluate,
-    evaluate_assembly,
-    loss_correlation_report,
-    sparsity_report,
-    transfer_metrics,
-)
 from .config import (
     ANALYSES,
     COEFF_ANALYSES,
@@ -53,32 +30,26 @@ from .config import (
     ConfigError,
     adapt_config_from_dict,
     adapt_config_to_dict,
-    load_config_file,
+    load_config_section,
     suite_config_from_dict,
 )
-from .engine import LossSpec, ParamSet, forward, init_params
-from .merging import CoefficientMatrix, MergedAssembly, merge_layerwise, merge_task_arithmetic
 from .reports import aggregate_reports, write_combined, write_report
-from .serialization import (
-    BundleError,
-    load_checkpoint,
-    load_coeffs,
-    load_suite,
-    load_trainable,
-    manifest_payload,
-    save_checkpoint,
-    save_coeffs,
-    save_suite,
-    save_trainable,
-    write_manifest,
-)
-from .suites import CorruptionSpec, SuiteConfig, TaskSuite, corrupt_suite, gen_suite, spawn_rng
-from .theory import Prop1Instance, prop1_verify, random_linear_instance
+
+if TYPE_CHECKING:
+    from .adaptation import AdaptConfig
+    from .merging import CoefficientMatrix, MergedAssembly
+
+# The parser, `main` and `report` need only the names above, so `--version`,
+# `--help`, usage errors and `report` start without numpy. Each numeric
+# command imports what it uses when it runs, so its names are looked up on
+# their modules at call time.
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
+
+MERGE_LAMBDA = 0.3  # `merge --method task_arithmetic` without --lambda
 
 
 class _Parser(argparse.ArgumentParser):
@@ -97,6 +68,7 @@ def _out_path(path: str) -> Path:
 
 
 def _sha256(path: Path) -> str:
+    import hashlib
     h = hashlib.sha256()
     with open(path, "rb") as f:
         for chunk in iter(lambda: f.read(1 << 16), b""):
@@ -104,7 +76,13 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
+def _write_manifest(path: Path, command: str, cfg: dict, seed: int) -> str:
+    from .serialization import manifest_payload, write_manifest
+    return write_manifest(path, manifest_payload(command, cfg, seed))
+
+
 def _load_ckpt_dir(path: Path):
+    from .serialization import BundleError, load_checkpoint
     pre_path = path / "pre.ckpt"
     if not pre_path.exists():
         raise BundleError(f"{path}: missing pre.ckpt")
@@ -143,10 +121,8 @@ def _given(args, cls) -> dict:
 
 
 def _adapt_config(args, num_tasks: int) -> AdaptConfig:
-    base = {}
-    if args.config:
-        data = load_config_file(args.config)
-        base = data.get("adapt", data)  # accept full experiment configs too
+    from .adaptation import AdaptConfig, default_init_coeff
+    base = load_config_section(args.config, "adapt") if args.config else {}
     base.update(_given(args, AdaptConfig))
     if args.trainable_layer is not None:
         base["trainable_layer"] = _parse_trainable(args.trainable_layer)
@@ -160,8 +136,9 @@ def _adapt_config(args, num_tasks: int) -> AdaptConfig:
 
 
 def _cmd_gen(args) -> int:
-    base = load_config_file(args.config) if args.config else {}
-    base = base.get("suite", base)
+    from .serialization import save_suite
+    from .suites import CorruptionSpec, SuiteConfig, corrupt_suite, gen_suite
+    base = load_config_section(args.config, "suite") if args.config else {}
     base.update(_given(args, SuiteConfig))
     cfg = suite_config_from_dict(base)
 
@@ -176,13 +153,16 @@ def _cmd_gen(args) -> int:
     manifest_cfg = {"suite": base}
     if args.corruption:
         manifest_cfg["corruption"] = {"kind": args.corruption, "severity": args.severity}
-    write_manifest(out.with_suffix(".manifest.json"),
-                   manifest_payload("gen", manifest_cfg, cfg.seed))
+    _write_manifest(out.with_suffix(".manifest.json"), "gen", manifest_cfg, cfg.seed)
     print(f"wrote {out}")
     return EXIT_OK
 
 
 def _cmd_finetune(args) -> int:
+    from .adaptation import finetune_expert, pretrain_backbone
+    from .engine import init_params
+    from .serialization import load_suite, save_checkpoint
+    from .suites import spawn_rng
     data_path = _out_path(args.data)
     suite = load_suite(data_path)
     encoder_dims = (suite.config.input_dim, *args.hidden)
@@ -208,17 +188,25 @@ def _cmd_finetune(args) -> int:
         "epochs": args.epochs, "lr": args.lr, "batch_size": args.batch_size,
         "inputs": {"data": _sha256(data_path)},
     }
-    write_manifest(out_dir / "finetune.manifest.json",
-                   manifest_payload("finetune", cfg, args.seed))
+    _write_manifest(out_dir / "finetune.manifest.json", "finetune", cfg, args.seed)
     print(f"wrote pre + {len(suite.tasks)} expert checkpoints to {out_dir}")
     return EXIT_OK
 
 
 def _cmd_merge(args) -> int:
+    from .adaptation import task_vectors_from_experts
+    from .engine import ParamSet
+    from .merging import CoefficientMatrix, merge_layerwise
+    from .serialization import save_checkpoint, save_coeffs
+    # like eval's flags, a --lambda that the method would ignore is an error
+    if args.coeff is not None and args.method != "task_arithmetic":
+        raise ConfigError(f"--lambda: method {args.method} has a fixed coefficient, "
+                          "so --lambda is not used")
     pre, experts, digests = _load_ckpt_dir(_out_path(args.ckpt_dir))
     task_ids = tuple(sorted(experts))
     vectors = task_vectors_from_experts(pre, experts)
-    coeff = METHOD_COEFFS[args.method](len(task_ids), args.coeff)
+    lam = MERGE_LAMBDA if args.coeff is None else args.coeff
+    coeff = METHOD_COEFFS[args.method](len(task_ids), lam)
     coeffs = CoefficientMatrix.constant(task_ids, len(pre.encoder), coeff)
 
     encoder = merge_layerwise(pre, [vectors[t] for t in task_ids], coeffs)
@@ -227,13 +215,15 @@ def _cmd_merge(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     save_checkpoint(merged, out_dir / "merged.ckpt")
     save_coeffs(coeffs, out_dir / "coeffs.json")
-    cfg = {"method": args.method, "coeff": args.coeff, "inputs": digests}
-    write_manifest(out_dir / "merge.manifest.json", manifest_payload("merge", cfg, 0))
+    cfg = {"method": args.method, "coeff": coeff, "inputs": digests}
+    _write_manifest(out_dir / "merge.manifest.json", "merge", cfg, 0)
     print(f"wrote merged checkpoint + coefficients to {out_dir}")
     return EXIT_OK
 
 
 def _cmd_adapt(args) -> int:
+    from .adaptation import adamerging_entropy, symerge, task_vectors_from_experts
+    from .serialization import load_suite, save_coeffs, save_trainable
     data_path = _out_path(args.data)
     suite = load_suite(data_path)
     pre, experts, digests = _load_ckpt_dir(_out_path(args.ckpt_dir))
@@ -259,8 +249,7 @@ def _cmd_adapt(args) -> int:
 
     manifest_cfg = {"method": args.method, "adapt": adapt_config_to_dict(cfg),
                     "inputs": dict(digests, data=_sha256(data_path))}
-    write_manifest(out_dir / "adapt.manifest.json",
-                   manifest_payload("adapt", manifest_cfg, cfg.seed))
+    _write_manifest(out_dir / "adapt.manifest.json", "adapt", manifest_cfg, cfg.seed)
     extras = " + trainable layers" if trained else ""
     print(f"wrote coefficients{extras} to {out_dir}")
     return EXIT_OK
@@ -271,6 +260,11 @@ class _Inputs:
     `--method` and its flags name is built on first use."""
 
     def __init__(self, args):
+        # Every module a row builder uses loads before the inputs are read:
+        # compiled from source later (no bytecode cache), it would add to the
+        # peak memory of a process that already holds its data.
+        from . import adaptation, analysis, theory  # noqa: F401
+        from .serialization import load_suite
         self.args = args
         self.data_path = _out_path(args.data)
         self.suite = load_suite(self.data_path)
@@ -290,9 +284,11 @@ class _Inputs:
 
     @cached_property
     def vectors(self) -> dict:
+        from .adaptation import task_vectors_from_experts
         return task_vectors_from_experts(self.pre, self.experts)
 
     def constant_coeffs(self, value: float) -> CoefficientMatrix:
+        from .merging import CoefficientMatrix
         return CoefficientMatrix.constant(self.task_ids, len(self.pre.encoder), value)
 
     @cached_property
@@ -300,13 +296,16 @@ class _Inputs:
         """The merged model: the `--checkpoint`, or the pre-trained encoder
         plus the method's coefficients times the task vectors, with the
         `--layers` swapped in. None for a method that merges nothing."""
+        from .adaptation import build_assembly, default_init_coeff
+        from .merging import CoefficientMatrix, MergedAssembly
+        from .serialization import load_checkpoint, load_coeffs, load_trainable
         args, source = self.args, METHOD_COEFFS[self.args.method]
         if source is None:
             return None
         if args.checkpoint:
             # a merged checkpoint is an assembly with no task vectors left to add
             model = load_checkpoint(_out_path(args.checkpoint))
-            no_coeffs = CoefficientMatrix((), np.zeros((0, len(model.encoder))))
+            no_coeffs = CoefficientMatrix.constant((), len(model.encoder), 0.0)
             return MergedAssembly(tuple(model.encoder), (), no_coeffs, dict(model.heads), {})
         if args.coeffs:
             coeffs = load_coeffs(_out_path(args.coeffs))
@@ -330,6 +329,9 @@ class _Inputs:
 
 
 def _eval_rows(run: _Inputs) -> list:
+    import numpy as np
+
+    from .analysis import evaluate, evaluate_assembly
     assembly = run.assembly
     rows = []
     for t in run.task_ids:
@@ -348,6 +350,7 @@ def _eval_rows(run: _Inputs) -> list:
 
 
 def _cross_matrix_rows(run: _Inputs) -> list:
+    from .analysis import cross_task_matrix
     ids = run.cls_ids
     mat = cross_task_matrix([run.experts[t].encoder for t in ids],
                             [run.experts[t].head(t) for t in ids],
@@ -357,6 +360,7 @@ def _cross_matrix_rows(run: _Inputs) -> list:
 
 
 def _cross_merge_rows(run: _Inputs) -> list:
+    from .analysis import cross_merge_pairs
     pairs, rho = cross_merge_pairs({t: run.experts[t] for t in run.cls_ids},
                                    {t: run.test_sets[t] for t in run.cls_ids})
     rows = [{"row_type": "pair", "encoder_task": p.encoder_task, "head_task": p.head_task,
@@ -368,8 +372,10 @@ def _cross_merge_rows(run: _Inputs) -> list:
 
 
 def _transfer_rows(run: _Inputs) -> list:
+    from .analysis import transfer_metrics
+    from .merging import CoefficientMatrix
     ids, assembly = run.cls_ids, run.assembly
-    coeffs = CoefficientMatrix(ids, np.stack([assembly.coeffs.row(t) for t in ids]))
+    coeffs = CoefficientMatrix(ids, [assembly.coeffs.row(t) for t in ids])
     heads = {"baseline": [run.experts[t].head(t) for t in ids]}
     trained = assembly.trainable
     if trained and all(tr.selector == "head" for tr in trained.values()):
@@ -384,6 +390,8 @@ def _transfer_rows(run: _Inputs) -> list:
 
 
 def _correlation_rows(run: _Inputs) -> list:
+    from .adaptation import build_assembly, default_init_coeff
+    from .analysis import loss_correlation_report
     init = run.constant_coeffs(default_init_coeff(len(run.task_ids)))
     initial = build_assembly(run.pre, run.vectors, run.experts, init, {})
     report = loss_correlation_report(initial, run.assembly, run.experts,
@@ -394,11 +402,13 @@ def _correlation_rows(run: _Inputs) -> list:
 
 
 def _discrepancy_rows(run: _Inputs) -> list:
+    from .analysis import discrepancy
+    from .engine import forward
     rows = []
     for t in run.cls_ids:
         x, y = run.test_sets[t]
-        merged_pred = np.argmax(forward(run.assembly.materialize(t), t, x), axis=1)
-        expert_pred = np.argmax(forward(run.experts[t], t, x), axis=1)
+        merged_pred = forward(run.assembly.materialize(t), t, x).argmax(axis=1)
+        expert_pred = forward(run.experts[t], t, x).argmax(axis=1)
         rep = discrepancy(merged_pred, expert_pred, y)
         rows.append({"task": t, "fails": rep.fails, "gains": rep.gains,
                      "net": rep.net, "n": rep.n})
@@ -406,6 +416,7 @@ def _discrepancy_rows(run: _Inputs) -> list:
 
 
 def _sparsity_rows(run: _Inputs) -> list:
+    from .analysis import sparsity_report
     rep = sparsity_report(run.assembly.coeffs)
     rows = [{"scope": "overall", "threshold": rep.threshold, "fraction": rep.overall}]
     rows += [{"scope": f"layer_{i}", "threshold": rep.threshold, "fraction": f}
@@ -414,6 +425,9 @@ def _sparsity_rows(run: _Inputs) -> list:
 
 
 def _prop1_rows(run: _Inputs) -> list:
+    from .engine import LossSpec
+    from .suites import spawn_rng
+    from .theory import Prop1Instance, prop1_verify, random_linear_instance
     rows = []
     for i in range(100):
         inst = random_linear_instance(spawn_rng(run.args.seed, "prop1", i))
@@ -446,6 +460,9 @@ def _prop1_row(name, family, loss, rep) -> dict:
 
 
 def _pilot_rows(run: _Inputs) -> list:
+    from .adaptation import pilot_two_stage
+    from .merging import merge_task_arithmetic
+    from .suites import TaskSuite
     # merged encoder uses every task vector; head retraining and
     # scoring only make sense for classification tasks
     ids = run.cls_ids
@@ -475,8 +492,7 @@ def _write_reports(args, command: str, cfg: dict, seed: int, reports: list) -> N
     """The run's manifest, then each (analysis, rows) report stamped with its hash."""
     out_dir = _out_path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    digest = write_manifest(out_dir / f"{command}.manifest.json",
-                            manifest_payload(command, cfg, seed))
+    digest = _write_manifest(out_dir / f"{command}.manifest.json", command, cfg, seed)
     for analysis, rows in reports:
         write_report(out_dir, analysis, rows, digest)
 
@@ -560,8 +576,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("merge", help="training-free merge of expert checkpoints")
     p.add_argument("--ckpt-dir", required=True)
     p.add_argument("--method", required=True, choices=CONSTANT_METHODS)
-    p.add_argument("--lambda", "--coeff", dest="coeff", type=float, default=0.3,
-                   help="task-arithmetic scale")
+    p.add_argument("--lambda", "--coeff", dest="coeff", type=float,
+                   help=f"task-arithmetic scale (default {MERGE_LAMBDA})")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_merge)
 
@@ -630,7 +646,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (BundleError, DegenerateDataError, OSError, ValueError, KeyError) as exc:
+    # the package's own errors (BundleError, DegenerateDataError, ShapeError,
+    # UnknownTaskError) subclass ValueError or KeyError
+    except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -1,15 +1,21 @@
 """Experiment configuration: JSON parsing with diagnostics that name the
-offending field, plus the method/analysis compatibility rules."""
+offending field, plus the method/analysis compatibility rules.
+
+The tables here are all the CLI's parser needs, so this module loads no
+numeric module until a config is built."""
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .adaptation import AdaptConfig
 from .reports import ANALYSIS_TABLE
-from .suites import SuiteConfig
+
+if TYPE_CHECKING:
+    from .adaptation import AdaptConfig
+    from .suites import SuiteConfig
 
 # Every merge method as a source of one coefficient per (task, encoder layer):
 # None merges nothing; a constant is a function of the task count K and task
@@ -40,8 +46,8 @@ class ConfigError(ValueError):
 
 @dataclass
 class ExperimentConfig:
-    suite: SuiteConfig = field(default_factory=SuiteConfig)
-    adapt: AdaptConfig = field(default_factory=AdaptConfig)
+    suite: SuiteConfig = field(default_factory=lambda: suite_config_from_dict({}))
+    adapt: AdaptConfig = field(default_factory=lambda: adapt_config_from_dict({}))
     method: str = DEFAULT_METHOD
     analyses: tuple = ("eval",)
     output_dir: str = "runs/out"
@@ -76,6 +82,7 @@ def _build(cls, data: dict, where: str):
 
 
 def suite_config_from_dict(data: dict) -> SuiteConfig:
+    from .suites import SuiteConfig
     data = dict(data)
     if "regression_tasks" in data:
         data["regression_tasks"] = tuple(data["regression_tasks"])
@@ -83,6 +90,7 @@ def suite_config_from_dict(data: dict) -> SuiteConfig:
 
 
 def adapt_config_from_dict(data: dict) -> AdaptConfig:
+    from .adaptation import AdaptConfig
     data = dict(data)
     sel = data.get("trainable_layer")
     if isinstance(sel, list):
@@ -139,4 +147,15 @@ def load_config_file(path) -> dict:
         data = data["config"]
     if not isinstance(data, dict):
         raise ConfigError(f"config file {Path(path).name}: expected a JSON object")
+    return data
+
+
+def load_config_section(path, section: str) -> dict:
+    """The `section` ("suite" or "adapt") of a JSON config file. A file that
+    holds a whole experiment config, or a manifest of one, is unwrapped to
+    it; any other object is taken as the section itself."""
+    data = load_config_file(path)
+    data = data.get(section, data)
+    if not isinstance(data, dict):
+        raise ConfigError(f"config file {Path(path).name}: '{section}' is not a JSON object")
     return data

@@ -119,10 +119,14 @@ def test_merge_writes_the_layerwise_merge_of_its_coefficients(reference):
     ckpts = reference / "ckpts"
     for method in config.CONSTANT_METHODS:
         out = reference / f"merged_{method}"
-        assert main(["merge", "--ckpt-dir", str(ckpts), "--method", method,
-                     "--lambda", "0.4", "--out-dir", str(out)]) == 0
+        lam = ["--lambda", "0.4"] if method == "task_arithmetic" else []
+        assert main(["merge", "--ckpt-dir", str(ckpts), "--method", method, *lam,
+                     "--out-dir", str(out)]) == 0
         coeffs = load_coeffs(out / "coeffs.json")
-        assert np.all(coeffs.values == (0.25 if method == "weight_avg" else 0.4))
+        coeff = 0.25 if method == "weight_avg" else 0.4
+        assert np.all(coeffs.values == coeff)
+        manifest = json.loads((out / "merge.manifest.json").read_text())["config"]
+        assert manifest["coeff"] == coeff
         pre = load_checkpoint(ckpts / "pre.ckpt")
         vectors = []
         for t in coeffs.task_ids:
@@ -131,6 +135,14 @@ def test_merge_writes_the_layerwise_merge_of_its_coefficients(reference):
         want = merge_layerwise(pre, vectors, coeffs)
         got = load_checkpoint(out / "merged.ckpt").encoder
         assert all(np.array_equal(a.flat, b.flat) for a, b in zip(got, want)), method
+
+
+def test_merge_weight_avg_with_lambda_exits_2_naming_it(reference, capsys):
+    capsys.readouterr()
+    assert main(["merge", "--ckpt-dir", str(reference / "ckpts"), "--method", "weight_avg",
+                 "--lambda", "0.9", "--out-dir", str(reference / "wa_lambda")]) == 2
+    assert "--lambda" in capsys.readouterr().err
+    assert not (reference / "wa_lambda").exists()
 
 
 @pytest.mark.parametrize("method", ["symerge", "adamerging"])

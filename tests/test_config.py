@@ -9,6 +9,7 @@ from mergelab.config import (
     experiment_config_from_dict,
     experiment_config_to_dict,
     load_config_file,
+    load_config_section,
     suite_config_from_dict,
 )
 from mergelab.engine import LossSpec
@@ -70,3 +71,27 @@ def test_load_config_file_unwraps_manifests(tmp_path):
         load_config_file(broken)
     with pytest.raises(ConfigError):
         load_config_file(tmp_path / "missing.json")
+
+
+def test_load_config_section_unwraps_experiment_configs_and_manifests(tmp_path):
+    path = tmp_path / "c.json"
+    for doc, section, want in [
+        ({"num_tasks": 3}, "suite", {"num_tasks": 3}),  # the section itself
+        ({"suite": {"num_tasks": 3}, "adapt": {"iterations": 2}}, "suite", {"num_tasks": 3}),
+        ({"suite": {"num_tasks": 3}, "adapt": {"iterations": 2}}, "adapt", {"iterations": 2}),
+        ({"command": "adapt", "config": {"method": "symerge", "adapt": {"iterations": 2}}},
+         "adapt", {"iterations": 2}),
+    ]:
+        path.write_text(json.dumps(doc))
+        assert load_config_section(path, section) == want
+    path.write_text(json.dumps({"suite": [1, 2]}))
+    with pytest.raises(ConfigError, match="'suite' is not a JSON object"):
+        load_config_section(path, "suite")
+
+
+def test_cli_gen_with_a_suite_section_that_is_not_an_object_exits_2(tmp_path, capsys):
+    from mergelab.cli import main
+    config = tmp_path / "suite.json"
+    config.write_text(json.dumps({"suite": [3]}))
+    assert main(["gen", "--config", str(config), "--out", str(tmp_path / "d.bundle")]) == 2
+    assert "'suite' is not a JSON object" in capsys.readouterr().err

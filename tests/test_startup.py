@@ -1,0 +1,133 @@
+"""What a `mergelab` process imports depends on its command. `import
+mergelab`, `--version`, `--help`, usage errors and `report` load no numpy
+module; every name the package exports still resolves to its module's
+object; and an error class imported only by a numeric command keeps its exit
+code."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import mergelab
+from mergelab import cli, reports
+from mergelab.cli import build_parser, main
+
+from conftest import REPO_ROOT
+
+SRC = REPO_ROOT / "src"
+
+# the names `mergelab/__init__.py` imported eagerly from each module
+EXPORTS = {
+    "engine": "AdamState LayerParams LossSpec ParamSet ShapeError UnknownTaskError adam_init "
+              "adam_step backward forward loss_eval",
+    "merging": "CoefficientMatrix MergedAssembly TaskVector TrainableLayer coefficient_grad "
+               "compute_task_vector merge_layerwise merge_task_arithmetic merge_uniform",
+    "adaptation": "AdaptConfig AdaptResult SelfLabelBatch adamerging_entropy build_assembly "
+                  "confidence_filter default_init_coeff finetune_expert make_self_labels "
+                  "pilot_two_stage pretrain_backbone symerge task_vectors_from_experts",
+    "analysis": "CorrelationReport DiscrepancyReport SparsityReport cross_task_matrix "
+                "discrepancy evaluate evaluate_assembly loss_correlation_report spearman "
+                "sparsity_report transfer_metrics",
+    "theory": "Prop1Instance Prop1Report ctl_residual prop1_verify synergy_eps",
+    "suites": "CorruptionSpec SuiteConfig TaskData TaskSuite corrupt_features corrupt_split "
+              "corrupt_suite gen_suite spawn_rng",
+    "serialization": "load_checkpoint load_coeffs load_suite load_trainable save_checkpoint "
+                     "save_coeffs save_suite save_trainable",
+}
+
+
+def _run(*args):
+    """`python -X importtime <args>`: the process and the modules it imported."""
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args], capture_output=True,
+                          text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=str(SRC), COLUMNS="80"))
+    imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")]
+    return proc, imported
+
+
+def _numpy(imported) -> list:
+    return [m for m in imported if m.split(".")[0] == "numpy"]
+
+
+def _help(*command) -> str:
+    parser = build_parser()
+    if command:
+        sub = next(a for a in parser._actions if a.dest == "command")
+        parser = sub.choices[command[0]]
+    return parser.format_help()
+
+
+@pytest.mark.parametrize("argv, code, stdout", [
+    (["--version"], 0, lambda: f"mergelab {mergelab.__version__}\n"),
+    (["--help"], 0, _help),
+    (["analyze", "--help"], 0, lambda: _help("analyze")),
+    (["bogus-command"], 1, lambda: ""),
+], ids=["version", "help", "analyze-help", "usage-error"])
+def test_commands_that_compute_nothing_start_without_numpy(monkeypatch, argv, code, stdout):
+    monkeypatch.setenv("COLUMNS", "80")  # the width the subprocess formats help at
+    proc, imported = _run("-m", "mergelab", *argv)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout == stdout()
+    assert "mergelab.cli" in imported
+    assert _numpy(imported) == []
+    if code:
+        assert "usage: mergelab" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_report_starts_without_numpy(tmp_path):
+    runs, out = tmp_path / "runs", tmp_path / "combined"
+    row = {"task": "task0", "metric": "accuracy", "value": 0.5}
+    reports.write_report(runs, "eval", [row], "h")
+    proc, imported = _run("-m", "mergelab", "report", "--runs", str(runs),
+                          "--out-dir", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"wrote 2 combined files to {out}\n"
+    assert _numpy(imported) == []
+    combined = json.loads((out / "combined_eval.json").read_text())
+    assert combined["rows"] == [dict(row, manifest_hash="h")]
+
+
+def test_import_mergelab_loads_no_submodule():
+    proc, imported = _run("-c", "import mergelab")
+    assert proc.returncode == 0, proc.stderr
+    assert [m for m in imported if m.split(".")[0] in ("mergelab", "numpy")] == ["mergelab"]
+
+
+def test_every_export_resolves_to_its_modules_object(monkeypatch):
+    for module, names in EXPORTS.items():
+        mod = importlib.import_module(f"mergelab.{module}")
+        assert getattr(mergelab, module) is mod
+        for name in names.split():
+            assert getattr(mergelab, name) is getattr(mod, name), name
+    assert set(dir(mergelab)) >= {n for names in EXPORTS.values() for n in names.split()}
+    from mergelab import engine, forward
+    assert forward is engine.forward is cli.forward
+    # resolved at each access, so a name rebound in its module reads the same here
+    monkeypatch.setattr(engine, "forward", lambda *a: None)
+    assert mergelab.forward is engine.forward is cli.forward
+    with pytest.raises(AttributeError, match="no_such_name"):
+        mergelab.no_such_name
+
+
+def test_degenerate_data_error_exits_3_without_traceback(tmp_path):
+    data, ckpts, merged = tmp_path / "data.bundle", tmp_path / "ckpts", tmp_path / "merged"
+    assert main(["gen", "--out", str(data), "--tasks", "2", "--classes", "3",
+                 "--input-dim", "6", "--samples", "24", "--subspace-dim", "3",
+                 "--seed", "3"]) == 0
+    assert main(["finetune", "--data", str(data), "--out-dir", str(ckpts), "--hidden", "4",
+                 "--pre-epochs", "1", "--epochs", "1", "--seed", "3"]) == 0
+    assert main(["merge", "--ckpt-dir", str(ckpts), "--method", "weight_avg",
+                 "--out-dir", str(merged)]) == 0
+    # one batch of the whole 24-row test split: no correlation across batches
+    proc, _ = _run("-m", "mergelab", "analyze", "--data", str(data), "--ckpt-dir", str(ckpts),
+                   "--coeffs", str(merged / "coeffs.json"), "--analyses", "correlation",
+                   "--batch-size", "24", "--out-dir", str(tmp_path / "out"))
+    assert proc.returncode == 3, proc.stderr
+    assert "error: need at least 2 batches for correlation" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
