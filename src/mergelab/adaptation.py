@@ -2,6 +2,11 @@
 self-labeled joint adaptation of coefficients plus one task-specific layer,
 and the supervised two-stage head-retraining pilot.
 
+All but backbone pretraining train some layers of one forward pass against
+fixed targets through one step plan (`_StepPlan`). Fine-tuning (the encoder)
+and the pilot (the head alone, on fixed features) run it in one drop-last
+epoch loop (`_fit`); adaptation runs one plan per task over the merged layers.
+
 Unless a loss override is given, classification tasks self-label with hard
 argmax targets from the frozen experts and regression tasks mimic expert
 outputs under an L1 loss (confidence filtering only applies to
@@ -85,6 +90,11 @@ class AdaptConfig:
         sel = self.trainable_layer
         if sel is not None and sel != "head" and not isinstance(sel, int):
             self.trainable_layer = tuple(int(i) for i in sel)
+            if not self.trainable_layer:
+                raise ValueError("trainable_layer: an empty selector names no layer")
+        if sel is None and not self.train_coeffs:
+            raise ValueError("train_coeffs: with no trainable layer and frozen coefficients "
+                             "the run trains nothing")
 
 
 @dataclass
@@ -125,12 +135,7 @@ def confidence_filter(merged_conf: np.ndarray, expert_conf: np.ndarray) -> np.nd
 
 
 # ---------------------------------------------------------------------------
-# Expert fine-tuning and backbone pretraining
-
-
-def _checked(layers: Sequence[LayerParams]) -> tuple:
-    """Checked copies of a loop's unchecked layers (its result)."""
-    return tuple(LayerParams(l.weight, l.bias) for l in layers)
+# The step plan and the fit loop; expert fine-tuning and backbone pretraining
 
 
 def _adam(x: np.ndarray, lr: float):
@@ -149,6 +154,100 @@ def _adam(x: np.ndarray, lr: float):
     return step
 
 
+class _StepPlan:
+    """What the steps of one training loop read, fixed for the loop.
+
+    `layers` are the encoder layers of one forward pass, then the head. The
+    positions in `trained` (position -> initial layer) hold views of one
+    flat vector, a copy of those layers, that `step` (None when nothing is
+    trained) updates in place at rate `lr`; the others stay the caller's.
+    `grads[i]` is a view of layer i's gradient, or None when nothing reads
+    it; the gradient buffer holds the trained layers first (`train_grad`),
+    then the layers in `read`, and `lowest` is the lowest layer in it.
+    """
+
+    def __init__(self, layers: Sequence[LayerParams], trained: dict, lr: float, read=()):
+        self.layers = list(layers)
+        self.positions = tuple(trained)
+        self.step = None
+        if trained:
+            flat = np.concatenate([l.flat for l in trained.values()])
+            for i, layer in zip(self.positions, _split(flat, list(trained.values()))):
+                self.layers[i] = layer
+            self.step = _adam(flat, lr)
+        need = [*self.positions, *read]
+        buf = np.empty(sum(self.layers[i].flat.size for i in need))
+        self.grads = [None] * len(self.layers)
+        for i, layer in zip(need, _split(buf, [self.layers[i] for i in need])):
+            self.grads[i] = layer
+        self.train_grad = buf[:sum(self.layers[i].flat.size for i in self.positions)]
+        self.lowest = min(need, default=len(self.layers))
+
+    def forward(self, x: np.ndarray):
+        """The activations of checked inputs `x` (`_activations`) and the logits."""
+        acts = _activations(self.layers[:-1], x)
+        head = self.layers[-1]
+        return acts, acts[-1] @ head.weight.T + head.bias
+
+    def backprop(self, g: np.ndarray, acts: list):
+        """Write into `grads` the gradients for the gradient `g` at the logits."""
+        _backprop(g, acts, self.layers, self.grads)
+
+    def trained(self) -> tuple:
+        """Checked copies of the trained layers (the loop's result)."""
+        return tuple(LayerParams(self.layers[i].weight, self.layers[i].bias)
+                     for i in self.positions)
+
+
+class _BatchStream:
+    """Deterministic batch indices cycling over n samples, reshuffled per epoch
+    (when fewer than a batch are left: a short last batch is dropped)."""
+
+    def __init__(self, n: int, batch_size: int, rng: np.random.Generator):
+        if batch_size <= 0:
+            raise ValueError(f"batch_size must be positive, got {batch_size}")
+        self.n = n
+        self.bs = min(batch_size, n)
+        self.rng = rng
+        self._order = None
+        self._pos = 0
+
+    def next_indices(self) -> np.ndarray:
+        if self._order is None or self._pos + self.bs > self.n:
+            self._order = self.rng.permutation(self.n)
+            self._pos = 0
+        idx = self._order[self._pos:self._pos + self.bs]
+        self._pos += self.bs
+        return idx
+
+
+def _fit(plan: _StepPlan, x: np.ndarray, y: np.ndarray, spec: LossSpec, epochs: int,
+         batch_size: int, rng: np.random.Generator) -> list:
+    """Train `plan` on (x, y) for `epochs` passes over the data, reshuffled
+    by `rng` each pass, one Adam step per full batch (a short last batch is
+    dropped). Returns each epoch's mean batch loss."""
+    if epochs < 0:
+        raise ValueError(f"epochs must be nonnegative, got {epochs}")
+    n = len(x)
+    x = _check_inputs(x, plan.layers[0].in_dim)
+    y = _check_targets((n, plan.layers[-1].out_dim), y, spec)
+    batches = _BatchStream(n, batch_size, rng)
+    bs = batches.bs
+    history = []
+    for _ in range(epochs):
+        epoch_losses = []
+        for _ in range(n // bs):
+            idx = batches.next_indices()
+            acts, logits = plan.forward(x[idx])
+            rows, g, _ = _loss_rows(_check_outputs(logits), y[idx], spec)
+            g /= bs
+            plan.backprop(g, acts)
+            plan.step(plan.train_grad)
+            epoch_losses.append(float(rows.sum()) / bs)
+        history.append(float(np.mean(epoch_losses)))
+    return history
+
+
 def finetune_expert(pre: ParamSet, x: np.ndarray, y: np.ndarray, task: str,
                     epochs: int, lr: float, batch_size: int = 32, seed: int = 0,
                     kind: str = "classification", return_history: bool = False):
@@ -160,39 +259,15 @@ def finetune_expert(pre: ParamSet, x: np.ndarray, y: np.ndarray, task: str,
     """
     if len(x) == 0:
         raise ValueError("empty training set")
-    spec = LossSpec("cross_entropy_hard" if kind == "classification" else "l2")
     params = ParamSet(encoder=pre.encoder, heads={task: pre.head(task)})
     if epochs == 0:
         return (params, []) if return_history else params
 
-    rng = spawn_rng(seed, "finetune", task)
-    head = params.head(task)
-    n = len(x)
-    x = _check_inputs(x, params.encoder[0].in_dim)
-    y = _check_targets((n, head.out_dim), y, spec)
-    # the encoder (a copy of `pre`'s) and its gradient as one flat vector each
-    flat = np.concatenate([l.flat for l in params.encoder])
-    grad = np.empty_like(flat)
-    encoder = _split(flat, params.encoder)
-    layers = [*encoder, head]
-    grads = [*_split(grad, params.encoder), None]  # the head is frozen: no gradient
-    step = _adam(flat, lr)
-    history = []
-    bs = min(batch_size, n)
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        epoch_losses = []
-        for start in range(0, n - bs + 1, bs):
-            idx = order[start:start + bs]
-            acts = _activations(encoder, x[idx])
-            logits = _check_outputs(acts[-1] @ head.weight.T + head.bias)
-            rows, g, _ = _loss_rows(logits, y[idx], spec)
-            g /= bs
-            _backprop(g, acts, layers, grads)
-            step(grad)
-            epoch_losses.append(float(rows.sum()) / bs)
-        history.append(float(np.mean(epoch_losses)))
-    params = ParamSet(encoder=_checked(encoder), heads=params.heads)
+    # the encoder is trained (a copy of `pre`'s); the head gets no gradient
+    plan = _StepPlan([*params.encoder, params.head(task)], dict(enumerate(params.encoder)), lr)
+    spec = LossSpec("cross_entropy_hard" if kind == "classification" else "l2")
+    history = _fit(plan, x, y, spec, epochs, batch_size, spawn_rng(seed, "finetune", task))
+    params = ParamSet(encoder=plan.trained(), heads=params.heads)
     return (params, history) if return_history else params
 
 
@@ -203,6 +278,8 @@ def pretrain_backbone(init: ParamSet, suite: TaskSuite, epochs: int, lr: float,
     Stand-in for generic pretraining: yields a shared encoder plus per-task
     heads that are deliberately mediocre compared to fine-tuned experts.
     """
+    if epochs < 0:
+        raise ValueError(f"epochs must be nonnegative, got {epochs}")
     # every layer in one flat vector (`params_to_arrays` order); `params` is
     # an unchecked view of it, each step's Adam result is copied into it, and
     # the result is checked once at the end
@@ -251,43 +328,18 @@ class AdaptResult:
     step_stats: list = field(default_factory=list)
 
 
-class _BatchStream:
-    """Deterministic batch indices cycling over n samples, reshuffled per epoch."""
-
-    def __init__(self, n: int, batch_size: int, rng: np.random.Generator):
-        self.n = n
-        self.bs = min(batch_size, n)
-        self.rng = rng
-        self._order = None
-        self._pos = 0
-
-    def next_indices(self) -> np.ndarray:
-        if self._order is None or self._pos + self.bs > self.n:
-            self._order = self.rng.permutation(self.n)
-            self._pos = 0
-        idx = self._order[self._pos:self._pos + self.bs]
-        self._pos += self.bs
-        return idx
-
-
-def _trainable_init(selector, expert: ParamSet, task: str):
-    if selector is None:
-        return None
+def _trainable_init(selector, expert: ParamSet, task: str) -> TrainableLayer:
     if selector == "head":
         return TrainableLayer("head", expert.head(task))
-    if isinstance(selector, int):
-        _check_layer_index(selector, len(expert.encoder))
-        return TrainableLayer(selector, expert.encoder[selector])
-    for i in selector:
-        _check_layer_index(i, len(expert.encoder))
-    if len(set(selector)) != len(selector):
-        raise ValueError(f"trainable encoder indices {tuple(selector)} repeat a layer")
-    return TrainableLayer(tuple(selector), tuple(expert.encoder[i] for i in selector))
-
-
-def _check_layer_index(i: int, depth: int):
-    if not 0 <= i < depth:
-        raise ValueError(f"trainable encoder index {i} out of range for depth {depth}")
+    depth = len(expert.encoder)
+    indices = (selector,) if isinstance(selector, int) else selector
+    for i in indices:
+        if not 0 <= i < depth:
+            raise ValueError(f"trainable encoder index {i} out of range for depth {depth}")
+    if len(set(indices)) != len(indices):
+        raise ValueError(f"trainable encoder indices {indices} repeat a layer")
+    layers = tuple(expert.encoder[i] for i in indices)
+    return TrainableLayer(selector, layers[0] if isinstance(selector, int) else layers)
 
 
 def build_assembly(pre: ParamSet, vectors: Mapping[str, TaskVector],
@@ -335,39 +387,24 @@ def symerge(pre: ParamSet, vectors: Mapping[str, TaskVector],
     """
     task_ids = tuple(sorted(experts))
     _validate_adapt_inputs(task_ids, vectors, inputs_by_task)
-    kinds = {t: (task_kinds or {}).get(t, "classification") for t in task_ids}
 
-    specs, labels, targets_full = {}, {}, {}
+    objectives = {}
     for t in task_ids:
-        if cfg.loss is not None:
-            specs[t] = cfg.loss
-        else:
-            specs[t] = LossSpec("cross_entropy_hard" if kinds[t] == "classification" else "l1")
+        kind = (task_kinds or {}).get(t, "classification")
+        spec = cfg.loss if cfg.loss is not None else LossSpec(
+            "cross_entropy_hard" if kind == "classification" else "l1")
         # one expert forward gives the self-labels and the targets of the chosen loss
         logits = forward(experts[t], t, inputs_by_task[t])
         if not np.isfinite(logits).all():
             raise ValueError(f"expert outputs for task '{t}' are not finite")
-        labels[t] = _self_labels(inputs_by_task[t], logits, kinds[t])
-        targets_full[t] = _targets_for_spec(labels[t], logits, t, specs[t])
+        labels = _self_labels(inputs_by_task[t], logits, kind)
+        objectives[t] = (spec, _targets_for_spec(labels, logits, t, spec),
+                         labels.expert_confidence if cfg.filter_enabled else None)
 
-    trainable = {}
-    if cfg.trainable_layer is not None:
-        for t in task_ids:
-            trainable[t] = _trainable_init(cfg.trainable_layer, experts[t], t)
-
-    return _run_adaptation(
-        pre=pre,
-        vectors=vectors,
-        heads={t: experts[t].head(t) for t in task_ids},
-        inputs_by_task=inputs_by_task,
-        cfg=cfg,
-        task_ids=task_ids,
-        specs=specs,
-        targets_full=targets_full,
-        expert_conf={t: labels[t].expert_confidence for t in task_ids},
-        kinds=kinds,
-        trainable=trainable,
-    )
+    trainable = {} if cfg.trainable_layer is None else {
+        t: _trainable_init(cfg.trainable_layer, experts[t], t) for t in task_ids}
+    heads = {t: experts[t].head(t) for t in task_ids}
+    return _run_adaptation(pre, vectors, heads, inputs_by_task, cfg, objectives, trainable)
 
 
 def adamerging_entropy(pre: ParamSet, vectors: Mapping[str, TaskVector],
@@ -382,21 +419,8 @@ def adamerging_entropy(pre: ParamSet, vectors: Mapping[str, TaskVector],
     for t in task_ids:
         if (task_kinds or {}).get(t, "classification") != "classification":
             raise ValueError(f"entropy objective undefined for regression task '{t}'")
-    spec = LossSpec("entropy")
-    result = _run_adaptation(
-        pre=pre,
-        vectors=vectors,
-        heads=dict(heads),
-        inputs_by_task=inputs_by_task,
-        cfg=cfg,
-        task_ids=task_ids,
-        specs={t: spec for t in task_ids},
-        targets_full={t: None for t in task_ids},
-        expert_conf={t: None for t in task_ids},
-        kinds={t: "classification" for t in task_ids},
-        trainable={},
-    )
-    return result.coeffs
+    objectives = {t: (LossSpec("entropy"), None, None) for t in task_ids}
+    return _run_adaptation(pre, vectors, dict(heads), inputs_by_task, cfg, objectives, {}).coeffs
 
 
 def _targets_for_spec(batch: SelfLabelBatch, logits: np.ndarray, task: str, spec: LossSpec):
@@ -423,50 +447,15 @@ def _validate_adapt_inputs(task_ids, vectors, inputs_by_task):
             raise ValueError(f"empty input split for task '{t}'")
 
 
-class _TaskRun:
-    """What one task's adaptation steps read, fixed for the run.
-
-    `layers` are the encoder layers, then the head: views of the shared
-    merged buffer, the frozen head, or views of `flat`, the task's
-    trainable layers as one vector (a copy of the expert's) that `step`
-    updates in place. `grads[i]` is a view of layer i's gradient, or None
-    when nothing reads it; the gradient buffer holds the trainable layers
-    first, in `flat`'s order (`train_grad`), then the encoder layers the
-    coefficient gradient needs, and `lowest` is the lowest layer in it.
-    """
-
-    def __init__(self, x, y, conf, spec, head, tr, merged, train_coeffs, lr):
-        self.x, self.y, self.conf, self.spec = x, y, conf, spec
-        depth = len(merged)
-        self.layers = [*merged, head]
-        self.positions = (() if tr is None else (depth,) if tr.selector == "head"
-                          else tr.layer_indices())
-        self.merged = tuple(i for i in range(depth) if i not in self.positions)
-        self.replaced = tuple(i for i in self.positions if i < depth)
-        self.step = self.train_grad = None
-        if tr is not None:
-            flat = np.concatenate([l.flat for l in tr.layers()])
-            for i, layer in zip(self.positions, _split(flat, tr.layers())):
-                self.layers[i] = layer
-            self.step = _adam(flat, lr)
-        need = [*self.positions, *(self.merged if train_coeffs else ())]
-        buf = np.empty(sum(self.layers[i].flat.size for i in need))
-        self.grads = [None] * (depth + 1)
-        for i, layer in zip(need, _split(buf, [self.layers[i] for i in need])):
-            self.grads[i] = layer
-        self.lowest = min(need, default=depth + 1)
-        if tr is not None:
-            self.train_grad = buf[:flat.size]
-
-
-def _run_adaptation(pre, vectors, heads, inputs_by_task, cfg, task_ids, specs,
-                    targets_full, expert_conf, kinds, trainable) -> AdaptResult:
-    # The assembly checks the vectors and trainable layers once, and each
-    # task's inputs and targets are checked whole here, before the first
-    # step. A step merges the layers its task uses from the stack into one
-    # shared buffer, runs one forward, one loss kernel and one backprop that
-    # stops at the lowest layer it trains, and Adam steps the coefficients
-    # and the task's trainable vector in place. The result is validated once.
+def _run_adaptation(pre, vectors, heads, inputs_by_task, cfg, objectives,
+                    trainable) -> AdaptResult:
+    """Adapt the coefficients and the `trainable` layers on one objective per
+    task: (loss spec, whole-split targets, expert confidence that filters
+    the task's batches or None). Inputs, targets, vectors and layers are
+    checked before the first step. A step merges the layers its task does
+    not replace into one shared buffer and runs the task's step plan; Adam
+    steps the coefficients and the plan's trained vector in place."""
+    task_ids = tuple(objectives)
     depth = len(pre.encoder)
     coeffs = CoefficientMatrix.constant(task_ids, depth, cfg.init_coeff)
     values = coeffs.values
@@ -475,12 +464,19 @@ def _run_adaptation(pre, vectors, heads, inputs_by_task, cfg, task_ids, specs,
     merged = _split(np.empty(sum(l.flat.size for l in pre.encoder)), pre.encoder)
 
     runs = {}
-    for t in task_ids:
+    for t, (spec, targets, conf) in objectives.items():
+        tr = trainable.get(t)
+        positions = (() if tr is None else (depth,) if tr.selector == "head"
+                     else tr.layer_indices())
+        mixed = tuple(l for l in range(depth) if l not in positions)  # the merged layers t uses
+        plan = _StepPlan([*merged, heads[t]], dict(zip(positions, tr.layers() if tr else ())),
+                         cfg.lr_layer, mixed if cfg.train_coeffs else ())
+        # a layer the task replaces has no coefficient gradient: its column stays 0
+        cgrad_in = [None if l in positions else plan.grads[l].flat
+                    for l in range(depth)] if cfg.train_coeffs else None
         x = _check_inputs(inputs_by_task[t], pre.encoder[0].in_dim)
-        y = _check_targets((len(x), heads[t].out_dim), targets_full[t], specs[t])
-        filtered = cfg.filter_enabled and kinds[t] == "classification"
-        runs[t] = _TaskRun(x, y, expert_conf[t] if filtered else None, specs[t], heads[t],
-                           trainable.get(t), merged, cfg.train_coeffs, cfg.lr_layer)
+        y = _check_targets((len(x), heads[t].out_dim), targets, spec)
+        runs[t] = (plan, x, y, spec, conf, mixed, cgrad_in)
     step_coeffs = _adam(values, cfg.lr_coeffs)
 
     order_rng = spawn_rng(cfg.seed, "task-order")
@@ -499,28 +495,26 @@ def _run_adaptation(pre, vectors, heads, inputs_by_task, cfg, task_ids, specs,
             order = list(task_ids)
 
         agg_coeff_grad = np.zeros_like(values)
-        agg_layer = []  # runs whose gradient buffer holds this pass's layer gradient
+        agg_layer = []  # plans whose gradient buffer holds this pass's layer gradient
         pass_losses = []
         any_update = False
 
         for task in order:
-            run = runs[task]
+            plan, x, y, spec, conf, mixed, cgrad_in = runs[task]
             idx = streams[task].next_indices()
-            for l in run.merged:
+            for l in mixed:
                 np.add(pre.encoder[l].flat, values[:, l] @ stack.matrices[l], out=merged[l].flat)
-            acts = _activations(run.layers[:depth], run.x[idx])
-            head = run.layers[depth]
-            logits = acts[-1] @ head.weight.T + head.bias
+            acts, logits = plan.forward(x[idx])
             if not np.isfinite(logits).all():
                 raise ValueError(f"adaptation diverged: non-finite outputs on pass {pass_idx} "
                                  f"for task '{task}'")
-            rows, grad, probs = _loss_rows(logits, None if run.y is None else run.y[idx], run.spec)
+            rows, grad, probs = _loss_rows(logits, None if y is None else y[idx], spec)
             batch_loss = float(rows.sum()) / len(idx)
 
             kept = len(idx)
-            if run.conf is not None:
+            if conf is not None:
                 probs = softmax(logits) if probs is None else probs
-                keep = confidence_filter(probs.max(axis=1), run.conf[idx]).nonzero()[0]
+                keep = confidence_filter(probs.max(axis=1), conf[idx]).nonzero()[0]
                 kept = keep.size
                 if kept == 0:
                     pass_losses.append(batch_loss)
@@ -528,38 +522,34 @@ def _run_adaptation(pre, vectors, heads, inputs_by_task, cfg, task_ids, specs,
                     continue
                 if kept < len(idx):
                     rows, grad = rows[keep], grad[keep]
-                    for i in range(run.lowest, depth + 1):
+                    for i in range(plan.lowest, depth + 1):
                         acts[i] = acts[i].take(keep, axis=0)
 
             pass_losses.append(batch_loss)
             any_update = True
             stats.append(StepStats(pass_idx, task, len(idx), kept, float(rows.sum()) / kept,
                                    batch_loss))
-            if run.lowest > depth:
-                continue  # nothing is trained
             grad /= kept
-            _backprop(grad, acts, run.layers, run.grads)
+            plan.backprop(grad, acts)
 
             if cfg.train_coeffs:
-                cgrad = coefficient_grad([g.flat for g in run.grads[:depth]], stack)
-                for l in run.replaced:
-                    cgrad[:, l] = 0.0  # replaced layer: loss does not see the merged layer
+                cgrad = coefficient_grad(cgrad_in, stack)
             if cfg.update_mode == "sequential":
                 if cfg.train_coeffs:
                     step_coeffs(cgrad)
-                if run.step is not None:
-                    run.step(run.train_grad)
+                if plan.step is not None:
+                    plan.step(plan.train_grad)
             else:
                 if cfg.train_coeffs:
                     agg_coeff_grad += cgrad
-                if run.step is not None:
-                    agg_layer.append(run)  # each task runs once a pass: its buffer stays
+                if plan.step is not None:
+                    agg_layer.append(plan)  # each task runs once a pass: its buffer stays
 
         if cfg.update_mode == "aggregated" and any_update:
             if cfg.train_coeffs:
                 step_coeffs(agg_coeff_grad)
-            for run in agg_layer:
-                run.step(run.train_grad)
+            for plan in agg_layer:
+                plan.step(plan.train_grad)
 
         if not any_update:
             filtered_passes += 1
@@ -571,8 +561,7 @@ def _run_adaptation(pre, vectors, heads, inputs_by_task, cfg, task_ids, specs,
                       "every batch lost all its rows to the confidence filter, no update applied")
     return AdaptResult(
         coeffs=CoefficientMatrix(task_ids, values),
-        trainable={t: tr.with_layers(_checked([runs[t].layers[i] for i in runs[t].positions]))
-                   for t, tr in trainable.items()},
+        trainable={t: tr.with_layers(runs[t][0].trained()) for t, tr in trainable.items()},
         loss_trace=trace,
         step_stats=stats,
     )
@@ -580,28 +569,6 @@ def _run_adaptation(pre, vectors, heads, inputs_by_task, cfg, task_ids, specs,
 
 # ---------------------------------------------------------------------------
 # Supervised pilot: retrain heads on merged features, evaluate cross-task
-
-
-def _train_head(head: LayerParams, feats: np.ndarray, y: np.ndarray, epochs: int,
-                lr: float, batch_size: int, rng: np.random.Generator) -> LayerParams:
-    spec = LossSpec("cross_entropy_hard")
-    flat = head.flat.copy()  # stepped in place; the expert's head is not written
-    grad = np.empty_like(flat)
-    (layer,), (layer_grad,) = _split(flat, [head]), _split(grad, [head])
-    step = _adam(flat, lr)
-    n = len(feats)
-    y = _check_targets((n, head.out_dim), y, spec)
-    bs = min(batch_size, n)
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        for start in range(0, n - bs + 1, bs):
-            idx = order[start:start + bs]
-            f = feats[idx]
-            g = _loss_rows(_check_outputs(f @ layer.weight.T + layer.bias), y[idx], spec)[1]
-            g /= bs
-            _backprop(g, [f], [layer], [layer_grad])
-            step(grad)
-    return LayerParams(layer.weight, layer.bias)
 
 
 def pilot_two_stage(merged_encoder, suite: TaskSuite, experts: Mapping[str, ParamSet],
@@ -621,25 +588,15 @@ def pilot_two_stage(merged_encoder, suite: TaskSuite, experts: Mapping[str, Para
 
     retrained = {}
     for task in task_ids:
-        data = suite.task(task)
-        feats = encode(merged_encoder, data.x_train)
-        rng = spawn_rng(seed, "pilot", task)
-        retrained[task] = _train_head(experts[task].head(task), feats, data.y_train,
-                                      epochs, lr, batch_size, rng)
+        # a plan with no encoder layers: the head alone, trained on the features
+        head, data = experts[task].head(task), suite.task(task)
+        plan = _StepPlan([head], {0: head}, lr)
+        _fit(plan, encode(merged_encoder, data.x_train), data.y_train,
+             LossSpec("cross_entropy_hard"), epochs, batch_size, spawn_rng(seed, "pilot", task))
+        (retrained[task],) = plan.trained()
 
-    k = len(task_ids)
-    gains = np.zeros((k, k))
-    for i, enc_task in enumerate(task_ids):
-        enc = experts[enc_task].encoder
-        for j, head_task in enumerate(task_ids):
-            data = suite.task(head_task)
-            feats = encode(enc, data.x_test)
-            base = _head_accuracy(experts[head_task].head(head_task), feats, data.y_test)
-            new = _head_accuracy(retrained[head_task], feats, data.y_test)
-            gains[i, j] = new - base
-    return gains
-
-
-def _head_accuracy(head: LayerParams, feats: np.ndarray, y: np.ndarray) -> float:
-    logits = feats @ head.weight.T + head.bias
-    return float((np.argmax(logits, axis=1) == y).mean())
+    from .analysis import cross_task_matrix  # not at the top: `finetune` and `adapt` need none
+    encoders = [experts[t].encoder for t in task_ids]
+    sets = [(suite.task(t).x_test, suite.task(t).y_test) for t in task_ids]
+    return (cross_task_matrix(encoders, [retrained[t] for t in task_ids], sets)
+            - cross_task_matrix(encoders, [experts[t].head(t) for t in task_ids], sets))

@@ -187,6 +187,8 @@ def loss_correlation_report(initial: MergedAssembly, adapted: MergedAssembly,
     (proxy, ground-truth CE) pair per proxy. Ground-truth labels are used
     for analysis only.
     """
+    if batch_size <= 0:
+        raise ValueError(f"batch_size must be positive, got {batch_size}")
     ce = LossSpec("cross_entropy_hard")
     ent = LossSpec("entropy")
     cells = []

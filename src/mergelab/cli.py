@@ -107,10 +107,14 @@ def _parse_trainable(value: str):
         return "head"
     if value == "none":
         return None
-    if ":" in value:
-        lo, hi = value.split(":", 1)
-        return tuple(range(int(lo), int(hi)))
-    return int(value)
+    try:
+        if ":" in value:
+            lo, hi = value.split(":", 1)
+            return tuple(range(int(lo), int(hi)))
+        return int(value)
+    except ValueError:
+        raise ConfigError(f"trainable_layer: '{value}' is not head, none, "
+                          "<index> or <lo>:<hi>") from None
 
 
 def _given(args, cls) -> dict:
@@ -120,12 +124,27 @@ def _given(args, cls) -> dict:
             if getattr(args, f.name, None) is not None}
 
 
+# `adapt` flags that entropy adaptation, which fits the coefficients alone, never reads
+_ENTROPY_UNUSED = {"loss": "--loss", "trainable_layer": "--trainable-layer",
+                   "lr_layer": "--lr-layer", "filter_enabled": "--no-filter",
+                   "train_coeffs": "--no-train-coeffs"}
+
+
 def _adapt_config(args, num_tasks: int) -> AdaptConfig:
     from .adaptation import AdaptConfig, default_init_coeff
     base = load_config_section(args.config, "adapt") if args.config else {}
-    base.update(_given(args, AdaptConfig))
-    if args.trainable_layer is not None:
-        base["trainable_layer"] = _parse_trainable(args.trainable_layer)
+    given = _given(args, AdaptConfig)
+    if args.method == "adamerging":
+        # like eval's flags, a flag that the method would ignore is an error;
+        # a config file's values for those fields are not
+        for name, flag in _ENTROPY_UNUSED.items():
+            if name in given:
+                raise ConfigError(f"{flag}: method adamerging fits the coefficients alone, "
+                                  f"so {flag} is not used")
+        given["trainable_layer"] = None
+    elif args.trainable_layer is not None:
+        given["trainable_layer"] = _parse_trainable(args.trainable_layer)
+    base.update(given)
     if "init_coeff" not in base or base["init_coeff"] == "auto":
         base["init_coeff"] = default_init_coeff(num_tasks)
     return adapt_config_from_dict(base)
@@ -236,7 +255,6 @@ def _cmd_adapt(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     if args.method == "adamerging":
-        cfg.trainable_layer = None
         heads = {t: experts[t].head(t) for t in experts}
         coeffs = adamerging_entropy(pre, vectors, heads, test_inputs, cfg, kinds)
         trained = {}

@@ -92,9 +92,6 @@ def suite_config_from_dict(data: dict) -> SuiteConfig:
 def adapt_config_from_dict(data: dict) -> AdaptConfig:
     from .adaptation import AdaptConfig
     data = dict(data)
-    sel = data.get("trainable_layer")
-    if isinstance(sel, list):
-        data["trainable_layer"] = tuple(int(i) for i in sel)
     if isinstance(data.get("loss"), str):
         from .engine import LossSpec
         try:

@@ -5,15 +5,14 @@ layers with tanh activations, followed by one affine head per task (no
 activation on the head). The public functions are pure: parameters go in,
 new values come out, and the caller's arrays are never written.
 
-The loss math of every kind lives in one row-wise kernel (`_loss_rows`), the
-affine backprop in one helper that writes flat layer gradients into
-caller-given buffers (`_backprop`), and the Adam arithmetic in one in-place
-update of a flat vector (`_adam_update`). `loss_eval`, `loss_output_grad`,
-`backward` and `adam_step` wrap them; the training loops in `adaptation`
-call them directly, each over flat buffers that it owns (parameters, their
-gradients and Adam moments), which are updated in place. Inputs and targets
-are checked at the boundary: the wrappers check each call's, the loops each
-task's whole arrays once before the first step.
+Each loss kind is declared once (`LOSS_TABLE`) and its math lives in one
+row-wise kernel (`_loss_rows`), the affine backprop in one helper that
+writes flat layer gradients into caller-given buffers (`_backprop`), and the
+Adam arithmetic in one in-place update of a flat vector (`_adam_update`).
+`loss_eval`, `loss_output_grad`, `backward` and `adam_step` wrap them. The
+step plan of `adaptation`'s training loops calls them directly over flat
+buffers it owns, updated in place; the wrappers check each call's inputs and
+targets, the loops each task's whole arrays once before the first step.
 """
 
 from __future__ import annotations
@@ -35,12 +34,6 @@ class UnknownTaskError(KeyError):
 
 def _as_f64(a) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=np.float64)
-
-
-def _views(flat: np.ndarray, shape: tuple) -> tuple:
-    """(weight, bias) views of a layer's flat vector, weight shaped `shape`."""
-    n = shape[0] * shape[1]
-    return flat[:n].reshape(shape), flat[n:]
 
 
 @dataclass(frozen=True)
@@ -84,10 +77,11 @@ class LayerParams:
         return layer
 
     def _set_flat(self, flat: np.ndarray, shape: tuple):
+        """`flat` and its (weight, bias) views, the weight shaped `shape`."""
+        n = shape[0] * shape[1]
         object.__setattr__(self, "flat", flat)
-        weight, bias = _views(flat, shape)
-        object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "bias", bias)
+        object.__setattr__(self, "weight", flat[:n].reshape(shape))
+        object.__setattr__(self, "bias", flat[n:])
 
     @property
     def out_dim(self) -> int:
@@ -129,19 +123,21 @@ class ParamSet:
             raise UnknownTaskError(f"no head for task '{task}'") from None
 
 
-LOSS_KINDS = (
-    "cross_entropy_hard",
-    "cross_entropy_soft",
-    "entropy",
-    "kl",
-    "js",
-    "l1",
-    "l2",
-    "smooth_l1",
-    "cosine",
-)
-
-_DIST_KINDS = frozenset({"cross_entropy_soft", "kl", "js"})
+# Every loss kind: the form of its targets ("labels", "distribution",
+# "vector" or "none") and whether it is convex in the model output (in logit
+# space for the softmax kinds), which the bound verifier in `theory` needs.
+LOSS_TABLE = {
+    "cross_entropy_hard": ("labels", True),
+    "cross_entropy_soft": ("distribution", True),
+    "entropy": ("none", False),
+    "kl": ("distribution", True),
+    "js": ("distribution", False),
+    "l1": ("vector", True),
+    "l2": ("vector", True),
+    "smooth_l1": ("vector", True),
+    "cosine": ("vector", False),
+}
+LOSS_KINDS = tuple(LOSS_TABLE)
 
 SMOOTH_L1_DELTA = 1.0
 
@@ -153,18 +149,12 @@ class LossSpec:
     kind: str
 
     def __post_init__(self):
-        if self.kind not in LOSS_KINDS:
+        if self.kind not in LOSS_TABLE:
             raise ValueError(f"unknown loss kind '{self.kind}'; expected one of {LOSS_KINDS}")
 
     @property
     def target_arity(self) -> str:
-        if self.kind == "entropy":
-            return "none"
-        if self.kind == "cross_entropy_hard":
-            return "labels"
-        if self.kind in _DIST_KINDS:
-            return "distribution"
-        return "vector"
+        return LOSS_TABLE[self.kind][0]
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

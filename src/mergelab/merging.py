@@ -165,18 +165,21 @@ def coefficient_grad(encoder_grads: Sequence[LayerParams],
 
     The inner product runs over the whole layer, weights and bias together,
     because one coefficient scales both: column l is D_l @ flat(dL/dtheta[l]).
-    With a TaskVectorStack, `encoder_grads` may also be flat vectors (`LayerParams.flat`).
+    With a TaskVectorStack, `encoder_grads` may also be flat vectors
+    (`LayerParams.flat`), and None for a layer whose column is left 0.
     """
     if isinstance(vectors, TaskVectorStack) and not isinstance(encoder_grads[0], LayerParams):
         stack, flats = vectors, encoder_grads
-        if [f.size for f in flats] != [d.shape[1] for d in stack.matrices]:
+        if len(flats) != len(stack.matrices) or any(
+                f is not None and f.size != d.shape[1] for f, d in zip(flats, stack.matrices)):
             raise ShapeError("flat gradient sizes do not match the task vector layers")
     else:
         stack = stack_task_vectors(vectors, encoder_grads)
         flats = [g.flat for g in encoder_grads]
-    out = np.empty((len(stack), len(flats)))
+    out = np.zeros((len(stack), len(flats)))
     for l, (g, d) in enumerate(zip(flats, stack.matrices)):
-        out[:, l] = d @ g
+        if g is not None:
+            out[:, l] = d @ g
     return out
 
 

@@ -21,13 +21,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .engine import LayerParams, LossSpec, ShapeError, encode, loss_eval, _as_f64
+from .engine import LOSS_TABLE, LayerParams, LossSpec, ShapeError, encode, loss_eval, _as_f64
 from .merging import TaskVector, merge_task_arithmetic, merge_uniform
 
 MODEL_FAMILIES = ("linear", "nonlinear-net")
-
-# losses convex in the model output (logit-space for the CE family)
-CONVEX_LOSSES = frozenset({"l2", "l1", "smooth_l1", "cross_entropy_hard", "cross_entropy_soft", "kl"})
 
 
 def model_outputs(encoder: Sequence[LayerParams], inputs: np.ndarray, family: str,
@@ -52,11 +49,17 @@ def ctl_residual(theta_i: Sequence[LayerParams], theta_j: Sequence[LayerParams],
                  inputs: np.ndarray, family: str = "nonlinear-net",
                  head: LayerParams | None = None):
     """Max and mean per-sample norm of f(midpoint) - (f_i + f_j)/2."""
-    f_mid = model_outputs(merge_uniform([theta_i, theta_j]), inputs, family, head)
-    f_avg = 0.5 * model_outputs(theta_i, inputs, family, head) \
-        + 0.5 * model_outputs(theta_j, inputs, family, head)
-    norms = np.linalg.norm(f_mid - f_avg, axis=1)
-    return float(norms.max()), float(norms.mean())
+    return _midpoint(theta_i, theta_j, inputs, family, head)[0]
+
+
+def _midpoint(theta_i, theta_j, inputs, family, head):
+    """`ctl_residual`'s (max, mean), then f_i, f_j, f(midpoint) and (f_i + f_j)/2."""
+    out_i = model_outputs(theta_i, inputs, family, head)
+    out_j = model_outputs(theta_j, inputs, family, head)
+    out_mid = model_outputs(merge_uniform([theta_i, theta_j]), inputs, family, head)
+    avg = 0.5 * out_i + 0.5 * out_j
+    norms = np.linalg.norm(out_mid - avg, axis=1)
+    return (float(norms.max()), float(norms.mean())), out_i, out_j, out_mid, avg
 
 
 def synergy_eps(theta_0: Sequence[LayerParams], tau_i: Sequence[LayerParams],
@@ -85,7 +88,7 @@ class Prop1Instance:
     def __post_init__(self):
         if self.family not in MODEL_FAMILIES:
             raise ValueError(f"unknown model family '{self.family}'")
-        if self.loss.kind not in CONVEX_LOSSES:
+        if not LOSS_TABLE[self.loss.kind][1]:
             raise ValueError(f"loss '{self.loss.kind}' is not convex in the output")
         object.__setattr__(self, "theta_0", tuple(self.theta_0))
         object.__setattr__(self, "theta_i", tuple(self.theta_i))
@@ -134,13 +137,8 @@ def prop1_verify(instance: Prop1Instance) -> Prop1Report:
     x, t, loss = instance.inputs, instance.targets, instance.loss
 
     out_0 = model_outputs(instance.theta_0, x, fam, head)
-    out_i = model_outputs(instance.theta_i, x, fam, head)
-    out_j = model_outputs(instance.theta_j, x, fam, head)
-    out_merge = model_outputs(merge_uniform([instance.theta_i, instance.theta_j]), x, fam, head)
-
-    avg = 0.5 * out_i + 0.5 * out_j
-    norms = np.linalg.norm(out_merge - avg, axis=1)
-    res_max, res_mean = float(norms.max()), float(norms.mean())
+    (res_max, res_mean), out_i, out_j, out_merge, avg = _midpoint(
+        instance.theta_i, instance.theta_j, x, fam, head)
 
     loss_pre = loss_eval(out_0, t, loss)
     loss_i = loss_eval(out_i, t, loss)
