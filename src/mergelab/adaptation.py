@@ -51,9 +51,11 @@ from .merging import (
     TrainableLayer,
     coefficient_grad,
     compute_task_vector,
+    layer_positions,
     merge_task_arithmetic,
+    read_selector,
 )
-from .suites import TaskSuite, spawn_rng
+from .suites import TaskSuite, check_field_types, spawn_rng
 
 
 def default_init_coeff(num_tasks: int) -> float:
@@ -68,7 +70,7 @@ class AdaptConfig:
     lr_coeffs: float = 1e-3
     lr_layer: float = 1e-2
     init_coeff: float = 0.3
-    trainable_layer: object = "head"  # "head" | encoder index | tuple of indices | None
+    trainable_layer: object = "head"  # any selector `merging.read_selector` reads
     filter_enabled: bool = True
     update_mode: str = "sequential"  # "sequential" | "aggregated"
     task_order: str = "shuffled_each_pass"  # "shuffled_each_pass" | "fixed"
@@ -77,6 +79,7 @@ class AdaptConfig:
     loss: LossSpec | None = None  # override the self-labeling loss
 
     def __post_init__(self):
+        check_field_types(self)
         if self.iterations < 0:
             raise ValueError("iterations must be nonnegative")
         if self.batch_size <= 0:
@@ -87,12 +90,8 @@ class AdaptConfig:
             raise ValueError(f"unknown update_mode '{self.update_mode}'")
         if self.task_order not in ("shuffled_each_pass", "fixed"):
             raise ValueError(f"unknown task_order '{self.task_order}'")
-        sel = self.trainable_layer
-        if sel is not None and sel != "head" and not isinstance(sel, int):
-            self.trainable_layer = tuple(int(i) for i in sel)
-            if not self.trainable_layer:
-                raise ValueError("trainable_layer: an empty selector names no layer")
-        if sel is None and not self.train_coeffs:
+        self.trainable_layer = read_selector(self.trainable_layer)
+        if self.trainable_layer is None and not self.train_coeffs:
             raise ValueError("train_coeffs: with no trainable layer and frozen coefficients "
                              "the run trains nothing")
 
@@ -329,17 +328,10 @@ class AdaptResult:
 
 
 def _trainable_init(selector, expert: ParamSet, task: str) -> TrainableLayer:
-    if selector == "head":
-        return TrainableLayer("head", expert.head(task))
-    depth = len(expert.encoder)
-    indices = (selector,) if isinstance(selector, int) else selector
-    for i in indices:
-        if not 0 <= i < depth:
-            raise ValueError(f"trainable encoder index {i} out of range for depth {depth}")
-    if len(set(indices)) != len(indices):
-        raise ValueError(f"trainable encoder indices {indices} repeat a layer")
-    layers = tuple(expert.encoder[i] for i in indices)
-    return TrainableLayer(selector, layers[0] if isinstance(selector, int) else layers)
+    """The expert's layers at the positions `selector` names, to be trained."""
+    layers = (*expert.encoder, expert.head(task))
+    init = tuple(layers[p] for p in layer_positions(selector, len(expert.encoder)))
+    return TrainableLayer(selector, init if isinstance(selector, tuple) else init[0])
 
 
 def build_assembly(pre: ParamSet, vectors: Mapping[str, TaskVector],
@@ -466,8 +458,7 @@ def _run_adaptation(pre, vectors, heads, inputs_by_task, cfg, objectives,
     runs = {}
     for t, (spec, targets, conf) in objectives.items():
         tr = trainable.get(t)
-        positions = (() if tr is None else (depth,) if tr.selector == "head"
-                     else tr.layer_indices())
+        positions = () if tr is None else layer_positions(tr.selector, depth)
         mixed = tuple(l for l in range(depth) if l not in positions)  # the merged layers t uses
         plan = _StepPlan([*merged, heads[t]], dict(zip(positions, tr.layers() if tr else ())),
                          cfg.lr_layer, mixed if cfg.train_coeffs else ())

@@ -50,6 +50,7 @@ EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
 MERGE_LAMBDA = 0.3  # `merge --method task_arithmetic` without --lambda
+GEN_SEVERITY = 5  # `gen --corruption` without --severity
 
 
 class _Parser(argparse.ArgumentParser):
@@ -102,21 +103,6 @@ def _indices(value: str) -> tuple:
     return tuple(int(i) for i in value.split(","))
 
 
-def _parse_trainable(value: str):
-    if value == "head":
-        return "head"
-    if value == "none":
-        return None
-    try:
-        if ":" in value:
-            lo, hi = value.split(":", 1)
-            return tuple(range(int(lo), int(hi)))
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"trainable_layer: '{value}' is not head, none, "
-                          "<index> or <lo>:<hi>") from None
-
-
 def _given(args, cls) -> dict:
     """The flags given on the command line that set a field of the config
     dataclass `cls`; each such flag stores under the field's name."""
@@ -136,14 +122,15 @@ def _adapt_config(args, num_tasks: int) -> AdaptConfig:
     given = _given(args, AdaptConfig)
     if args.method == "adamerging":
         # like eval's flags, a flag that the method would ignore is an error;
-        # a config file's values for those fields are not
+        # a config file's values for those fields are dropped (but for
+        # train_coeffs: false, which leaves nothing to train)
         for name, flag in _ENTROPY_UNUSED.items():
             if name in given:
                 raise ConfigError(f"{flag}: method adamerging fits the coefficients alone, "
                                   f"so {flag} is not used")
+            if name != "train_coeffs":
+                base.pop(name, None)
         given["trainable_layer"] = None
-    elif args.trainable_layer is not None:
-        given["trainable_layer"] = _parse_trainable(args.trainable_layer)
     base.update(given)
     if "init_coeff" not in base or base["init_coeff"] == "auto":
         base["init_coeff"] = default_init_coeff(num_tasks)
@@ -157,13 +144,16 @@ def _adapt_config(args, num_tasks: int) -> AdaptConfig:
 def _cmd_gen(args) -> int:
     from .serialization import save_suite
     from .suites import CorruptionSpec, SuiteConfig, corrupt_suite, gen_suite
+    if args.severity is not None and not args.corruption:
+        raise ConfigError("--severity: not used without --corruption")
     base = load_config_section(args.config, "suite") if args.config else {}
     base.update(_given(args, SuiteConfig))
     cfg = suite_config_from_dict(base)
 
     suite = gen_suite(cfg)
     if args.corruption:
-        spec = CorruptionSpec(args.corruption, args.severity)
+        severity = GEN_SEVERITY if args.severity is None else args.severity
+        spec = CorruptionSpec(args.corruption, severity)
         suite = corrupt_suite(suite, spec, cfg.seed)
 
     out = _out_path(args.out)
@@ -171,7 +161,7 @@ def _cmd_gen(args) -> int:
     save_suite(suite, out)
     manifest_cfg = {"suite": base}
     if args.corruption:
-        manifest_cfg["corruption"] = {"kind": args.corruption, "severity": args.severity}
+        manifest_cfg["corruption"] = {"kind": args.corruption, "severity": spec.severity}
     _write_manifest(out.with_suffix(".manifest.json"), "gen", manifest_cfg, cfg.seed)
     print(f"wrote {out}")
     return EXIT_OK
@@ -191,15 +181,18 @@ def _cmd_finetune(args) -> int:
     init = init_params(encoder_dims, head_dims, rng)
     pre = pretrain_backbone(init, suite, epochs=args.pre_epochs, lr=args.pre_lr,
                             batch_size=args.batch_size, seed=args.seed)
+    experts = {t.task_id: finetune_expert(pre, t.x_train, t.y_train, t.task_id,
+                                          epochs=args.epochs, lr=args.lr,
+                                          batch_size=args.batch_size, seed=args.seed,
+                                          kind=t.kind)
+               for t in suite.tasks}
 
+    # nothing is written until every checkpoint is computed
     out_dir = _out_path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_checkpoint(pre, out_dir / "pre.ckpt")
-    for t in suite.tasks:
-        expert = finetune_expert(pre, t.x_train, t.y_train, t.task_id,
-                                 epochs=args.epochs, lr=args.lr,
-                                 batch_size=args.batch_size, seed=args.seed, kind=t.kind)
-        save_checkpoint(expert, out_dir / f"expert_{t.task_id}.ckpt")
+    for task, expert in experts.items():
+        save_checkpoint(expert, out_dir / f"expert_{task}.ckpt")
 
     cfg = {
         "hidden": list(args.hidden),
@@ -575,7 +568,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--regression", dest="regression_tasks", type=_indices,
                    help="comma-separated task indices generated as regression")
     p.add_argument("--corruption", choices=["gaussian_noise", "feature_mask", "contrast_scale"])
-    p.add_argument("--severity", type=int, default=5)
+    p.add_argument("--severity", type=int,
+                   help=f"1-5, with --corruption only (default {GEN_SEVERITY})")
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("finetune", help="pretrain a backbone and fine-tune per-task experts")

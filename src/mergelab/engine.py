@@ -463,6 +463,8 @@ def init_params(encoder_dims: Sequence[int], head_dims: Mapping[str, int],
                 rng: np.random.Generator) -> ParamSet:
     """Random Gaussian init scaled by 1/sqrt(in_dim); heads drawn after encoder,
     in sorted task order, so layouts with the same dims are reproducible."""
+    if min(encoder_dims) <= 0:
+        raise ValueError(f"layer widths must be positive, got {tuple(encoder_dims)}")
     enc = []
     for d_in, d_out in zip(encoder_dims, encoder_dims[1:]):
         enc.append(LayerParams(rng.normal(0.0, 1.0 / np.sqrt(d_in), (d_out, d_in)),

@@ -183,6 +183,42 @@ def coefficient_grad(encoder_grads: Sequence[LayerParams],
     return out
 
 
+def read_selector(value):
+    """The `trainable_layer` setting as the `--trainable-layer` flag, a config
+    file or a bundle gives it: "head"; "none" or None (no layer); an encoder
+    index or a list of them; or the text "<i>" or "<lo>:<hi>" (layers lo to
+    hi - 1). Returns "head", None, an int or a tuple; ValueError otherwise."""
+    if value in (None, "none", "head"):
+        return None if value == "none" else value
+    if isinstance(value, str):
+        lo, colon, hi = value.partition(":")
+        if not all(s.isascii() and s.isdigit() for s in ((lo, hi) if colon else (lo,))):
+            raise ValueError(f"trainable_layer: {value!r} is not head, none, <index> or <lo>:<hi>")
+        value = tuple(range(int(lo), int(hi))) if colon else int(lo)
+    indices = value if isinstance(value, (list, tuple)) else (value,)
+    if not all(type(i) is int and i >= 0 for i in indices):
+        raise ValueError(f"trainable_layer: {value!r} is not head, none, a layer index "
+                         "or a list of them")
+    if not indices:
+        raise ValueError("trainable_layer: an empty selector names no layer")
+    return value if type(value) is int else tuple(value)
+
+
+def layer_positions(selector, depth: int) -> tuple:
+    """The positions that `selector` replaces in a task's layers (*encoder,
+    head), where the head is position `depth`. ShapeError for an encoder
+    index out of range or repeated."""
+    if selector == "head":
+        return (depth,)
+    positions = (selector,) if type(selector) is int else tuple(selector)
+    for i in positions:
+        if not 0 <= i < depth:
+            raise ShapeError(f"trainable layer {i} is out of range for encoder depth {depth}")
+    if len(set(positions)) != len(positions):
+        raise ShapeError(f"trainable layers {positions} repeat a layer")
+    return positions
+
+
 @dataclass
 class TrainableLayer:
     """A per-task replacement layer: the head, one encoder layer, or several.
@@ -236,24 +272,25 @@ class MergedAssembly:
         if self.coeffs.num_layers != len(self.pre_encoder):
             raise ShapeError("coefficient columns != encoder depth")
         for task, tr in self.trainable.items():
-            for i in tr.layer_indices():
-                if not 0 <= i < len(self.pre_encoder):
-                    raise ShapeError(f"trainable layer {i} of task '{task}' is out of range "
-                                     f"for encoder depth {len(self.pre_encoder)}")
+            positions = layer_positions(tr.selector, len(self.pre_encoder))
+            replaced = (*self.pre_encoder, self.heads.get(task))
+            if replaced[-1] is None:
+                raise ShapeError(f"trainable layers for task '{task}', which has no head")
+            want = [replaced[p].weight.shape for p in positions]
+            got = [layer.weight.shape for layer in tr.layers()]
+            if got != want:
+                raise ShapeError(f"trainable layers of task '{task}' have shapes {got}, "
+                                 f"not those of the layers they replace {want}")
 
     def merged_encoder(self) -> tuple:
         return merge_layerwise(self.pre_encoder, self.vectors, self.coeffs)
 
     def materialize(self, task: str) -> ParamSet:
-        encoder = list(self.merged_encoder())
-        head = self.heads.get(task)
+        layers = [*self.merged_encoder(), self.heads.get(task)]
         tr = self.trainable.get(task)
         if tr is not None:
-            if tr.selector == "head":
-                head = tr.params
-            else:
-                for idx, layer in zip(tr.layer_indices(), tr.layers()):
-                    encoder[idx] = layer
-        if head is None:
+            for p, layer in zip(layer_positions(tr.selector, len(self.pre_encoder)), tr.layers()):
+                layers[p] = layer
+        if layers[-1] is None:
             raise UnknownTaskError(f"no head for task '{task}'")
-        return ParamSet(encoder=tuple(encoder), heads={task: head})
+        return ParamSet(encoder=tuple(layers[:-1]), heads={task: layers[-1]})

@@ -27,7 +27,7 @@ from typing import Mapping
 import numpy as np
 
 from .engine import LayerParams, ParamSet, ShapeError
-from .merging import CoefficientMatrix, TrainableLayer
+from .merging import CoefficientMatrix, TrainableLayer, read_selector
 from .suites import SuiteConfig, TaskData, TaskSuite
 
 MAGIC = b"MLBUNDLE"
@@ -281,9 +281,7 @@ def save_trainable(trainable: Mapping[str, TrainableLayer], path) -> None:
     meta = {"format": "trainable", "selectors": {}}
     arrays = {}
     for task, tr in trainable.items():
-        sel = tr.selector if tr.selector == "head" or isinstance(tr.selector, int) \
-            else list(tr.selector)
-        meta["selectors"][task] = sel
+        meta["selectors"][task] = tr.selector  # a tuple is written as a JSON list
         for pos, layer in enumerate(tr.layers()):
             arrays[f"{task}.{pos}.w"] = layer.weight
             arrays[f"{task}.{pos}.b"] = layer.bias
@@ -296,17 +294,17 @@ def load_trainable(path) -> dict:
         raise BundleError(f"{path}: not a trainable-layer file")
     out = {}
     for task, sel in _meta_field(path, meta, "selectors", dict).items():
-        positions = sel if isinstance(sel, list) else [sel]
-        if not (sel == "head" or all(type(i) is int and i >= 0 for i in positions)):
+        try:
+            selector = read_selector(sel)
+        except ValueError:
             raise BundleError(f"{path}: meta field 'selectors.{task}' is {sel!r}, not "
-                              "'head', a layer index or a list of them")
+                              "'head', a layer index or a list of them") from None
+        if selector is None:  # the task has no trained layer
+            continue
         layers = tuple(LayerParams(_array(path, arrays, f"{task}.{p}.w"),
                                    _array(path, arrays, f"{task}.{p}.b"))
-                       for p in range(len(positions)))
-        if isinstance(sel, list):
-            out[task] = TrainableLayer(tuple(sel), layers)
-        else:
-            out[task] = TrainableLayer(sel, layers[0])
+                       for p in range(len(selector) if isinstance(selector, tuple) else 1))
+        out[task] = TrainableLayer(selector, layers if isinstance(selector, tuple) else layers[0])
     return out
 
 

@@ -25,6 +25,20 @@ def spawn_rng(seed: int, *scope) -> np.random.Generator:
     return np.random.default_rng(int.from_bytes(digest[:8], "little"))
 
 
+def check_field_types(obj) -> None:
+    """TypeError naming the first field of the dataclass `obj` whose value
+    does not fit its `int`, `float` or `bool` annotation."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.type == "int" and (isinstance(value, bool) or not isinstance(value, Integral)):
+            raise TypeError(f"{f.name}: expected an integer, got {value!r}")
+        if f.type == "float" and (isinstance(value, bool) or not isinstance(value, Real)
+                                  or not math.isfinite(value)):
+            raise TypeError(f"{f.name}: expected a finite real number, got {value!r}")
+        if f.type == "bool" and not isinstance(value, bool):
+            raise TypeError(f"{f.name}: expected true or false, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SuiteConfig:
     num_tasks: int = 4
@@ -38,13 +52,7 @@ class SuiteConfig:
     regression_tasks: tuple = ()  # indices of tasks generated as regression
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type == "int" and (isinstance(value, bool) or not isinstance(value, Integral)):
-                raise TypeError(f"{f.name}: expected an integer, got {value!r}")
-            if f.type == "float" and (isinstance(value, bool) or not isinstance(value, Real)
-                                      or not math.isfinite(value)):
-                raise TypeError(f"{f.name}: expected a finite real number, got {value!r}")
+        check_field_types(self)
         if min(self.num_tasks, self.classes_per_task, self.input_dim,
                self.samples_per_split, self.shared_subspace_dim) <= 0:
             raise ValueError("suite dimensions must be positive")

@@ -1,0 +1,123 @@
+"""Inputs the commands reject before they write anything, and manifests that
+record only what a run used: `finetune` widths and training settings,
+typed `adapt` config fields, `gen --severity`, and the `adapt` config
+fields that entropy adaptation never reads."""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+from mergelab.cli import main
+from mergelab.config import ConfigError, adapt_config_from_dict
+from mergelab.engine import init_params
+from mergelab.suites import spawn_rng
+
+from conftest import REFERENCE_CONFIG, REPO_ROOT
+
+SRC = REPO_ROOT / "src"
+
+
+@pytest.fixture(scope="module")
+def small(tmp_path_factory):
+    root = tmp_path_factory.mktemp("inputs")
+    data, ckpts = root / "data.bundle", root / "ckpts"
+    assert main(["gen", "--out", str(data), "--tasks", "2", "--classes", "3",
+                 "--input-dim", "6", "--samples", "24", "--subspace-dim", "3",
+                 "--seed", "3"]) == 0
+    assert main(["finetune", "--data", str(data), "--out-dir", str(ckpts), "--hidden", "4",
+                 "--pre-epochs", "1", "--epochs", "1", "--seed", "3"]) == 0
+    return root
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--epochs", "-1"], "epochs must be nonnegative, got -1"),
+    (["--lr", "0"], "learning rate must be positive"),
+    (["--hidden", "32,0,16"], "layer widths must be positive, got (6, 32, 0, 16)"),
+], ids=["epochs", "lr", "hidden"])
+def test_finetune_that_fails_writes_nothing(small, tmp_path, flags, named):
+    out = tmp_path / "ckpts"
+    proc = subprocess.run([sys.executable, "-m", "mergelab", "finetune",
+                           "--data", str(small / "data.bundle"), "--out-dir", str(out),
+                           "--pre-epochs", "1", *flags],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert proc.returncode == 3, proc.stderr
+    assert named in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+def test_init_params_rejects_a_non_positive_width():
+    with pytest.raises(ValueError, match=r"layer widths must be positive, got \(3, -1\)"):
+        init_params((3, -1), {"t": 2}, spawn_rng(0, "init"))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("iterations", 2.5), ("batch_size", 8.5), ("iterations", True), ("seed", 1.5),
+    ("init_coeff", True), ("init_coeff", "abc"), ("lr_layer", float("nan")),
+    ("filter_enabled", "no"), ("train_coeffs", 0),
+])
+def test_adapt_config_fields_are_typed(field, value):
+    with pytest.raises(ConfigError, match=f"^adapt.{field}: expected "):
+        adapt_config_from_dict({field: value})
+
+
+def _adapt(small, capsys, method: str, adapt: dict) -> tuple:
+    config = small / "adapt.json"
+    config.write_text(json.dumps({"adapt": {"iterations": 2, **adapt}}))
+    out = small / f"adapted_{method}"
+    capsys.readouterr()
+    code = main(["adapt", "--data", str(small / "data.bundle"),
+                 "--ckpt-dir", str(small / "ckpts"), "--method", method,
+                 "--config", str(config), "--out-dir", str(out)])
+    return code, capsys.readouterr().err, out
+
+
+@pytest.mark.parametrize("field, value", [
+    ("iterations", 2.5), ("batch_size", 8.5), ("init_coeff", True), ("init_coeff", "abc"),
+    ("filter_enabled", "no"), ("train_coeffs", 0), ("seed", 1.5),
+])
+def test_adapt_with_a_mistyped_config_field_exits_2_naming_it(small, capsys, field, value):
+    code, err, out = _adapt(small, capsys, "symerge", {field: value})
+    assert code == 2, err
+    assert f"config error: adapt.{field}: " in err
+    assert not out.exists()
+
+
+def test_adamerging_manifest_records_the_defaults_of_fields_it_never_reads(small, capsys):
+    code, err, out = _adapt(small, capsys, "adamerging",
+                            {"loss": "kl", "lr_layer": 0.5, "filter_enabled": False,
+                             "batch_size": 8})
+    assert code == 0, err
+    adapt = json.loads((out / "adapt.manifest.json").read_text())["config"]["adapt"]
+    assert adapt["loss"] is None and adapt["lr_layer"] == 0.01
+    assert adapt["filter_enabled"] is True and adapt["trainable_layer"] is None
+    assert adapt["batch_size"] == 8  # a field the run reads is kept
+
+
+def _gen(tmp_path, capsys, *flags) -> tuple:
+    out = tmp_path / "data.bundle"
+    capsys.readouterr()
+    code = main(["gen", "--config", str(REFERENCE_CONFIG), "--samples", "20", *flags,
+                 "--out", str(out)])
+    return code, capsys.readouterr().err, out
+
+
+def test_gen_severity_needs_a_corruption(tmp_path, capsys):
+    code, err, out = _gen(tmp_path, capsys, "--severity", "3")
+    assert code == 2 and "config error: --severity: " in err
+    assert not out.exists()
+
+
+def test_gen_corruption_defaults_to_severity_5(tmp_path, capsys):
+    code, err, out = _gen(tmp_path, capsys, "--corruption", "feature_mask")
+    assert code == 0, err
+    manifest = json.loads(out.with_suffix(".manifest.json").read_text())
+    assert manifest["config"]["corruption"] == {"kind": "feature_mask", "severity": 5}
+    default = out.read_bytes()
+    code, err, out = _gen(tmp_path, capsys, "--corruption", "feature_mask", "--severity", "5")
+    assert code == 0, err
+    assert out.read_bytes() == default
