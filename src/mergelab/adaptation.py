@@ -76,7 +76,7 @@ class AdaptConfig:
     task_order: str = "shuffled_each_pass"  # "shuffled_each_pass" | "fixed"
     seed: int = 0
     train_coeffs: bool = True  # False freezes coefficients (layer-only ablation)
-    loss: LossSpec | None = None  # override the self-labeling loss
+    loss: LossSpec | None = None  # override the self-labeling loss; a kind name is read
 
     def __post_init__(self):
         check_field_types(self)
@@ -91,6 +91,13 @@ class AdaptConfig:
         if self.task_order not in ("shuffled_each_pass", "fixed"):
             raise ValueError(f"unknown task_order '{self.task_order}'")
         self.trainable_layer = read_selector(self.trainable_layer)
+        if isinstance(self.loss, str):
+            try:
+                self.loss = LossSpec(self.loss)
+            except ValueError as exc:
+                raise ValueError(f"loss: {exc}") from None
+        elif not (self.loss is None or isinstance(self.loss, LossSpec)):
+            raise TypeError(f"loss: expected a loss kind name, got {self.loss!r}")
         if self.trainable_layer is None and not self.train_coeffs:
             raise ValueError("train_coeffs: with no trainable layer and frozen coefficients "
                              "the run trains nothing")

@@ -132,8 +132,7 @@ def _adapt_config(args, num_tasks: int) -> AdaptConfig:
                 base.pop(name, None)
         given["trainable_layer"] = None
     base.update(given)
-    if "init_coeff" not in base or base["init_coeff"] == "auto":
-        base["init_coeff"] = default_init_coeff(num_tasks)
+    base.setdefault("init_coeff", default_init_coeff(num_tasks))
     return adapt_config_from_dict(base)
 
 

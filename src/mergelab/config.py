@@ -1,13 +1,14 @@
-"""Experiment configuration: JSON parsing with diagnostics that name the
-offending field, plus the method/analysis compatibility rules.
+"""Config files and the method and analysis tables.
 
-The tables here are all the CLI's parser needs, so this module loads no
-numeric module until a config is built."""
+Each config dataclass reads and checks its own fields; `_build` names the
+section and field of any value it rejects. The tables here are all the
+CLI's parser needs, so this module loads no numeric module until a config
+is built."""
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -44,26 +45,6 @@ class ConfigError(ValueError):
     """Invalid configuration; message names the field."""
 
 
-@dataclass
-class ExperimentConfig:
-    suite: SuiteConfig = field(default_factory=lambda: suite_config_from_dict({}))
-    adapt: AdaptConfig = field(default_factory=lambda: adapt_config_from_dict({}))
-    method: str = DEFAULT_METHOD
-    analyses: tuple = ("eval",)
-    output_dir: str = "runs/out"
-
-    def __post_init__(self):
-        if self.method not in METHODS:
-            raise ConfigError(f"method: '{self.method}' is not one of {METHODS}")
-        self.analyses = tuple(self.analyses)
-        for a in self.analyses:
-            if a not in ANALYSES:
-                raise ConfigError(f"analyses: '{a}' is not one of {ANALYSES}")
-            if a in COEFF_ANALYSES and METHOD_COEFFS[self.method] is None:
-                raise ConfigError(
-                    f"analyses: '{a}' requires a coefficient-bearing method, got '{self.method}'")
-
-
 def _build(cls, data: dict, where: str):
     if not isinstance(data, dict):
         raise ConfigError(f"{where}: expected an object")
@@ -83,36 +64,12 @@ def _build(cls, data: dict, where: str):
 
 def suite_config_from_dict(data: dict) -> SuiteConfig:
     from .suites import SuiteConfig
-    data = dict(data)
-    if "regression_tasks" in data:
-        data["regression_tasks"] = tuple(data["regression_tasks"])
     return _build(SuiteConfig, data, "suite")
 
 
 def adapt_config_from_dict(data: dict) -> AdaptConfig:
     from .adaptation import AdaptConfig
-    data = dict(data)
-    if isinstance(data.get("loss"), str):
-        from .engine import LossSpec
-        try:
-            data["loss"] = LossSpec(data["loss"])
-        except ValueError as exc:
-            raise ConfigError(f"adapt.loss: {exc}") from exc
     return _build(AdaptConfig, data, "adapt")
-
-
-def experiment_config_from_dict(data: dict) -> ExperimentConfig:
-    if not isinstance(data, dict):
-        raise ConfigError("top level: expected an object")
-    unknown = set(data) - {f.name for f in fields(ExperimentConfig)}
-    if unknown:
-        raise ConfigError(f"{sorted(unknown)[0]}: unknown field")
-    kwargs = dict(data)
-    if "suite" in data:
-        kwargs["suite"] = suite_config_from_dict(data["suite"])
-    if "adapt" in data:
-        kwargs["adapt"] = adapt_config_from_dict(data["adapt"])
-    return ExperimentConfig(**kwargs)
 
 
 def adapt_config_to_dict(cfg: AdaptConfig) -> dict:
@@ -121,13 +78,6 @@ def adapt_config_to_dict(cfg: AdaptConfig) -> dict:
     doc["loss"] = cfg.loss.kind if cfg.loss else None
     if isinstance(cfg.trainable_layer, tuple):
         doc["trainable_layer"] = list(cfg.trainable_layer)
-    return doc
-
-
-def experiment_config_to_dict(cfg: ExperimentConfig) -> dict:
-    doc = asdict(cfg)
-    doc.update(adapt=adapt_config_to_dict(cfg.adapt), analyses=list(cfg.analyses))
-    doc["suite"]["regression_tasks"] = list(cfg.suite.regression_tasks)
     return doc
 
 

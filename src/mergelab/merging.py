@@ -272,7 +272,10 @@ class MergedAssembly:
         if self.coeffs.num_layers != len(self.pre_encoder):
             raise ShapeError("coefficient columns != encoder depth")
         for task, tr in self.trainable.items():
-            positions = layer_positions(tr.selector, len(self.pre_encoder))
+            try:
+                positions = layer_positions(tr.selector, len(self.pre_encoder))
+            except ShapeError as exc:
+                raise ShapeError(f"task '{task}': {exc}") from None
             replaced = (*self.pre_encoder, self.heads.get(task))
             if replaced[-1] is None:
                 raise ShapeError(f"trainable layers for task '{task}', which has no head")

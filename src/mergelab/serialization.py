@@ -126,14 +126,12 @@ def _check_entry(path, i: int, entry) -> None:
 # Checkpoints (ParamSet)
 
 
-def save_checkpoint(params: ParamSet, path, extra_meta: Mapping | None = None) -> None:
+def save_checkpoint(params: ParamSet, path) -> None:
     meta = {
         "format": "paramset",
         "encoder": [[l.out_dim, l.in_dim] for l in params.encoder],
         "heads": {t: [h.out_dim, h.in_dim] for t, h in params.heads.items()},
     }
-    if extra_meta:
-        meta["extra"] = dict(extra_meta)
     arrays = {}
     for i, layer in enumerate(params.encoder):
         arrays[f"enc{i}.w"] = layer.weight
@@ -152,6 +150,7 @@ def load_checkpoint(path) -> ParamSet:
                for i, pair in enumerate(_meta_field(path, meta, "encoder", list))]
     heads = {task: _layer(path, arrays, f"head.{task}", pair, f"heads.{task}")
              for task, pair in _meta_field(path, meta, "heads", dict).items()}
+    _check_claimed(path, arrays)
     try:
         return ParamSet(encoder=tuple(encoder), heads=heads)
     except ShapeError as exc:
@@ -166,14 +165,22 @@ def _meta_field(path, meta: Mapping, key: str, kind: type):
     return value
 
 
-def _array(path, arrays: Mapping, name: str) -> np.ndarray:
+def _array(path, arrays: dict, name: str) -> np.ndarray:
+    """The array `name`, claimed: taken out of `arrays`, so that what is left
+    there at the end is what no meta field names (`_check_claimed`)."""
     try:
-        return arrays[name]
+        return arrays.pop(name)
     except KeyError:
         raise BundleError(f"{path}: missing array '{name}'") from None
 
 
-def _layer(path, arrays: Mapping, prefix: str, pair, where: str) -> LayerParams:
+def _check_claimed(path, unclaimed) -> None:
+    """BundleError naming the first of the array names `unclaimed`, if any."""
+    if unclaimed:
+        raise BundleError(f"{path}: array '{min(unclaimed)}' is named by no meta field")
+
+
+def _layer(path, arrays: dict, prefix: str, pair, where: str) -> LayerParams:
     """The layer stored as `<prefix>.w` / `<prefix>.b`, checked against the
     [out_dim, in_dim] pair the meta field `where` declares for it."""
     if not (isinstance(pair, list) and len(pair) == 2
@@ -213,10 +220,8 @@ def load_suite(path) -> TaskSuite:
     meta, arrays = load_bundle(path)
     if meta.get("format") != "suite":
         raise BundleError(f"{path}: not a suite file")
-    cfg_dict = dict(_meta_field(path, meta, "config", dict))
     try:
-        cfg_dict["regression_tasks"] = tuple(cfg_dict.get("regression_tasks", ()))
-        cfg = SuiteConfig(**cfg_dict)
+        cfg = SuiteConfig(**_meta_field(path, meta, "config", dict))
     except (TypeError, ValueError) as exc:
         raise BundleError(f"{path}: meta field 'config': {exc}") from exc
     tasks = []
@@ -231,6 +236,7 @@ def load_suite(path) -> TaskSuite:
             *(_array(path, arrays, f"{tid}.{split}")
               for split in ("x_train", "y_train", "x_test", "y_test")),
         ))
+    _check_claimed(path, arrays)
     return TaskSuite(config=cfg, tasks=tasks)
 
 
@@ -293,7 +299,8 @@ def load_trainable(path) -> dict:
     if meta.get("format") != "trainable":
         raise BundleError(f"{path}: not a trainable-layer file")
     out = {}
-    for task, sel in _meta_field(path, meta, "selectors", dict).items():
+    selectors = _meta_field(path, meta, "selectors", dict)
+    for task, sel in selectors.items():
         try:
             selector = read_selector(sel)
         except ValueError:
@@ -305,6 +312,8 @@ def load_trainable(path) -> dict:
                                    _array(path, arrays, f"{task}.{p}.b"))
                        for p in range(len(selector) if isinstance(selector, tuple) else 1))
         out[task] = TrainableLayer(selector, layers if isinstance(selector, tuple) else layers[0])
+    # a task's selector claims every `<task>.<position>.<w|b>` array
+    _check_claimed(path, [n for n in arrays if n.rsplit(".", 2)[0] not in selectors])
     return out
 
 

@@ -64,10 +64,14 @@ class SuiteConfig:
             raise ValueError("task_rotation_strength must be in [0, 1]")
         if self.noise_std < 0.0:
             raise ValueError("noise_std must be nonnegative")
-        object.__setattr__(self, "regression_tasks", tuple(int(i) for i in self.regression_tasks))
-        for i in self.regression_tasks:
+        indices = self.regression_tasks
+        if not (isinstance(indices, (list, tuple)) and all(type(i) is int for i in indices)):
+            raise TypeError(f"regression_tasks: expected a list of task indices, got {indices!r}")
+        object.__setattr__(self, "regression_tasks", tuple(indices))
+        for i in indices:
             if not 0 <= i < self.num_tasks:
-                raise ValueError(f"regression task index {i} out of range")
+                raise ValueError(f"regression_tasks: task index {i} is out of range "
+                                 f"for {self.num_tasks} tasks")
 
 
 @dataclass
@@ -169,11 +173,11 @@ class CorruptionSpec:
     severity: int
 
     def __post_init__(self):
+        check_field_types(self)
         if self.kind not in CORRUPTION_KINDS:
             raise ValueError(f"unknown corruption kind '{self.kind}'")
-        if not 1 <= int(self.severity) <= 5:
-            raise ValueError("severity must be an integer in 1..5")
-        object.__setattr__(self, "severity", int(self.severity))
+        if not 1 <= self.severity <= 5:
+            raise ValueError(f"severity: expected an integer in 1..5, got {self.severity}")
 
 
 def corrupt_features(x: np.ndarray, spec: CorruptionSpec, seed: int) -> np.ndarray:

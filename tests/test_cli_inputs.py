@@ -8,11 +8,13 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from mergelab.cli import main
 from mergelab.config import ConfigError, adapt_config_from_dict
 from mergelab.engine import init_params
+from mergelab.serialization import save_bundle
 from mergelab.suites import spawn_rng
 
 from conftest import REFERENCE_CONFIG, REPO_ROOT
@@ -121,3 +123,43 @@ def test_gen_corruption_defaults_to_severity_5(tmp_path, capsys):
     code, err, out = _gen(tmp_path, capsys, "--corruption", "feature_mask", "--severity", "5")
     assert code == 0, err
     assert out.read_bytes() == default
+
+
+def _run(*args) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-m", "mergelab", *map(str, args)],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)))
+
+
+@pytest.mark.parametrize("section, field, value", [
+    ("suite", "regression_tasks", 5),
+    ("adapt", "loss", 5),
+    ("adapt", "init_coeff", "auto"),
+], ids=["regression_tasks", "loss", "init_coeff_auto"])
+def test_a_mistyped_config_field_exits_2_without_traceback(small, tmp_path, section, field,
+                                                           value):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({section: {field: value}}))
+    if section == "suite":
+        proc = _run("gen", "--config", config, "--out", tmp_path / "d.bundle")
+    else:
+        proc = _run("adapt", "--data", small / "data.bundle", "--ckpt-dir", small / "ckpts",
+                    "--method", "symerge", "--config", config, "--out-dir", tmp_path / "out")
+    assert proc.returncode == 2, proc.stderr
+    assert f"config error: {section}.{field}: " in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_eval_layers_that_repeat_a_layer_exit_3_naming_the_task(small, tmp_path):
+    rng = np.random.default_rng(0)
+    arrays = {}
+    for p in range(2):  # layers that fit encoder layer 0 of `small` (6 -> 4)
+        arrays[f"task1.{p}.w"] = rng.normal(size=(4, 6))
+        arrays[f"task1.{p}.b"] = rng.normal(size=4)
+    layers = tmp_path / "trainable.bundle"
+    save_bundle(layers, {"format": "trainable", "selectors": {"task1": [0, 0]}}, arrays)
+    proc = _run("eval", "--data", small / "data.bundle", "--ckpt-dir", small / "ckpts",
+                "--method", "task_arithmetic", "--layers", layers, "--out-dir", tmp_path / "out")
+    assert proc.returncode == 3, proc.stderr
+    assert "error: task 'task1': trainable layers (0, 0) repeat a layer" in proc.stderr
+    assert "Traceback" not in proc.stderr

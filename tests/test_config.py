@@ -1,18 +1,18 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mergelab.config import (
     ConfigError,
-    ExperimentConfig,
     adapt_config_from_dict,
-    experiment_config_from_dict,
-    experiment_config_to_dict,
     load_config_file,
     load_config_section,
     suite_config_from_dict,
 )
-from mergelab.engine import LossSpec
+from mergelab.engine import LOSS_KINDS, LossSpec
+from mergelab.suites import CorruptionSpec
 
 
 def test_unknown_field_is_named():
@@ -20,8 +20,6 @@ def test_unknown_field_is_named():
         suite_config_from_dict({"num_tasks": 2, "bogus": 1})
     with pytest.raises(ConfigError, match="mystery"):
         adapt_config_from_dict({"mystery": True})
-    with pytest.raises(ConfigError, match="extra"):
-        experiment_config_from_dict({"extra": {}})
 
 
 def test_invalid_values_reported_with_section():
@@ -33,28 +31,10 @@ def test_invalid_values_reported_with_section():
         adapt_config_from_dict({"loss": "not_a_loss"})
 
 
-def test_method_and_analysis_validation():
-    with pytest.raises(ConfigError, match="method"):
-        ExperimentConfig(method="magic")
-    with pytest.raises(ConfigError, match="analyses"):
-        ExperimentConfig(analyses=("eigenplots",))
-    # sparsity needs a coefficient-bearing method
-    with pytest.raises(ConfigError, match="sparsity"):
-        ExperimentConfig(method="individual", analyses=("sparsity",))
-    ExperimentConfig(method="symerge", analyses=("sparsity", "eval"))
-
-
 def test_adapt_config_parses_loss_and_selector():
     cfg = adapt_config_from_dict({"loss": "kl", "trainable_layer": [0, 2]})
     assert cfg.loss == LossSpec("kl")
     assert cfg.trainable_layer == (0, 2)
-
-
-def test_round_trip_through_dict():
-    cfg = ExperimentConfig(analyses=("eval", "sparsity"))
-    doc = experiment_config_to_dict(cfg)
-    again = experiment_config_from_dict(doc)
-    assert experiment_config_to_dict(again) == doc
 
 
 def test_load_config_file_unwraps_manifests(tmp_path):
@@ -95,3 +75,46 @@ def test_cli_gen_with_a_suite_section_that_is_not_an_object_exits_2(tmp_path, ca
     config.write_text(json.dumps({"suite": [3]}))
     assert main(["gen", "--config", str(config), "--out", str(tmp_path / "d.bundle")]) == 2
     assert "'suite' is not a JSON object" in capsys.readouterr().err
+
+
+# any value a JSON config file can hold, plus the values each field accepts
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=json_values | st.lists(st.integers(-1, 5), max_size=4))
+def test_regression_tasks_build_or_name_the_field(value):
+    try:
+        cfg = suite_config_from_dict({"num_tasks": 4, "regression_tasks": value})
+    except ConfigError as exc:
+        assert str(exc).startswith("suite.regression_tasks: "), exc
+        return
+    assert isinstance(value, list) and all(type(i) is int and 0 <= i < 4 for i in value)
+    assert cfg.regression_tasks == tuple(value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=json_values | st.sampled_from(LOSS_KINDS))
+def test_adapt_loss_builds_or_names_the_field(value):
+    try:
+        cfg = adapt_config_from_dict({"loss": value})
+    except ConfigError as exc:
+        assert str(exc).startswith("adapt.loss: "), exc
+        return
+    assert cfg.loss == (None if value is None else LossSpec(value))
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=json_values | st.integers(-1, 7))
+def test_corruption_severity_builds_or_names_the_field(value):
+    try:
+        spec = CorruptionSpec("gaussian_noise", value)
+    except (TypeError, ValueError) as exc:
+        assert str(exc).startswith("severity: "), exc
+        return
+    assert type(value) is int and 1 <= value <= 5 and spec.severity == value

@@ -233,6 +233,37 @@ def test_trainable_meta_is_validated(tmp_path, mutate, field):
         load_trainable(_tampered(path, tmp_path / "bad.bundle", mutate))
 
 
+def _trainable(path):
+    rng = np.random.default_rng(33)
+    save_trainable({"a": TrainableLayer("head", LayerParams(rng.normal(size=(3, 4)),
+                                                            rng.normal(size=3)))}, path)
+
+
+@pytest.mark.parametrize("save, load", [
+    (lambda p: save_checkpoint(random_paramset(np.random.default_rng(34)), p), load_checkpoint),
+    (lambda p: save_suite(gen_suite(SuiteConfig(num_tasks=2, samples_per_split=20)), p),
+     load_suite),
+    (_trainable, load_trainable),
+], ids=["checkpoint", "suite", "trainable"])
+def test_loaders_reject_an_array_that_no_meta_field_names(tmp_path, save, load):
+    path = tmp_path / "good.bundle"
+    save(path)
+    load(path)
+    bad = _tampered(path, tmp_path / "bad.bundle",
+                    lambda m, a: a.update({"ghost.0.b": np.zeros(3)}))
+    with pytest.raises(BundleError, match="bad.bundle: array 'ghost.0.b' is named by no meta"):
+        load(bad)
+
+
+def test_cli_on_a_suite_bundle_with_an_extra_array_exits_3(tmp_path, capsys):
+    data = tmp_path / "data.bundle"
+    save_suite(gen_suite(SuiteConfig(num_tasks=2, samples_per_split=20)), data)
+    _tampered(data, data, lambda m, a: a.update({"ghost.0.b": np.zeros(3)}))
+    code = main(["finetune", "--data", str(data), "--out-dir", str(tmp_path / "ckpts")])
+    assert code == 3
+    assert "array 'ghost.0.b' is named by no meta field" in capsys.readouterr().err
+
+
 def test_assembly_rejects_trainable_layer_out_of_range():
     rng = np.random.default_rng(32)
     pre = random_paramset(rng)
