@@ -5,7 +5,9 @@ and the supervised two-stage head-retraining pilot.
 All but backbone pretraining train some layers of one forward pass against
 fixed targets through one step plan (`_StepPlan`). Fine-tuning (the encoder)
 and the pilot (the head alone, on fixed features) run it in one drop-last
-epoch loop (`_fit`); adaptation runs one plan per task over the merged layers.
+epoch loop (`_fit`); adaptation runs one plan per task over the merged layers,
+on a schedule drawn before the first step, with all tasks' trained layers in
+one vector that one Adam steps once a pass (`_run_adaptation` says why).
 
 Unless a loss override is given, classification tasks self-label with hard
 argmax targets from the frozen experts and regression tasks mimic expert
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -164,30 +167,30 @@ class _StepPlan:
     """What the steps of one training loop read, fixed for the loop.
 
     `layers` are the encoder layers of one forward pass, then the head. The
-    positions in `trained` (position -> initial layer) hold views of one
-    flat vector, a copy of those layers, that `step` (None when nothing is
-    trained) updates in place at rate `lr`; the others stay the caller's.
-    `grads[i]` is a view of layer i's gradient, or None when nothing reads
-    it; the gradient buffer holds the trained layers first (`train_grad`),
-    then the layers in `read`, and `lowest` is the lowest layer in it.
+    positions in `trained` (position -> initial layer) hold views of
+    `flat`, a copy of those layers that the loop's Adam steps in place, and
+    their gradients are views of `train_grad`; `into` gives these two
+    vectors (slices of a pair that adaptation's tasks share), fresh ones
+    otherwise. The other layers stay the caller's. `grads[i]` is a view of
+    layer i's gradient, or None when nothing reads it: the trained layers
+    and those in `read` have one, and `lowest` is the lowest of them.
     """
 
-    def __init__(self, layers: Sequence[LayerParams], trained: dict, lr: float, read=()):
+    def __init__(self, layers: Sequence[LayerParams], trained: dict, read=(), into=None):
         self.layers = list(layers)
         self.positions = tuple(trained)
-        self.step = None
-        if trained:
-            flat = np.concatenate([l.flat for l in trained.values()])
-            for i, layer in zip(self.positions, _split(flat, list(trained.values()))):
-                self.layers[i] = layer
-            self.step = _adam(flat, lr)
-        need = [*self.positions, *read]
-        buf = np.empty(sum(self.layers[i].flat.size for i in need))
+        like = list(trained.values())
+        self.flat, self.train_grad = into or np.empty((2, sum(l.flat.size for l in like)))
+        if like:
+            self.flat[...] = np.concatenate([l.flat for l in like])
         self.grads = [None] * len(self.layers)
-        for i, layer in zip(need, _split(buf, [self.layers[i] for i in need])):
-            self.grads[i] = layer
-        self.train_grad = buf[:sum(self.layers[i].flat.size for i in self.positions)]
-        self.lowest = min(need, default=len(self.layers))
+        for i, layer, grad in zip(self.positions, _split(self.flat, like),
+                                  _split(self.train_grad, like)):
+            self.layers[i], self.grads[i] = layer, grad
+        read_like = [self.layers[i] for i in read]
+        for i, grad in zip(read, _split(np.empty(sum(l.flat.size for l in read_like)), read_like)):
+            self.grads[i] = grad
+        self.lowest = min((*self.positions, *read), default=len(self.layers))
 
     def forward(self, x: np.ndarray):
         """The activations of checked inputs `x` (`_activations`) and the logits."""
@@ -228,10 +231,11 @@ class _BatchStream:
 
 
 def _fit(plan: _StepPlan, x: np.ndarray, y: np.ndarray, spec: LossSpec, epochs: int,
-         batch_size: int, rng: np.random.Generator) -> list:
+         batch_size: int, rng: np.random.Generator, lr: float) -> list:
     """Train `plan` on (x, y) for `epochs` passes over the data, reshuffled
-    by `rng` each pass, one Adam step per full batch (a short last batch is
-    dropped). Returns each epoch's mean batch loss."""
+    by `rng` each pass, one Adam step at rate `lr` per full batch (a short
+    last batch is dropped). Returns each epoch's mean batch loss."""
+    step = _adam(plan.flat, lr)
     if epochs < 0:
         raise ValueError(f"epochs must be nonnegative, got {epochs}")
     n = len(x)
@@ -248,7 +252,7 @@ def _fit(plan: _StepPlan, x: np.ndarray, y: np.ndarray, spec: LossSpec, epochs: 
             rows, g, _ = _loss_rows(_check_outputs(logits), y[idx], spec)
             g /= bs
             plan.backprop(g, acts)
-            plan.step(plan.train_grad)
+            step(plan.train_grad)
             epoch_losses.append(float(rows.sum()) / bs)
         history.append(float(np.mean(epoch_losses)))
     return history
@@ -270,9 +274,9 @@ def finetune_expert(pre: ParamSet, x: np.ndarray, y: np.ndarray, task: str,
         return (params, []) if return_history else params
 
     # the encoder is trained (a copy of `pre`'s); the head gets no gradient
-    plan = _StepPlan([*params.encoder, params.head(task)], dict(enumerate(params.encoder)), lr)
+    plan = _StepPlan([*params.encoder, params.head(task)], dict(enumerate(params.encoder)))
     spec = LossSpec("cross_entropy_hard" if kind == "classification" else "l2")
-    history = _fit(plan, x, y, spec, epochs, batch_size, spawn_rng(seed, "finetune", task))
+    history = _fit(plan, x, y, spec, epochs, batch_size, spawn_rng(seed, "finetune", task), lr)
     params = ParamSet(encoder=plan.trained(), heads=params.heads)
     return (params, history) if return_history else params
 
@@ -450,10 +454,15 @@ def _run_adaptation(pre, vectors, heads, inputs_by_task, cfg, objectives,
                     trainable) -> AdaptResult:
     """Adapt the coefficients and the `trainable` layers on one objective per
     task: (loss spec, whole-split targets, expert confidence that filters
-    the task's batches or None). Inputs, targets, vectors and layers are
-    checked before the first step. A step merges the layers its task does
-    not replace into one shared buffer and runs the task's step plan; Adam
-    steps the coefficients and the plan's trained vector in place."""
+    the task's batches or None). Everything is checked, and what no step
+    changes is fixed, before the first step: the schedule (task orders and
+    batch indices; the seeded streams never read the model) and, with frozen
+    coefficients, the merged encoder and each task's activations below its
+    lowest trained layer for all its batches (stacked per layer). All tasks'
+    trained layers are one vector that Adam steps at the end of each pass
+    (the same numbers as a step after each task's step, whose layers no
+    other step reads): one update while the tasks' step counts agree, else
+    one per stepped task's segment."""
     task_ids = tuple(objectives)
     depth = len(pre.encoder)
     coeffs = CoefficientMatrix.constant(task_ids, depth, cfg.init_coeff)
@@ -462,106 +471,115 @@ def _run_adaptation(pre, vectors, heads, inputs_by_task, cfg, objectives,
                            coeffs=coeffs, heads=heads, trainable=trainable).vectors
     merged = _split(np.empty(sum(l.flat.size for l in pre.encoder)), pre.encoder)
 
-    runs = {}
-    for t, (spec, targets, conf) in objectives.items():
+    def merge(layers):
+        for l in layers:
+            np.add(pre.encoder[l].flat, values[:, l] @ stack.matrices[l], out=merged[l].flat)
+
+    merge(range(0 if cfg.train_coeffs else depth))  # frozen coefficients: merged once
+    order_rng = spawn_rng(cfg.seed, "task-order")
+    orders = [order_rng.permutation(len(task_ids)).tolist()
+              if cfg.task_order == "shuffled_each_pass" else range(len(task_ids))
+              for _ in range(cfg.iterations)]
+
+    # the tasks' trained layers (in task order) in one vector, with its gradient and moments
+    sizes = [sum(l.flat.size for l in trainable[t].layers()) if t in trainable else 0
+             for t in task_ids]
+    layer_flat, layer_grad, m, v = np.zeros((4, sum(sizes)))
+    counts = [0] * len(task_ids)  # each task's layer steps
+    runs = []
+    for (t, (spec, targets, conf)), size, end in zip(objectives.items(), sizes, accumulate(sizes)):
         tr = trainable.get(t)
         positions = () if tr is None else layer_positions(tr.selector, depth)
-        mixed = tuple(l for l in range(depth) if l not in positions)  # the merged layers t uses
-        plan = _StepPlan([*merged, heads[t]], dict(zip(positions, tr.layers() if tr else ())),
-                         cfg.lr_layer, mixed if cfg.train_coeffs else ())
+        lo = 0 if cfg.train_coeffs else min(positions)  # the layers below lo stay fixed
+        mixed = tuple(l for l in range(depth) if l not in positions) if cfg.train_coeffs else ()
+        seg = slice(end - size, end)
+        plan = _StepPlan([*merged, heads[t]][lo:],
+                         {p - lo: layer for p, layer in zip(positions, tr.layers() if tr else ())},
+                         mixed, (layer_flat[seg], layer_grad[seg]))
         # a layer the task replaces has no coefficient gradient: its column stays 0
         cgrad_in = [None if l in positions else plan.grads[l].flat
                     for l in range(depth)] if cfg.train_coeffs else None
         x = _check_inputs(inputs_by_task[t], pre.encoder[0].in_dim)
         y = _check_targets((len(x), heads[t].out_dim), targets, spec)
-        runs[t] = (plan, x, y, spec, conf, mixed, cgrad_in)
+        stream = _BatchStream(len(x), cfg.batch_size, spawn_rng(cfg.seed, "batches", t))
+        idx = np.array([stream.next_indices() for _ in range(cfg.iterations)],
+                       dtype=np.int64).reshape(cfg.iterations, stream.bs)
+        if lo:  # row p of x becomes pass p's activations at layer lo
+            x = _activations(merged[:lo], x[idx])[-1]
+        # row p of y and conf: pass p's targets and expert confidences
+        y, conf = (None if a is None else a[idx] for a in (y, conf))
+        runs.append((plan, x, idx, y, spec, conf, mixed, cgrad_in, lo > 0, seg))
     step_coeffs = _adam(values, cfg.lr_coeffs)
 
-    order_rng = spawn_rng(cfg.seed, "task-order")
-    streams = {
-        t: _BatchStream(len(inputs_by_task[t]), cfg.batch_size, spawn_rng(cfg.seed, "batches", t))
-        for t in task_ids
-    }
-
-    trace = []
-    stats = []
-    filtered_passes = 0
-    for pass_idx in range(cfg.iterations):
-        if cfg.task_order == "shuffled_each_pass":
-            order = [task_ids[i] for i in order_rng.permutation(len(task_ids))]
-        else:
-            order = list(task_ids)
-
+    # the step record, one column per step: task, batch size, kept rows, their loss, the batch's
+    rec_task, rec_size, rec_kept = np.zeros((3, cfg.iterations * len(task_ids)), dtype=np.int64)
+    rec_loss, rec_batch = np.zeros((2, cfg.iterations * len(task_ids)))
+    s = filtered_passes = 0
+    for pass_idx, order in enumerate(orders):
         agg_coeff_grad = np.zeros_like(values)
-        agg_layer = []  # plans whose gradient buffer holds this pass's layer gradient
-        pass_losses = []
-        any_update = False
-
-        for task in order:
-            plan, x, y, spec, conf, mixed, cgrad_in = runs[task]
-            idx = streams[task].next_indices()
-            for l in mixed:
-                np.add(pre.encoder[l].flat, values[:, l] @ stack.matrices[l], out=merged[l].flat)
-            acts, logits = plan.forward(x[idx])
+        stepped = []
+        for k in order:
+            plan, x, idx, y, spec, conf, mixed, cgrad_in, frozen, _ = runs[k]
+            n = idx.shape[1]
+            merge(mixed)
+            acts, logits = plan.forward(x[pass_idx] if frozen else x[idx[pass_idx]])
             if not np.isfinite(logits).all():
                 raise ValueError(f"adaptation diverged: non-finite outputs on pass {pass_idx} "
-                                 f"for task '{task}'")
-            rows, grad, probs = _loss_rows(logits, None if y is None else y[idx], spec)
-            batch_loss = float(rows.sum()) / len(idx)
+                                 f"for task '{task_ids[k]}'")
+            losses, grad, probs = _loss_rows(logits, None if y is None else y[pass_idx], spec)
+            rec_task[s], rec_size[s], rec_batch[s] = k, n, float(losses.sum()) / n
+            s += 1
 
-            kept = len(idx)
+            kept = n
             if conf is not None:
                 probs = softmax(logits) if probs is None else probs
-                keep = confidence_filter(probs.max(axis=1), conf[idx]).nonzero()[0]
+                keep = confidence_filter(probs.max(axis=1), conf[pass_idx]).nonzero()[0]
                 kept = keep.size
                 if kept == 0:
-                    pass_losses.append(batch_loss)
-                    stats.append(StepStats(pass_idx, task, len(idx), 0, None, batch_loss))
                     continue
-                if kept < len(idx):
-                    rows, grad = rows[keep], grad[keep]
-                    for i in range(plan.lowest, depth + 1):
+                if kept < n:
+                    losses, grad = losses[keep], grad[keep]
+                    for i in range(plan.lowest, len(acts)):
                         acts[i] = acts[i].take(keep, axis=0)
 
-            pass_losses.append(batch_loss)
-            any_update = True
-            stats.append(StepStats(pass_idx, task, len(idx), kept, float(rows.sum()) / kept,
-                                   batch_loss))
+            rec_kept[s - 1], rec_loss[s - 1] = kept, float(losses.sum()) / kept
+            stepped.append(k)
             grad /= kept
             plan.backprop(grad, acts)
-
             if cfg.train_coeffs:
                 cgrad = coefficient_grad(cgrad_in, stack)
-            if cfg.update_mode == "sequential":
-                if cfg.train_coeffs:
+                if cfg.update_mode == "sequential":
                     step_coeffs(cgrad)
-                if plan.step is not None:
-                    plan.step(plan.train_grad)
-            else:
-                if cfg.train_coeffs:
+                else:
                     agg_coeff_grad += cgrad
-                if plan.step is not None:
-                    agg_layer.append(plan)  # each task runs once a pass: its buffer stays
 
-        if cfg.update_mode == "aggregated" and any_update:
-            if cfg.train_coeffs:
-                step_coeffs(agg_coeff_grad)
-            for plan in agg_layer:
-                plan.step(plan.train_grad)
-
-        if not any_update:
+        if not stepped:
             filtered_passes += 1
-        if pass_losses:
-            trace.append(float(np.mean(pass_losses)))
+            continue
+        if cfg.update_mode == "aggregated" and cfg.train_coeffs:
+            step_coeffs(agg_coeff_grad)
+        for k in stepped:
+            counts[k] += 1
+        if trainable and len(stepped) == len(task_ids) and len(set(counts)) == 1:
+            _adam_update(layer_flat, layer_grad, m, v, counts[0], cfg.lr_layer)
+        elif trainable:
+            for k in stepped:
+                seg = runs[k][-1]
+                _adam_update(layer_flat[seg], layer_grad[seg], m[seg], v[seg], counts[k],
+                             cfg.lr_layer)
 
     if filtered_passes:
         warnings.warn(f"{filtered_passes} of {cfg.iterations} passes fully filtered: "
                       "every batch lost all its rows to the confidence filter, no update applied")
     return AdaptResult(
         coeffs=CoefficientMatrix(task_ids, values),
-        trainable={t: tr.with_layers(runs[t][0].trained()) for t, tr in trainable.items()},
-        loss_trace=trace,
-        step_stats=stats,
+        trainable={t: tr.with_layers(runs[task_ids.index(t)][0].trained())
+                   for t, tr in trainable.items()},
+        loss_trace=[float(np.mean(row)) for row in
+                    rec_batch.reshape(cfg.iterations, len(task_ids))] if task_ids else [],
+        step_stats=[StepStats(s // len(task_ids), task_ids[k], n, kept, loss if kept else None, b)
+                    for s, (k, n, kept, loss, b) in enumerate(zip(*(a.tolist() for a in (
+                        rec_task, rec_size, rec_kept, rec_loss, rec_batch))))],
     )
 
 
@@ -571,30 +589,40 @@ def _run_adaptation(pre, vectors, heads, inputs_by_task, cfg, objectives,
 
 def pilot_two_stage(merged_encoder, suite: TaskSuite, experts: Mapping[str, ParamSet],
                     epochs: int = 1, lr: float = 1e-2, batch_size: int = 32,
-                    seed: int = 0) -> np.ndarray:
+                    seed: int = 0) -> np.ndarray | list:
     """Gain matrix of the two-stage protocol.
 
     Stage 1 retrains every task's head (from the expert's head) on frozen
     merged-encoder features with ground-truth labels. Stage 2 pairs each
     retrained head j with every expert encoder i and scores task j's test
     set. Entry (i, j) is the accuracy gain over the original expert head.
+    Given a list of merged encoders (a sweep), it returns their matrices and
+    computes the experts' test features and baseline accuracies once.
     """
+    from .analysis import _accuracy  # not at the top: `finetune` and `adapt` need none
     task_ids = tuple(sorted(experts))
     for t in suite.tasks:
         if t.kind != "classification":
             raise ValueError("pilot protocol requires classification tasks")
+    sweep = not isinstance(merged_encoder[0], LayerParams)
+    # each expert encoder on each test split, once; a head scores them as `forward` would
+    feats = {(i, j): encode(experts[i].encoder, suite.task(j).x_test)
+             for i in task_ids for j in task_ids}
 
-    retrained = {}
-    for task in task_ids:
-        # a plan with no encoder layers: the head alone, trained on the features
-        head, data = experts[task].head(task), suite.task(task)
-        plan = _StepPlan([head], {0: head}, lr)
-        _fit(plan, encode(merged_encoder, data.x_train), data.y_train,
-             LossSpec("cross_entropy_hard"), epochs, batch_size, spawn_rng(seed, "pilot", task))
-        (retrained[task],) = plan.trained()
+    def scores(heads: dict) -> np.ndarray:
+        return np.array([[_accuracy(feats[i, j] @ heads[j].weight.T + heads[j].bias,
+                                    suite.task(j).y_test) for j in task_ids] for i in task_ids])
 
-    from .analysis import cross_task_matrix  # not at the top: `finetune` and `adapt` need none
-    encoders = [experts[t].encoder for t in task_ids]
-    sets = [(suite.task(t).x_test, suite.task(t).y_test) for t in task_ids]
-    return (cross_task_matrix(encoders, [retrained[t] for t in task_ids], sets)
-            - cross_task_matrix(encoders, [experts[t].head(t) for t in task_ids], sets))
+    baseline = scores({t: experts[t].head(t) for t in task_ids})
+    gains = []
+    for encoder in merged_encoder if sweep else [merged_encoder]:
+        retrained = {}
+        for task in task_ids:
+            # a plan with no encoder layers: the head alone, trained on the features
+            head, data = experts[task].head(task), suite.task(task)
+            plan = _StepPlan([head], {0: head})
+            _fit(plan, encode(encoder, data.x_train), data.y_train, LossSpec("cross_entropy_hard"),
+                 epochs, batch_size, spawn_rng(seed, "pilot", task), lr)
+            (retrained[task],) = plan.trained()
+        gains.append(scores(retrained) - baseline)
+    return gains if sweep else gains[0]

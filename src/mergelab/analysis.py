@@ -9,7 +9,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .engine import LayerParams, LossSpec, ParamSet, ShapeError, forward, loss_eval
+from .engine import (LayerParams, LossSpec, ParamSet, ShapeError, _activations, _check_inputs,
+                     _check_outputs, _check_targets, _loss_rows, forward)
 from .merging import CoefficientMatrix, MergedAssembly, TaskVector, merge_layerwise, merge_uniform
 
 
@@ -29,13 +30,18 @@ def evaluate(encoder, head: LayerParams, x: np.ndarray, y: np.ndarray,
         raise ValueError("empty evaluation set")
     out = predict(encoder, head, x)
     if kind == "classification":
-        y = np.asarray(y)
-        if y.ndim != 1:
-            raise ShapeError(f"classification labels must be 1-D, got shape {y.shape}")
-        return float((np.argmax(out, axis=1) == y).mean())
+        return _accuracy(out, y)
     if kind == "regression":
         return float(np.abs(out - np.asarray(y, dtype=np.float64)).sum(axis=1).mean())
     raise ValueError(f"unknown task kind '{kind}'")
+
+
+def _accuracy(logits: np.ndarray, y) -> float:
+    """Top-1 accuracy of `logits` against class labels `y`."""
+    y = np.asarray(y)
+    if y.ndim != 1:
+        raise ShapeError(f"classification labels must be 1-D, got shape {y.shape}")
+    return float((np.argmax(logits, axis=1) == y).mean())
 
 
 def evaluate_assembly(assembly: MergedAssembly, task: str, x: np.ndarray, y: np.ndarray,
@@ -185,7 +191,8 @@ def loss_correlation_report(initial: MergedAssembly, adapted: MergedAssembly,
     For each task and for both the initial and adapted weights, the test
     stream is cut into consecutive batches; each batch contributes one
     (proxy, ground-truth CE) pair per proxy. Ground-truth labels are used
-    for analysis only.
+    for analysis only. All batches of a (task, stage) run through one
+    stacked forward pass, and each loss is one kernel call over their rows.
     """
     if batch_size <= 0:
         raise ValueError(f"batch_size must be positive, got {batch_size}")
@@ -194,22 +201,25 @@ def loss_correlation_report(initial: MergedAssembly, adapted: MergedAssembly,
     cells = []
     for task in sorted(test_sets):
         x, y = test_sets[task]
-        n = len(x)
-        bs = min(batch_size, n)
-        starts = range(0, n - bs + 1, bs)
-        if len(list(starts)) < 2:
+        bs = min(batch_size, len(x))
+        nb = len(x) // bs if bs else 0
+        if nb < 2:
             raise DegenerateDataError("need at least 2 batches for correlation")
         expert_labels = np.argmax(forward(experts[task], task, x), axis=1)
         for stage, assembly in (("initial", initial), ("adapted", adapted)):
             model = assembly.materialize(task)
-            gt, proxy_ent, proxy_sce = [], [], []
-            for start in starts:
-                sl = slice(start, start + bs)
-                logits = forward(model, task, x[sl])
-                gt.append(loss_eval(logits, y[sl], ce))
-                proxy_ent.append(loss_eval(logits, None, ent))
-                proxy_sce.append(loss_eval(logits, expert_labels[sl], ce))
-            for proxy, vals in (("entropy", proxy_ent), ("self_ce", proxy_sce)):
+            head = model.head(task)
+            h = _check_inputs(x[:nb * bs], model.encoder[0].in_dim).reshape(nb, bs, -1)
+            logits = _activations(model.encoder, h)[-1] @ head.weight.T + head.bias
+            z = _check_outputs(logits.reshape(nb * bs, head.out_dim))
+
+            def batch_losses(targets, spec):  # each batch's mean, summed as its own array would be
+                rows = _loss_rows(z, _check_targets(z.shape, targets, spec), spec)[0]
+                return (rows.reshape(nb, bs).sum(axis=1) / bs).tolist()
+
+            gt = batch_losses(y[:nb * bs], ce)
+            for proxy, vals in (("entropy", batch_losses(None, ent)),
+                                ("self_ce", batch_losses(expert_labels[:nb * bs], ce))):
                 try:
                     rho = spearman(vals, gt)
                     cells.append(CorrelationCell(task, proxy, stage, rho, "ok"))

@@ -148,11 +148,15 @@ def _cmd_gen(args) -> int:
     base = load_config_section(args.config, "suite") if args.config else {}
     base.update(_given(args, SuiteConfig))
     cfg = suite_config_from_dict(base)
+    if args.corruption:
+        try:
+            spec = CorruptionSpec(args.corruption,
+                                  GEN_SEVERITY if args.severity is None else args.severity)
+        except (TypeError, ValueError) as exc:  # "severity: <problem>"
+            raise ConfigError(f"--severity: {str(exc).partition(': ')[2]}") from None
 
     suite = gen_suite(cfg)
     if args.corruption:
-        severity = GEN_SEVERITY if args.severity is None else args.severity
-        spec = CorruptionSpec(args.corruption, severity)
         suite = corrupt_suite(suite, spec, cfg.seed)
 
     out = _out_path(args.out)
@@ -479,15 +483,13 @@ def _pilot_rows(run: _Inputs) -> list:
     cls_suite = TaskSuite(config=run.suite.config,
                           tasks=[t for t in run.suite.tasks if t.kind == "classification"])
     vectors = [run.vectors[t] for t in run.task_ids]
-    rows = []
-    for coeff in [round(0.1 * i, 1) for i in range(1, 11)]:
-        merged_enc = merge_task_arithmetic(run.pre, vectors, coeff)
-        gains = pilot_two_stage(merged_enc, cls_suite, {t: run.experts[t] for t in ids},
-                                seed=run.args.seed)
-        rows += [{"coeff": coeff, "encoder_task": enc_t, "head_task": head_t,
-                  "gain": float(gains[i, j])}
-                 for i, enc_t in enumerate(ids) for j, head_t in enumerate(ids)]
-    return rows
+    coeffs = [round(0.1 * i, 1) for i in range(1, 11)]
+    sweep = pilot_two_stage([merge_task_arithmetic(run.pre, vectors, c) for c in coeffs],
+                            cls_suite, {t: run.experts[t] for t in ids}, seed=run.args.seed)
+    return [{"coeff": coeff, "encoder_task": enc_t, "head_task": head_t,
+             "gain": float(gains[i, j])}
+            for coeff, gains in zip(coeffs, sweep)
+            for i, enc_t in enumerate(ids) for j, head_t in enumerate(ids)]
 
 
 _ROW_BUILDERS = {
