@@ -8,9 +8,10 @@ midpoint-merge loss bound. The `mergelab` CLI ties everything into
 reproducible, manifest-stamped runs.
 
 `import mergelab` loads none of the modules below, so a CLI command that
-computes nothing starts without numpy; the CLI imports, per command, only
-the modules it uses. The first name read through the package (PEP 562)
-loads them all, as `import mergelab` once did.
+computes nothing starts without numpy: `cli` holds the parser and `report`,
+and `commands`, loaded only when a numeric command runs, imports per
+command only the modules it uses. The first name read through the package
+(PEP 562) loads them all, as `import mergelab` once did.
 """
 
 import importlib

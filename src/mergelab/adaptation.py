@@ -456,8 +456,9 @@ def _run_adaptation(pre, vectors, heads, inputs_by_task, cfg, objectives,
     task: (loss spec, whole-split targets, expert confidence that filters
     the task's batches or None). Everything is checked, and what no step
     changes is fixed, before the first step: the schedule (task orders and
-    batch indices; the seeded streams never read the model) and, with frozen
-    coefficients, the merged encoder and each task's activations below its
+    batch indices; the seeded streams never read the model), the merged
+    encoder (whose mixed layers are merged again after each coefficient
+    step) and, with frozen coefficients, each task's activations below its
     lowest trained layer for all its batches (stacked per layer). All tasks'
     trained layers are one vector that Adam steps at the end of each pass
     (the same numbers as a step after each task's step, whose layers no
@@ -475,7 +476,8 @@ def _run_adaptation(pre, vectors, heads, inputs_by_task, cfg, objectives,
         for l in layers:
             np.add(pre.encoder[l].flat, values[:, l] @ stack.matrices[l], out=merged[l].flat)
 
-    merge(range(0 if cfg.train_coeffs else depth))  # frozen coefficients: merged once
+    # every layer merged once; a coefficient step re-merges the layers it mixes
+    merge(range(depth))
     order_rng = spawn_rng(cfg.seed, "task-order")
     orders = [order_rng.permutation(len(task_ids)).tolist()
               if cfg.task_order == "shuffled_each_pass" else range(len(task_ids))
@@ -486,12 +488,14 @@ def _run_adaptation(pre, vectors, heads, inputs_by_task, cfg, objectives,
              for t in task_ids]
     layer_flat, layer_grad, m, v = np.zeros((4, sum(sizes)))
     counts = [0] * len(task_ids)  # each task's layer steps
+    # every task trains the same selector's layers (or none); the others mix task vectors
+    selector = next((tr.selector for tr in trainable.values()), None)
+    positions = () if selector is None else layer_positions(selector, depth)
+    mixed = tuple(l for l in range(depth) if l not in positions) if cfg.train_coeffs else ()
+    lo = 0 if cfg.train_coeffs else min(positions)  # the layers below lo stay fixed
     runs = []
     for (t, (spec, targets, conf)), size, end in zip(objectives.items(), sizes, accumulate(sizes)):
         tr = trainable.get(t)
-        positions = () if tr is None else layer_positions(tr.selector, depth)
-        lo = 0 if cfg.train_coeffs else min(positions)  # the layers below lo stay fixed
-        mixed = tuple(l for l in range(depth) if l not in positions) if cfg.train_coeffs else ()
         seg = slice(end - size, end)
         plan = _StepPlan([*merged, heads[t]][lo:],
                          {p - lo: layer for p, layer in zip(positions, tr.layers() if tr else ())},
@@ -508,7 +512,7 @@ def _run_adaptation(pre, vectors, heads, inputs_by_task, cfg, objectives,
             x = _activations(merged[:lo], x[idx])[-1]
         # row p of y and conf: pass p's targets and expert confidences
         y, conf = (None if a is None else a[idx] for a in (y, conf))
-        runs.append((plan, x, idx, y, spec, conf, mixed, cgrad_in, lo > 0, seg))
+        runs.append((plan, x, idx, y, spec, conf, cgrad_in, seg))
     step_coeffs = _adam(values, cfg.lr_coeffs)
 
     # the step record, one column per step: task, batch size, kept rows, their loss, the batch's
@@ -519,10 +523,9 @@ def _run_adaptation(pre, vectors, heads, inputs_by_task, cfg, objectives,
         agg_coeff_grad = np.zeros_like(values)
         stepped = []
         for k in order:
-            plan, x, idx, y, spec, conf, mixed, cgrad_in, frozen, _ = runs[k]
+            plan, x, idx, y, spec, conf, cgrad_in, _ = runs[k]
             n = idx.shape[1]
-            merge(mixed)
-            acts, logits = plan.forward(x[pass_idx] if frozen else x[idx[pass_idx]])
+            acts, logits = plan.forward(x[pass_idx] if lo else x[idx[pass_idx]])
             if not np.isfinite(logits).all():
                 raise ValueError(f"adaptation diverged: non-finite outputs on pass {pass_idx} "
                                  f"for task '{task_ids[k]}'")
@@ -550,6 +553,7 @@ def _run_adaptation(pre, vectors, heads, inputs_by_task, cfg, objectives,
                 cgrad = coefficient_grad(cgrad_in, stack)
                 if cfg.update_mode == "sequential":
                     step_coeffs(cgrad)
+                    merge(mixed)
                 else:
                     agg_coeff_grad += cgrad
 
@@ -558,6 +562,7 @@ def _run_adaptation(pre, vectors, heads, inputs_by_task, cfg, objectives,
             continue
         if cfg.update_mode == "aggregated" and cfg.train_coeffs:
             step_coeffs(agg_coeff_grad)
+            merge(mixed)
         for k in stepped:
             counts[k] += 1
         if trainable and len(stepped) == len(task_ids) and len(set(counts)) == 1:

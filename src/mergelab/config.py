@@ -3,12 +3,11 @@
 Each config dataclass reads and checks its own fields; `_build` names the
 section and field of any value it rejects. The tables here are all the
 CLI's parser needs, so this module loads no numeric module until a config
-is built."""
+is built, and `json` and `dataclasses` only when a function here reads
+them."""
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, fields
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -46,6 +45,7 @@ class ConfigError(ValueError):
 
 
 def _build(cls, data: dict, where: str):
+    from dataclasses import fields
     if not isinstance(data, dict):
         raise ConfigError(f"{where}: expected an object")
     names = {f.name for f in fields(cls)}
@@ -74,6 +74,7 @@ def adapt_config_from_dict(data: dict) -> AdaptConfig:
 
 def adapt_config_to_dict(cfg: AdaptConfig) -> dict:
     """The JSON form of `cfg`, as `adapt_config_from_dict` reads it."""
+    from dataclasses import asdict
     doc = asdict(cfg)
     doc["loss"] = cfg.loss.kind if cfg.loss else None
     if isinstance(cfg.trainable_layer, tuple):
@@ -83,6 +84,7 @@ def adapt_config_to_dict(cfg: AdaptConfig) -> dict:
 
 def load_config_file(path) -> dict:
     """Read a JSON config; accepts a run manifest and unwraps its config."""
+    import json
     try:
         with open(path, encoding="utf-8") as f:
             data = json.load(f)

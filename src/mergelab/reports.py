@@ -1,11 +1,9 @@
 """Report emission: every analysis writes one CSV and one JSON file with a
 fixed column schema, and every row carries the manifest hash of the run
-that produced it."""
+that produced it. `csv` and `json` load when a report is written or read."""
 
 from __future__ import annotations
 
-import csv
-import json
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -43,6 +41,8 @@ def _fmt(value) -> str:
 
 def _write_tables(out_dir, stem: str, analysis: str, rows: list) -> list:
     """<stem>.csv and <stem>.json of `rows` under the analysis' columns."""
+    import csv
+    import json
     columns = SCHEMAS[analysis]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -78,6 +78,7 @@ def aggregate_reports(root) -> dict:
     Files that are not readable UTF-8 JSON, or not a report, are skipped; a
     report whose rows are not a list of objects raises ValueError naming it.
     """
+    import json
     combined = {}
     for path in sorted(Path(root).rglob("*.json")):
         try:

@@ -53,7 +53,8 @@ def test_analysis_names_columns_and_coeff_flags_come_from_one_table():
     assert tuple(reports.SCHEMAS) == config.ANALYSES
     assert all(isinstance(c, list) and c[0] == "manifest_hash"
                for c in reports.SCHEMAS.values())
-    assert tuple(cli._ROW_BUILDERS) == config.ANALYSES
+    from mergelab.commands import _ROW_BUILDERS
+    assert tuple(_ROW_BUILDERS) == config.ANALYSES
 
 
 def test_readme_report_schema_table_names_exactly_the_registered_analyses():

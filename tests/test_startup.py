@@ -1,9 +1,11 @@
 """What a `mergelab` process imports depends on its command. `import
 mergelab`, `--version`, `--help`, usage errors and `report` load no numpy
-module; every name the package exports still resolves to its module's
-object; and an error class imported only by a numeric command keeps its exit
-code."""
+module; the parser path loads no command body and none of `dataclasses`,
+`json` or `csv`; every name the package exports still resolves to its
+module's object; and an error class imported only by a numeric command keeps
+its exit code."""
 
+import functools
 import importlib
 import json
 import os
@@ -50,6 +52,19 @@ def _run(*args):
     return proc, imported
 
 
+@functools.cache
+def _interpreter_imports() -> frozenset:
+    """What a bare interpreter imports (`site` and what it pulls in)."""
+    proc, imported = _run("-c", "pass")
+    assert proc.returncode == 0, proc.stderr
+    return frozenset(imported)
+
+
+def _imported_beyond_interpreter(*args) -> tuple:
+    proc, imported = _run(*args)
+    return proc, set(imported) - _interpreter_imports()
+
+
 def _numpy(imported) -> list:
     return [m for m in imported if m.split(".")[0] == "numpy"]
 
@@ -77,6 +92,46 @@ def test_commands_that_compute_nothing_start_without_numpy(monkeypatch, argv, co
     assert _numpy(imported) == []
     if code:
         assert "usage: mergelab" in proc.stderr and "Traceback" not in proc.stderr
+
+
+# what the parser path never needs: the command bodies and the stdlib they use
+PARSER_FREE = {"dataclasses", "inspect", "json", "csv", "mergelab.commands"}
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--version"], 0),
+    (["--help"], 0),
+    (["bogus-command"], 1),
+    (["finetune", "--data", "d", "--out-dir", "o", "--hidden", "3,x"], 1),
+], ids=["version", "help", "usage-error", "bad-hidden"])
+def test_parser_path_loads_no_command_body_or_stdlib_it_uses(argv, code):
+    proc, new = _imported_beyond_interpreter("-m", "mergelab", *argv)
+    assert proc.returncode == code, proc.stderr
+    assert "mergelab.cli" in new
+    assert sorted(new & PARSER_FREE) == []
+
+
+def test_report_loads_no_dataclasses(tmp_path):
+    reports.write_report(tmp_path / "runs", "eval", [], "h")
+    proc, new = _imported_beyond_interpreter("-m", "mergelab", "report", "--runs",
+                                             str(tmp_path / "runs"), "--out-dir",
+                                             str(tmp_path / "combined"))
+    assert proc.returncode == 0, proc.stderr
+    assert "json" in new and "dataclasses" not in new
+
+
+def test_merge_loads_no_adaptation(tmp_path):
+    data, ckpts = tmp_path / "data.bundle", tmp_path / "ckpts"
+    assert main(["gen", "--out", str(data), "--tasks", "2", "--classes", "3",
+                 "--input-dim", "6", "--samples", "24", "--subspace-dim", "3",
+                 "--seed", "3"]) == 0
+    assert main(["finetune", "--data", str(data), "--out-dir", str(ckpts), "--hidden", "4",
+                 "--pre-epochs", "1", "--epochs", "1", "--seed", "3"]) == 0
+    proc, new = _imported_beyond_interpreter("-m", "mergelab", "merge", "--ckpt-dir",
+                                             str(ckpts), "--method", "weight_avg",
+                                             "--out-dir", str(tmp_path / "merged"))
+    assert proc.returncode == 0, proc.stderr
+    assert "mergelab.merging" in new and "mergelab.adaptation" not in new
 
 
 def test_report_starts_without_numpy(tmp_path):
