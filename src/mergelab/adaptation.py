@@ -43,6 +43,7 @@ from .engine import (
     backward,
     encode,
     forward,
+    init_params,
     params_to_arrays,
     arrays_to_params,
     softmax,
@@ -55,8 +56,8 @@ from .merging import (
     coefficient_grad,
     compute_task_vector,
     layer_positions,
-    merge_task_arithmetic,
     read_selector,
+    stack_task_vectors,
 )
 from .suites import TaskSuite, check_field_types, spawn_rng
 
@@ -258,6 +259,16 @@ def _fit(plan: _StepPlan, x: np.ndarray, y: np.ndarray, spec: LossSpec, epochs: 
     return history
 
 
+# the loss each task kind trains on (pretraining, fine-tuning) and the `prop1` pairs score
+TRAIN_LOSS = {"classification": "cross_entropy_hard", "regression": "l2"}
+
+
+def _train_loss(kind: str) -> LossSpec:
+    if kind not in TRAIN_LOSS:
+        raise ValueError(f"unknown task kind '{kind}'")
+    return LossSpec(TRAIN_LOSS[kind])
+
+
 def finetune_expert(pre: ParamSet, x: np.ndarray, y: np.ndarray, task: str,
                     epochs: int, lr: float, batch_size: int = 32, seed: int = 0,
                     kind: str = "classification", return_history: bool = False):
@@ -267,6 +278,7 @@ def finetune_expert(pre: ParamSet, x: np.ndarray, y: np.ndarray, task: str,
     Returns a ParamSet holding only this task's head. With epochs=0 the
     pre-trained parameters come back unchanged.
     """
+    spec = _train_loss(kind)
     if len(x) == 0:
         raise ValueError("empty training set")
     params = ParamSet(encoder=pre.encoder, heads={task: pre.head(task)})
@@ -275,7 +287,6 @@ def finetune_expert(pre: ParamSet, x: np.ndarray, y: np.ndarray, task: str,
 
     # the encoder is trained (a copy of `pre`'s); the head gets no gradient
     plan = _StepPlan([*params.encoder, params.head(task)], dict(enumerate(params.encoder)))
-    spec = LossSpec("cross_entropy_hard" if kind == "classification" else "l2")
     history = _fit(plan, x, y, spec, epochs, batch_size, spawn_rng(seed, "finetune", task), lr)
     params = ParamSet(encoder=plan.trained(), heads=params.heads)
     return (params, history) if return_history else params
@@ -299,21 +310,32 @@ def pretrain_backbone(init: ParamSet, suite: TaskSuite, epochs: int, lr: float,
     depth = len(init.encoder)
     params = ParamSet(encoder=views[:depth], heads=dict(zip(task_ids, views[depth:])))
     state = adam_init([flat])
-    streams = {}
-    for t in suite.tasks:
-        streams[t.task_id] = _BatchStream(len(t.x_train), batch_size,
-                                          spawn_rng(seed, "pretrain", t.task_id))
+    runs = [(t, _train_loss(t.kind),
+             _BatchStream(len(t.x_train), batch_size, spawn_rng(seed, "pretrain", t.task_id)))
+            for t in suite.tasks]
     steps_per_epoch = max(len(t.x_train) // min(batch_size, len(t.x_train)) for t in suite.tasks)
     for _ in range(epochs):
         for _ in range(steps_per_epoch):
-            for t in suite.tasks:
-                spec = LossSpec("cross_entropy_hard" if t.kind == "classification" else "l2")
-                idx = streams[t.task_id].next_indices()
+            for t, spec, stream in runs:
+                idx = stream.next_indices()
                 _, grads = backward(params, t.task_id, t.x_train[idx], t.y_train[idx], spec)
                 (new,), state = adam_step([flat], [np.concatenate(params_to_arrays(grads))],
                                           state, lr)
                 flat[...] = new
     return arrays_to_params(init, params_to_arrays(params))
+
+
+def train_experts(suite: TaskSuite, hidden: Sequence[int], pre_epochs: int, pre_lr: float,
+                  epochs: int, lr: float, batch_size: int = 32, seed: int = 0) -> tuple:
+    """(pre, {task: expert}), the inputs of every merge: a backbone of encoder
+    widths `hidden` pretrained on all of `suite`'s tasks, and one expert per
+    task fine-tuned from it. The keywords are a config's `finetune` keys."""
+    heads = {t.task_id: t.num_outputs for t in suite.tasks}
+    init = init_params((suite.config.input_dim, *hidden), heads, spawn_rng(seed, "init"))
+    pre = pretrain_backbone(init, suite, pre_epochs, pre_lr, batch_size, seed)
+    return pre, {t.task_id: finetune_expert(pre, t.x_train, t.y_train, t.task_id, epochs, lr,
+                                            batch_size, seed, t.kind)
+                 for t in suite.tasks}
 
 
 # ---------------------------------------------------------------------------
@@ -361,20 +383,6 @@ def build_assembly(pre: ParamSet, vectors: Mapping[str, TaskVector],
 
 def task_vectors_from_experts(pre: ParamSet, experts: Mapping[str, ParamSet]) -> dict:
     return {task: compute_task_vector(expert, pre) for task, expert in experts.items()}
-
-
-def interpolated_teachers(pre: ParamSet, experts: Mapping[str, ParamSet],
-                          coeff: float) -> dict:
-    """Supervisory models built from a single scaled task vector per task:
-    encoder = pre + coeff * tau_k, head = the expert's head. coeff 0 gives the
-    pre-trained model as teacher, coeff 1 the expert itself; sweeping coeff
-    studies how teacher composition shapes the adapted merge."""
-    out = {}
-    for task, expert in experts.items():
-        vec = compute_task_vector(expert, pre)
-        enc = merge_task_arithmetic(pre, [vec], coeff)
-        out[task] = ParamSet(encoder=enc, heads={task: expert.head(task)})
-    return out
 
 
 def symerge(pre: ParamSet, vectors: Mapping[str, TaskVector],
@@ -450,6 +458,15 @@ def _validate_adapt_inputs(task_ids, vectors, inputs_by_task):
             raise ValueError(f"empty input split for task '{t}'")
 
 
+# adaptation has diverged when a pass ends with a coefficient or a trained-layer
+# value beyond DIVERGED times the largest starting magnitude of its kind (or 1)
+DIVERGED = 1e3
+
+
+def _diverged(x: np.ndarray, start_scale: float) -> bool:
+    return not np.abs(x).max(initial=0.0) <= DIVERGED * start_scale  # true for NaN too
+
+
 def _run_adaptation(pre, vectors, heads, inputs_by_task, cfg, objectives,
                     trainable) -> AdaptResult:
     """Adapt the coefficients and the `trainable` layers on one objective per
@@ -463,13 +480,12 @@ def _run_adaptation(pre, vectors, heads, inputs_by_task, cfg, objectives,
     trained layers are one vector that Adam steps at the end of each pass
     (the same numbers as a step after each task's step, whose layers no
     other step reads): one update while the tasks' step counts agree, else
-    one per stepped task's segment."""
+    one per stepped task's segment. A pass that ends beyond `DIVERGED` raises a
+    ValueError naming the pass and the task."""
     task_ids = tuple(objectives)
     depth = len(pre.encoder)
-    coeffs = CoefficientMatrix.constant(task_ids, depth, cfg.init_coeff)
-    values = coeffs.values
-    stack = MergedAssembly(pre_encoder=tuple(pre.encoder), vectors=[vectors[t] for t in task_ids],
-                           coeffs=coeffs, heads=heads, trainable=trainable).vectors
+    values = CoefficientMatrix.constant(task_ids, depth, cfg.init_coeff).values
+    stack = stack_task_vectors([vectors[t] for t in task_ids], pre.encoder)
     merged = _split(np.empty(sum(l.flat.size for l in pre.encoder)), pre.encoder)
 
     def merge(layers):
@@ -514,6 +530,7 @@ def _run_adaptation(pre, vectors, heads, inputs_by_task, cfg, objectives,
         y, conf = (None if a is None else a[idx] for a in (y, conf))
         runs.append((plan, x, idx, y, spec, conf, cgrad_in, seg))
     step_coeffs = _adam(values, cfg.lr_coeffs)
+    coeff_scale, layer_scale = (max(1.0, np.abs(a).max(initial=0.0)) for a in (values, layer_flat))
 
     # the step record, one column per step: task, batch size, kept rows, their loss, the batch's
     rec_task, rec_size, rec_kept = np.zeros((3, cfg.iterations * len(task_ids)), dtype=np.int64)
@@ -572,6 +589,12 @@ def _run_adaptation(pre, vectors, heads, inputs_by_task, cfg, objectives,
                 seg = runs[k][-1]
                 _adam_update(layer_flat[seg], layer_grad[seg], m[seg], v[seg], counts[k],
                              cfg.lr_layer)
+        if _diverged(values, coeff_scale) or _diverged(layer_flat, layer_scale):
+            k = next(k for k, run in enumerate(runs) if _diverged(values[k], coeff_scale)
+                     or _diverged(layer_flat[run[-1]], layer_scale))
+            raise ValueError(f"adaptation diverged: coefficients or trained layers beyond "
+                             f"{DIVERGED:g} times their starting scale on pass {pass_idx} "
+                             f"for task '{task_ids[k]}'")
 
     if filtered_passes:
         warnings.warn(f"{filtered_passes} of {cfg.iterations} passes fully filtered: "

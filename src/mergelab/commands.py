@@ -124,24 +124,13 @@ def gen(args) -> int:
 
 
 def finetune(args) -> int:
-    from .adaptation import finetune_expert, pretrain_backbone
-    from .engine import init_params
+    from .adaptation import train_experts
     from .serialization import load_suite, save_checkpoint
-    from .suites import spawn_rng
     data_path = cli._out_path(args.data)
     suite = load_suite(data_path)
-    encoder_dims = (suite.config.input_dim, *args.hidden)
-    head_dims = {t.task_id: t.num_outputs for t in suite.tasks}
-
-    rng = spawn_rng(args.seed, "init")
-    init = init_params(encoder_dims, head_dims, rng)
-    pre = pretrain_backbone(init, suite, epochs=args.pre_epochs, lr=args.pre_lr,
-                            batch_size=args.batch_size, seed=args.seed)
-    experts = {t.task_id: finetune_expert(pre, t.x_train, t.y_train, t.task_id,
-                                          epochs=args.epochs, lr=args.lr,
-                                          batch_size=args.batch_size, seed=args.seed,
-                                          kind=t.kind)
-               for t in suite.tasks}
+    recipe = {k: getattr(args, k)  # the flags named as `train_experts`' keywords
+              for k in ("hidden", "pre_epochs", "pre_lr", "epochs", "lr", "batch_size")}
+    pre, experts = train_experts(suite, seed=args.seed, **recipe)
 
     # nothing is written until every checkpoint is computed
     out_dir = cli._out_path(args.out_dir)
@@ -150,12 +139,7 @@ def finetune(args) -> int:
     for task, expert in experts.items():
         save_checkpoint(expert, out_dir / f"expert_{task}.ckpt")
 
-    cfg = {
-        "hidden": list(args.hidden),
-        "pre_epochs": args.pre_epochs, "pre_lr": args.pre_lr,
-        "epochs": args.epochs, "lr": args.lr, "batch_size": args.batch_size,
-        "inputs": {"data": _sha256(data_path)},
-    }
+    cfg = dict(recipe, hidden=list(args.hidden), inputs={"data": _sha256(data_path)})
     _write_manifest(out_dir / "finetune.manifest.json", "finetune", cfg, args.seed)
     print(f"wrote pre + {len(suite.tasks)} expert checkpoints to {out_dir}")
     return EXIT_OK
@@ -393,6 +377,7 @@ def _sparsity_rows(run: _Inputs) -> list:
 
 
 def _prop1_rows(run: _Inputs) -> list:
+    from .adaptation import TRAIN_LOSS
     from .engine import LossSpec
     from .suites import spawn_rng
     from .theory import Prop1Instance, prop1_verify, random_linear_instance
@@ -405,7 +390,7 @@ def _prop1_rows(run: _Inputs) -> list:
             if ti == tj:
                 continue
             x, y = run.test_sets[tj]
-            loss = LossSpec("cross_entropy_hard" if run.kinds[tj] == "classification" else "l2")
+            loss = LossSpec(TRAIN_LOSS[run.kinds[tj]])
             inst = Prop1Instance(
                 family="nonlinear-net",
                 theta_0=tuple(run.pre.encoder),

@@ -253,10 +253,10 @@ class MergedAssembly:
     """Pre-trained encoder + task vectors + coefficients + per-task layers.
 
     Materializes the multi-task parameters on demand: the shared encoder is
-    the layer-wise merge, except that a task's trainable encoder layer (when
-    selected) replaces the merged layer for that task's own forward pass.
-    The head is the task's trainable head if selected, otherwise the frozen
-    expert head.
+    the layer-wise merge, made once on construction, except that a task's
+    trainable encoder layer (when selected) replaces the merged layer for
+    that task's own forward pass. The head is the task's trainable head if
+    selected, otherwise the frozen expert head.
     """
 
     pre_encoder: tuple
@@ -285,11 +285,13 @@ class MergedAssembly:
                 raise ShapeError(f"trainable layers of task '{task}' have shapes {got}, "
                                  f"not those of the layers they replace {want}")
 
+        self._merged = merge_layerwise(self.pre_encoder, self.vectors, self.coeffs)
+
     def merged_encoder(self) -> tuple:
-        return merge_layerwise(self.pre_encoder, self.vectors, self.coeffs)
+        return self._merged
 
     def materialize(self, task: str) -> ParamSet:
-        layers = [*self.merged_encoder(), self.heads.get(task)]
+        layers = [*self._merged, self.heads.get(task)]
         tr = self.trainable.get(task)
         if tr is not None:
             for p, layer in zip(layer_positions(tr.selector, len(self.pre_encoder)), tr.layers()):

@@ -312,8 +312,8 @@ def load_trainable(path) -> dict:
                                    _array(path, arrays, f"{task}.{p}.b"))
                        for p in range(len(selector) if isinstance(selector, tuple) else 1))
         out[task] = TrainableLayer(selector, layers if isinstance(selector, tuple) else layers[0])
-    # a task's selector claims every `<task>.<position>.<w|b>` array
-    _check_claimed(path, [n for n in arrays if n.rsplit(".", 2)[0] not in selectors])
+    # a selector claims only the `<task>.<i>.<w|b>` arrays of the layers it reads
+    _check_claimed(path, arrays)
     return out
 
 

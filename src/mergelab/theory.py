@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .engine import LOSS_TABLE, LayerParams, LossSpec, ShapeError, encode, loss_eval, _as_f64
-from .merging import TaskVector, merge_task_arithmetic, merge_uniform
+from .merging import merge_uniform
 
 MODEL_FAMILIES = ("linear", "nonlinear-net")
 
@@ -60,18 +60,6 @@ def _midpoint(theta_i, theta_j, inputs, family, head):
     avg = 0.5 * out_i + 0.5 * out_j
     norms = np.linalg.norm(out_mid - avg, axis=1)
     return (float(norms.max()), float(norms.mean())), out_i, out_j, out_mid, avg
-
-
-def synergy_eps(theta_0: Sequence[LayerParams], tau_i: Sequence[LayerParams],
-                inputs: np.ndarray, targets, loss: LossSpec,
-                family: str = "nonlinear-net", head: LayerParams | None = None) -> float:
-    """eps = L_j(f(theta_0)) - L_j(f(theta_0 + tau_i)); positive means synergy."""
-    if len(inputs) == 0:
-        raise ValueError("empty evaluation data")
-    base = loss_eval(model_outputs(theta_0, inputs, family, head), targets, loss)
-    shifted = loss_eval(model_outputs(merge_task_arithmetic(theta_0, [TaskVector(tau_i)], 1.0),
-                                      inputs, family, head), targets, loss)
-    return float(base - shifted)
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mergelab.adaptation import finetune_expert, pretrain_backbone
-from mergelab.engine import LayerParams, ParamSet, init_params
-from mergelab.suites import SuiteConfig, gen_suite, spawn_rng
+from mergelab.adaptation import train_experts
+from mergelab.engine import LayerParams, ParamSet
+from mergelab.suites import SuiteConfig, gen_suite
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 REFERENCE_CONFIG = REPO_ROOT / "configs" / "reference.json"
@@ -17,26 +17,13 @@ def load_reference():
         return json.load(f)
 
 
-def build_reference_models(seed: int, suite=None):
+def build_reference_models(seed: int):
     """Suite + pre-trained backbone + per-task experts for one seed of the
     reference configuration."""
     ref = load_reference()
-    suite_cfg = dict(ref["suite"], seed=seed)
-    cfg = SuiteConfig(**suite_cfg)
-    if suite is None:
-        suite = gen_suite(cfg)
-    ft = ref["finetune"]
-    dims = (cfg.input_dim, *ft["hidden"])
-    head_dims = {t.task_id: t.num_outputs for t in suite.tasks}
-    init = init_params(dims, head_dims, spawn_rng(seed, "init"))
-    pre = pretrain_backbone(init, suite, epochs=ft["pre_epochs"], lr=ft["pre_lr"],
-                            batch_size=ft["batch_size"], seed=seed)
-    experts = {
-        t.task_id: finetune_expert(pre, t.x_train, t.y_train, t.task_id,
-                                   epochs=ft["epochs"], lr=ft["lr"],
-                                   batch_size=ft["batch_size"], seed=seed, kind=t.kind)
-        for t in suite.tasks
-    }
+    cfg = SuiteConfig(**dict(ref["suite"], seed=seed))
+    suite = gen_suite(cfg)
+    pre, experts = train_experts(suite, seed=seed, **ref["finetune"])
     return cfg, suite, pre, experts
 
 

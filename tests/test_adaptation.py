@@ -11,11 +11,12 @@ from mergelab.adaptation import (
     confidence_filter,
     default_init_coeff,
     finetune_expert,
-    interpolated_teachers,
     make_self_labels,
     pilot_two_stage,
+    pretrain_backbone,
     symerge,
     task_vectors_from_experts,
+    train_experts,
 )
 from mergelab.analysis import evaluate, evaluate_assembly
 from mergelab.engine import LayerParams, ParamSet, ShapeError, forward, init_params, softmax
@@ -340,6 +341,30 @@ def test_symerge_empty_input_split_names_the_task(small_setup):
         symerge(pre, vectors, experts, bad_inputs, AdaptConfig(iterations=1))
 
 
+def test_train_experts_is_the_explicit_recipe_bit_for_bit():
+    cfg = SuiteConfig(num_tasks=3, classes_per_task=3, input_dim=8, samples_per_split=40,
+                      shared_subspace_dim=3, seed=4, regression_tasks=(2,))
+    suite = gen_suite(cfg)
+    pre, experts = train_experts(suite, hidden=(10, 6), pre_epochs=2, pre_lr=5e-3, epochs=3,
+                                 lr=1e-2, batch_size=16, seed=4)
+    init = init_params((8, 10, 6), {t.task_id: t.num_outputs for t in suite.tasks},
+                       spawn_rng(4, "init"))
+    want_pre = pretrain_backbone(init, suite, epochs=2, lr=5e-3, batch_size=16, seed=4)
+    assert params_equal(pre, want_pre)
+    assert list(experts) == [t.task_id for t in suite.tasks]
+    for t in suite.tasks:
+        want = finetune_expert(want_pre, t.x_train, t.y_train, t.task_id, epochs=3, lr=1e-2,
+                               batch_size=16, seed=4, kind=t.kind)
+        assert params_equal(experts[t.task_id], want), t.task_id
+
+
+def test_finetune_expert_rejects_an_unknown_task_kind(small_setup):
+    suite, pre, experts, vectors, inputs = small_setup
+    t = suite.tasks[0]
+    with pytest.raises(ValueError, match="unknown task kind 'bogus'"):
+        finetune_expert(pre, t.x_train, t.y_train, t.task_id, epochs=1, lr=0.01, kind="bogus")
+
+
 def test_symerge_regression_task_uses_l1_and_skips_filter():
     cfg = SuiteConfig(num_tasks=2, classes_per_task=3, input_dim=8, samples_per_split=40,
                       shared_subspace_dim=3, task_rotation_strength=0.5, noise_std=0.2,
@@ -390,18 +415,16 @@ def test_symerge_accepts_loss_overrides(small_setup):
         assert len(res.loss_trace) == 2, kind
 
 
-def test_supervisory_composition_sweep_endpoints(small_setup):
-    # teacher interpolation: coeff 1 reproduces the experts as teachers,
-    # coeff 0 supervises with the pre-trained model
+def test_supervisory_composition_takes_any_teacher(small_setup):
+    # any teacher ParamSet per task self-labels the merge in place of the
+    # expert: here the pre-trained encoder under each expert's head
     suite, pre, experts, vectors, inputs = small_setup
-    teachers_full = interpolated_teachers(pre, experts, 1.0)
-    for t, teacher in teachers_full.items():
-        x = inputs[t][:8]
-        assert np.allclose(forward(teacher, t, x), forward(experts[t], t, x), atol=1e-12)
-    teachers_pre = interpolated_teachers(pre, experts, 0.0)
+    teachers = {t: ParamSet(pre.encoder, {t: expert.head(t)}) for t, expert in experts.items()}
     cfg = AdaptConfig(iterations=3, batch_size=8, seed=21)
-    res = symerge(pre, vectors, teachers_pre, inputs, cfg)
+    res = symerge(pre, vectors, teachers, inputs, cfg)
     assert len(res.loss_trace) == 3
+    by_experts = symerge(pre, vectors, experts, inputs, cfg)
+    assert not np.array_equal(res.coeffs.values, by_experts.coeffs.values)
 
 
 def test_symerge_robust_to_coefficient_initialization(small_setup):

@@ -5,6 +5,7 @@ fields that entropy adaptation never reads."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -163,3 +164,28 @@ def test_eval_layers_that_repeat_a_layer_exit_3_naming_the_task(small, tmp_path)
     assert proc.returncode == 3, proc.stderr
     assert "error: task 'task1': trainable layers (0, 0) repeat a layer" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_eval_layers_with_an_array_beyond_the_selector_exit_3_naming_it(small, tmp_path):
+    rng = np.random.default_rng(0)
+    arrays = {"task1.0.w": rng.normal(size=(3, 4)), "task1.0.b": rng.normal(size=3),
+              "task1.7.w": rng.normal(size=(3, 4))}  # a head (4 -> 3 classes), then an extra
+    layers = tmp_path / "trainable.bundle"
+    save_bundle(layers, {"format": "trainable", "selectors": {"task1": "head"}}, arrays)
+    proc = _run("eval", "--data", small / "data.bundle", "--ckpt-dir", small / "ckpts",
+                "--method", "task_arithmetic", "--layers", layers, "--out-dir", tmp_path / "out")
+    assert proc.returncode == 3, proc.stderr
+    assert "array 'task1.7.w' is named by no meta field" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_adapt_that_diverges_exits_3_naming_the_pass_and_the_task(small, tmp_path):
+    out = tmp_path / "out"
+    proc = _run("adapt", "--data", small / "data.bundle", "--ckpt-dir", small / "ckpts",
+                "--method", "symerge", "--lr-coeffs", "1e6", "--lr-layer", "1e6",
+                "--out-dir", out)
+    assert proc.returncode == 3, proc.stderr
+    assert re.search(r"error: adaptation diverged: .* on pass \d+ for task 'task\d'",
+                     proc.stderr), proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (out / "coeffs.json").exists()

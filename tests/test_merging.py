@@ -281,6 +281,30 @@ def test_assembly_materialize_swaps_trainable_layer():
     assert np.array_equal(model_b.encoder[0].weight, merged[0].weight)
 
 
+def test_an_assembly_merges_its_encoder_once_for_every_task(monkeypatch):
+    from mergelab import merging
+    from mergelab.analysis import evaluate_assembly
+    rng = np.random.default_rng(19)
+    pre = random_paramset(rng, tasks=("a", "b", "c"))
+    tvs = tuple(compute_task_vector(random_paramset(rng, tasks=("a", "b", "c")), pre)
+                for _ in range(3))
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return merge_layerwise(*args)
+
+    monkeypatch.setattr(merging, "merge_layerwise", counted)
+    asm = MergedAssembly(pre.encoder, tvs, CoefficientMatrix.constant(("a", "b", "c"), 2, 0.3),
+                         dict(pre.heads), {})
+    x = rng.normal(size=(6, 5))
+    for t in ("a", "b", "c"):
+        evaluate_assembly(asm, t, x, rng.integers(0, 3, size=6))
+    assert len(calls) == 1
+    # every task's model reads the one merged encoder
+    assert all(a is b for a, b in zip(asm.merged_encoder(), asm.materialize("b").encoder))
+
+
 def test_assembly_head_replacement_and_unknown_task():
     rng = np.random.default_rng(18)
     pre = random_paramset(rng)

@@ -77,11 +77,21 @@ def _config_reads(value):
         return False, None
 
 
+def _read_count(value) -> int:
+    """How many layers a bundle selector `value` reads (none for a rejected
+    value, which fails before any array is read)."""
+    try:
+        selector = read_selector(value)
+    except ValueError:
+        return 0
+    return 0 if selector is None else len(selector) if isinstance(selector, tuple) else 1
+
+
 def _bundle_reads(value, tmp: Path):
     path = tmp / "selector.bundle"
     rng = np.random.default_rng(0)
     arrays = {}
-    for p in range(DEPTH):
+    for p in range(_read_count(value)):  # only the layers that the selector reads
         arrays[f"a.{p}.w"], arrays[f"a.{p}.b"] = rng.normal(size=(2, 2)), rng.normal(size=2)
     save_bundle(path, {"format": "trainable", "selectors": {"a": value}}, arrays)
     try:
@@ -97,6 +107,21 @@ def _bundle_reads(value, tmp: Path):
 def test_config_and_bundle_readers_accept_and_reject_the_same_values(value):
     with tempfile.TemporaryDirectory() as tmp:
         assert _config_reads(value) == _bundle_reads(value, Path(tmp))
+
+
+@settings(max_examples=60, deadline=None)
+@given(value=valid_selectors)
+def test_a_bundle_array_beyond_the_selector_is_rejected_naming_it(value):
+    # the arrays a selector reads load; one position past them names no layer
+    n = _read_count(value)
+    arrays = {}
+    for p in range(n + 1):
+        arrays[f"a.{p}.w"], arrays[f"a.{p}.b"] = np.zeros((2, 2)), np.zeros(2)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "selector.bundle"
+        save_bundle(path, {"format": "trainable", "selectors": {"a": value}}, arrays)
+        with pytest.raises(BundleError, match=f"array 'a.{n}.b' is named by no meta field"):
+            load_trainable(path)
 
 
 @settings(max_examples=60, deadline=None)

@@ -34,7 +34,7 @@ EXPORTS = {
     "analysis": "CorrelationReport DiscrepancyReport SparsityReport cross_task_matrix "
                 "discrepancy evaluate evaluate_assembly loss_correlation_report spearman "
                 "sparsity_report transfer_metrics",
-    "theory": "Prop1Instance Prop1Report ctl_residual prop1_verify synergy_eps",
+    "theory": "Prop1Instance Prop1Report ctl_residual prop1_verify",
     "suites": "CorruptionSpec SuiteConfig TaskData TaskSuite corrupt_features corrupt_split "
               "corrupt_suite gen_suite spawn_rng",
     "serialization": "load_checkpoint load_coeffs load_suite load_trainable save_checkpoint "

@@ -8,7 +8,6 @@ from mergelab.theory import (
     model_outputs,
     prop1_verify,
     random_linear_instance,
-    synergy_eps,
 )
 
 from conftest import random_paramset
@@ -60,43 +59,6 @@ def test_ctl_residual_matches_three_forward_oracle():
     norms = np.linalg.norm(f_mid - f_avg, axis=1)
     assert mx == pytest.approx(norms.max(), rel=1e-12)
     assert mn == pytest.approx(norms.mean(), rel=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# synergy epsilon
-
-
-def test_synergy_eps_null_vector_exactly_zero():
-    rng = np.random.default_rng(3)
-    theta = (LayerParams(rng.normal(size=(3, 4)), rng.normal(size=3)),)
-    tau = (LayerParams(np.zeros((3, 4)), np.zeros(3)),)
-    eps = synergy_eps(theta, tau, rng.normal(size=(8, 4)), rng.normal(size=(8, 3)),
-                      LossSpec("l2"), family="linear")
-    assert eps == 0.0
-
-
-def test_synergy_eps_hand_computed_scalar():
-    theta0 = (LayerParams([[0.0]], [0.0]),)
-    tau = (LayerParams([[0.5]], [0.0]),)
-    eps = synergy_eps(theta0, tau, np.array([[1.0]]), np.array([[1.0]]),
-                      LossSpec("l2"), family="linear")
-    assert eps == pytest.approx(1.0 - 0.25, abs=1e-15)
-
-
-def test_synergy_eps_antipodal_vector_is_negative():
-    theta0 = (LayerParams([[0.0]], [0.0]),)
-    tau = (LayerParams([[-0.5]], [0.0]),)  # points away from the optimum at 1.0
-    eps = synergy_eps(theta0, tau, np.array([[1.0]]), np.array([[1.0]]),
-                      LossSpec("l2"), family="linear")
-    assert eps == pytest.approx(1.0 - 2.25, abs=1e-15)
-    assert eps < 0
-
-
-def test_synergy_eps_empty_data_rejected():
-    theta0 = (LayerParams([[0.0]], [0.0]),)
-    with pytest.raises(ValueError):
-        synergy_eps(theta0, theta0, np.zeros((0, 1)), np.zeros((0, 1)), LossSpec("l2"),
-                    family="linear")
 
 
 # ---------------------------------------------------------------------------
