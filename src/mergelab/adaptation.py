@@ -55,16 +55,12 @@ from .merging import (
     TrainableLayer,
     coefficient_grad,
     compute_task_vector,
+    default_init_coeff,  # noqa: F401  (read as `adaptation.default_init_coeff`)
     layer_positions,
     read_selector,
     stack_task_vectors,
 )
 from .suites import TaskSuite, check_field_types, spawn_rng
-
-
-def default_init_coeff(num_tasks: int) -> float:
-    """0.3 by default, 0.1 for suites with more than 8 tasks."""
-    return 0.3 if num_tasks <= 8 else 0.1
 
 
 @dataclass
@@ -428,8 +424,9 @@ def adamerging_entropy(pre: ParamSet, vectors: Mapping[str, TaskVector],
     task_ids = tuple(sorted(heads))
     _validate_adapt_inputs(task_ids, vectors, inputs_by_task)
     for t in task_ids:
-        if (task_kinds or {}).get(t, "classification") != "classification":
-            raise ValueError(f"entropy objective undefined for regression task '{t}'")
+        kind = (task_kinds or {}).get(t, "classification")
+        if kind != "classification":
+            raise ValueError(f"entropy objective undefined for {kind} task '{t}'")
     objectives = {t: (LossSpec("entropy"), None, None) for t in task_ids}
     return _run_adaptation(pre, vectors, dict(heads), inputs_by_task, cfg, objectives, {}).coeffs
 
@@ -627,30 +624,25 @@ def pilot_two_stage(merged_encoder, suite: TaskSuite, experts: Mapping[str, Para
     Given a list of merged encoders (a sweep), it returns their matrices and
     computes the experts' test features and baseline accuracies once.
     """
-    from .analysis import _accuracy  # not at the top: `finetune` and `adapt` need none
+    from .analysis import _score_features  # not at the top: `finetune` and `adapt` need none
     task_ids = tuple(sorted(experts))
     for t in suite.tasks:
         if t.kind != "classification":
             raise ValueError("pilot protocol requires classification tasks")
     sweep = not isinstance(merged_encoder[0], LayerParams)
-    # each expert encoder on each test split, once; a head scores them as `forward` would
-    feats = {(i, j): encode(experts[i].encoder, suite.task(j).x_test)
-             for i in task_ids for j in task_ids}
-
-    def scores(heads: dict) -> np.ndarray:
-        return np.array([[_accuracy(feats[i, j] @ heads[j].weight.T + heads[j].bias,
-                                    suite.task(j).y_test) for j in task_ids] for i in task_ids])
-
-    baseline = scores({t: experts[t].head(t) for t in task_ids})
+    tests = [(suite.task(t).x_test, suite.task(t).y_test) for t in task_ids]
+    # each expert encoder on each test split, once for the whole sweep
+    feats = [[encode(experts[i].encoder, x) for x, _ in tests] for i in task_ids]
+    baseline = _score_features(feats, [experts[t].head(t) for t in task_ids], tests)
     gains = []
     for encoder in merged_encoder if sweep else [merged_encoder]:
-        retrained = {}
+        retrained = []
         for task in task_ids:
             # a plan with no encoder layers: the head alone, trained on the features
             head, data = experts[task].head(task), suite.task(task)
             plan = _StepPlan([head], {0: head})
             _fit(plan, encode(encoder, data.x_train), data.y_train, LossSpec("cross_entropy_hard"),
                  epochs, batch_size, spawn_rng(seed, "pilot", task), lr)
-            (retrained[task],) = plan.trained()
-        gains.append(scores(retrained) - baseline)
+            retrained += plan.trained()
+        gains.append(_score_features(feats, retrained, tests) - baseline)
     return gains if sweep else gains[0]

@@ -1,6 +1,8 @@
-"""Evaluation and diagnostics: accuracy, cross-task matrices, transfer
-scores, rank correlation of proxy losses, prediction discrepancies, and
-coefficient sparsity."""
+"""Evaluation and diagnostics: accuracy, cross-task matrices (the one scorer
+of encoder x head pairs, which `cross_merge_pairs`, `transfer_metrics` and
+`adaptation.pilot_two_stage` score through), transfer scores, rank
+correlation of proxy losses, prediction discrepancies, and coefficient
+sparsity."""
 
 from __future__ import annotations
 
@@ -10,7 +12,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .engine import (LayerParams, LossSpec, ParamSet, ShapeError, _activations, _check_inputs,
-                     _check_outputs, _check_targets, _loss_rows, forward)
+                     _check_outputs, _check_targets, _loss_rows, encode, forward)
 from .merging import CoefficientMatrix, MergedAssembly, TaskVector, merge_layerwise, merge_uniform
 
 
@@ -18,17 +20,12 @@ class DegenerateDataError(ValueError):
     """Statistic undefined on this input (too short or zero variance)."""
 
 
-def predict(encoder, head: LayerParams, x: np.ndarray) -> np.ndarray:
-    params = ParamSet(encoder=tuple(encoder), heads={"_": head})
-    return forward(params, "_", x)
-
-
 def evaluate(encoder, head: LayerParams, x: np.ndarray, y: np.ndarray,
              kind: str = "classification") -> float:
     """Accuracy for classification; mean L1 error for regression."""
     if len(x) == 0:
         raise ValueError("empty evaluation set")
-    out = predict(encoder, head, x)
+    out = encode(encoder, x) @ head.weight.T + head.bias
     if kind == "classification":
         return _accuracy(out, y)
     if kind == "regression":
@@ -50,18 +47,29 @@ def evaluate_assembly(assembly: MergedAssembly, task: str, x: np.ndarray, y: np.
     return evaluate(model.encoder, model.head(task), x, y, kind)
 
 
+def _score_features(feats: Sequence, heads: Sequence[LayerParams],
+                    test_sets: Sequence) -> np.ndarray:
+    """(i, j) = accuracy of head j on task j's test set over `feats[i][j]`,
+    row i's encoder features of that test set."""
+    if len(heads) != len(test_sets):
+        raise ShapeError(f"need one test set per head: {len(heads)} heads, {len(test_sets)} sets")
+    if any(len(x) == 0 for x, _ in test_sets):
+        raise ValueError("empty evaluation set")
+    out = np.zeros((len(feats), len(heads)))
+    for i, row in enumerate(feats):
+        for j, (h, head, (_, y)) in enumerate(zip(row, heads, test_sets)):
+            out[i, j] = _accuracy(h @ head.weight.T + head.bias, y)
+    return out
+
+
 def cross_task_matrix(encoders: Sequence, heads: Sequence[LayerParams],
                       test_sets: Sequence) -> np.ndarray:
-    """(i, j) = accuracy of encoder i's features under head j on task j's test set."""
-    k = len(encoders)
-    if len(heads) != k or len(test_sets) != k:
-        raise ShapeError("need K encoders, K heads and K test sets")
-    out = np.zeros((k, k))
-    for i in range(k):
-        for j in range(k):
-            x, y = test_sets[j]
-            out[i, j] = evaluate(encoders[i], heads[j], x, y)
-    return out
+    """(i, j) = accuracy of encoder i's features under head j on task j's test set.
+
+    Any number of encoders (rows) against K (head, test set) columns; each
+    encoder encodes each test split once."""
+    return _score_features([[encode(e, x) for x, _ in test_sets] for e in encoders],
+                           heads, test_sets)
 
 
 def transfer_metrics(pre, vectors: Sequence[TaskVector], coeffs: CoefficientMatrix,
@@ -77,21 +85,12 @@ def transfer_metrics(pre, vectors: Sequence[TaskVector], coeffs: CoefficientMatr
         raise ValueError("cross score needs at least two tasks")
     if len(heads) != k or len(test_sets) != k:
         raise ShapeError("need one head and one test set per task")
-
-    merged = merge_layerwise(pre, vectors, coeffs)
-    merged_score = float(np.mean([
-        evaluate(merged, heads[j], *test_sets[j]) for j in range(k)
-    ]))
-
-    single = []
-    for i in range(k):
-        row = CoefficientMatrix((coeffs.task_ids[i],), coeffs.values[i:i + 1])
-        single.append(merge_layerwise(pre, [vectors[i]], row))
-    pair_scores = [
-        evaluate(single[i], heads[j], *test_sets[j])
-        for i in range(k) for j in range(k) if i != j
-    ]
-    return merged_score, float(np.mean(pair_scores))
+    single = [merge_layerwise(pre, [vectors[i]],
+                              CoefficientMatrix((coeffs.task_ids[i],), coeffs.values[i:i + 1]))
+              for i in range(k)]
+    mat = cross_task_matrix([merge_layerwise(pre, vectors, coeffs), *single], heads, test_sets)
+    # the single-row block's off-diagonal in row-major order, the order the pairs were summed in
+    return float(np.mean(mat[0])), float(np.mean(mat[1:][~np.eye(k, dtype=bool)]))
 
 
 def _average_ranks(a: np.ndarray) -> np.ndarray:
@@ -140,22 +139,23 @@ def cross_merge_pairs(experts: Mapping[str, ParamSet], test_sets: Mapping[str, t
     pairs, plus their Spearman correlation (None when degenerate).
 
     For a pair (A, B): cross pairs A's encoder with B's original head on B's
-    test set; merge weight-averages the two encoders and evaluates the same
-    way. Original heads are used on both sides.
+    test set (one `cross_task_matrix` call for all pairs); merge
+    weight-averages the two encoders and evaluates the same way. Original
+    heads are used on both sides.
     """
     task_ids = tuple(sorted(experts))
     if len(task_ids) < 2:
         raise ValueError("cross/merge pairs need at least two tasks")
+    heads = [experts[t].head(t) for t in task_ids]
+    sets = [test_sets[t] for t in task_ids]
+    cross = cross_task_matrix([experts[t].encoder for t in task_ids], heads, sets)
     pairs = []
-    for a in task_ids:
-        for b in task_ids:
-            if a == b:
-                continue
-            x, y = test_sets[b]
-            head = experts[b].head(b)
-            cross = evaluate(experts[a].encoder, head, x, y)
-            merged = merge_uniform([experts[a], experts[b]])
-            pairs.append(CrossMergePair(a, b, cross, evaluate(merged, head, x, y)))
+    for i, a in enumerate(task_ids):
+        for j, b in enumerate(task_ids):
+            if a != b:
+                merged = merge_uniform([experts[a], experts[b]])
+                pairs.append(CrossMergePair(a, b, float(cross[i, j]),
+                                            evaluate(merged, heads[j], *sets[j])))
     try:
         rho = spearman([p.cross_accuracy for p in pairs], [p.merge_accuracy for p in pairs])
     except DegenerateDataError:
@@ -254,17 +254,18 @@ def discrepancy(merged_pred, expert_pred, labels) -> DiscrepancyReport:
     )
 
 
+SPARSITY_THRESHOLD = 1e-5  # a coefficient below it in magnitude counts as zero
+
+
 @dataclass
 class SparsityReport:
-    threshold: float
     overall: float
     per_layer: tuple  # fraction per encoder layer
 
 
-def sparsity_report(coeffs: CoefficientMatrix, threshold: float = 1e-5) -> SparsityReport:
-    small = np.abs(coeffs.values) < threshold
+def sparsity_report(coeffs: CoefficientMatrix) -> SparsityReport:
+    small = np.abs(coeffs.values) < SPARSITY_THRESHOLD
     return SparsityReport(
-        threshold=float(threshold),
         overall=float(small.mean()),
         per_layer=tuple(float(v) for v in small.mean(axis=0)),
     )

@@ -35,7 +35,6 @@ EXIT_USAGE = 1
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
-MERGE_LAMBDA = 0.3  # `merge --method task_arithmetic` without --lambda
 GEN_SEVERITY = 5  # `gen --corruption` without --severity
 
 
@@ -111,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ckpt-dir", required=True)
     p.add_argument("--method", required=True, choices=CONSTANT_METHODS)
     p.add_argument("--lambda", "--coeff", dest="coeff", type=float,
-                   help=f"task-arithmetic scale (default {MERGE_LAMBDA})")
+                   help="task-arithmetic scale (default 0.3, 0.1 beyond 8 tasks)")
     p.add_argument("--out-dir", required=True)
 
     p = sub.add_parser("adapt", help="test-time adaptation of merging coefficients")

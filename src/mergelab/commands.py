@@ -13,7 +13,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING
 
 from . import cli
-from .cli import EXIT_OK, GEN_SEVERITY, MERGE_LAMBDA
+from .cli import EXIT_OK, GEN_SEVERITY
 from .config import ANALYSES, COEFF_ANALYSES, LEARNED, METHOD_COEFFS, ConfigError
 
 if TYPE_CHECKING:
@@ -68,8 +68,9 @@ _ENTROPY_UNUSED = {"loss": "--loss", "trainable_layer": "--trainable-layer",
 
 
 def _adapt_config(args, num_tasks: int) -> AdaptConfig:
-    from .adaptation import AdaptConfig, default_init_coeff
+    from .adaptation import AdaptConfig
     from .config import adapt_config_from_dict, load_config_section
+    from .merging import default_init_coeff
     base = load_config_section(args.config, "adapt") if args.config else {}
     given = _given(args, AdaptConfig)
     if args.method == "adamerging":
@@ -147,7 +148,7 @@ def finetune(args) -> int:
 
 def merge(args) -> int:
     from .engine import ParamSet
-    from .merging import CoefficientMatrix, compute_task_vector, merge_layerwise
+    from .merging import CoefficientMatrix, compute_task_vector, default_init_coeff, merge_layerwise
     from .serialization import save_checkpoint, save_coeffs
     # like eval's flags, a --lambda that the method would ignore is an error
     if args.coeff is not None and args.method != "task_arithmetic":
@@ -156,7 +157,7 @@ def merge(args) -> int:
     pre, experts, digests = _load_ckpt_dir(cli._out_path(args.ckpt_dir))
     task_ids = tuple(sorted(experts))
     vectors = [compute_task_vector(experts[t], pre) for t in task_ids]
-    lam = MERGE_LAMBDA if args.coeff is None else args.coeff
+    lam = default_init_coeff(len(task_ids)) if args.coeff is None else args.coeff
     coeff = METHOD_COEFFS[args.method](len(task_ids), lam)
     coeffs = CoefficientMatrix.constant(task_ids, len(pre.encoder), coeff)
 
@@ -247,8 +248,8 @@ class _Inputs:
         """The merged model: the `--checkpoint`, or the pre-trained encoder
         plus the method's coefficients times the task vectors, with the
         `--layers` swapped in. None for a method that merges nothing."""
-        from .adaptation import build_assembly, default_init_coeff
-        from .merging import CoefficientMatrix, MergedAssembly
+        from .adaptation import build_assembly
+        from .merging import CoefficientMatrix, MergedAssembly, default_init_coeff
         from .serialization import load_checkpoint, load_coeffs, load_trainable
         args, source = self.args, METHOD_COEFFS[self.args.method]
         if source is None:
@@ -342,8 +343,9 @@ def _transfer_rows(run: _Inputs) -> list:
 
 
 def _correlation_rows(run: _Inputs) -> list:
-    from .adaptation import build_assembly, default_init_coeff
+    from .adaptation import build_assembly
     from .analysis import loss_correlation_report
+    from .merging import default_init_coeff
     init = run.constant_coeffs(default_init_coeff(len(run.task_ids)))
     initial = build_assembly(run.pre, run.vectors, run.experts, init, {})
     report = loss_correlation_report(initial, run.assembly, run.experts,
@@ -368,10 +370,10 @@ def _discrepancy_rows(run: _Inputs) -> list:
 
 
 def _sparsity_rows(run: _Inputs) -> list:
-    from .analysis import sparsity_report
+    from .analysis import SPARSITY_THRESHOLD, sparsity_report
     rep = sparsity_report(run.assembly.coeffs)
-    rows = [{"scope": "overall", "threshold": rep.threshold, "fraction": rep.overall}]
-    rows += [{"scope": f"layer_{i}", "threshold": rep.threshold, "fraction": f}
+    rows = [{"scope": "overall", "threshold": SPARSITY_THRESHOLD, "fraction": rep.overall}]
+    rows += [{"scope": f"layer_{i}", "threshold": SPARSITY_THRESHOLD, "fraction": f}
              for i, f in enumerate(rep.per_layer)]
     return rows
 

@@ -369,6 +369,9 @@ def backward(params: ParamSet, task: str, inputs: np.ndarray, targets, spec: Los
 # Adam
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
     """Moment estimates for one list of parameter arrays."""
@@ -376,40 +379,28 @@ class AdamState:
     first_moment: list
     second_moment: list
     step_count: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
-def adam_init(arrays: Sequence[np.ndarray], beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> AdamState:
-    return AdamState(
-        first_moment=[np.zeros_like(a) for a in arrays],
-        second_moment=[np.zeros_like(a) for a in arrays],
-        step_count=0,
-        beta1=beta1,
-        beta2=beta2,
-        eps=eps,
-    )
+def adam_init(arrays: Sequence[np.ndarray]) -> AdamState:
+    return AdamState([np.zeros_like(a) for a in arrays], [np.zeros_like(a) for a in arrays])
 
 
-def _adam_update(x: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray, t: int,
-                 lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+def _adam_update(x: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray, t: int, lr: float):
     """Bias-corrected Adam step number `t` (from 1) of the float64 vector
     `x` by gradient `g`, in place; `m` and `v` are its moments, also
     updated in place. Each operation rounds as in the textbook expressions
     `m = b1*m + (1-b1)*g`, `x - lr*m_hat / (sqrt(v_hat) + eps)`."""
-    m *= beta1
-    m += (1.0 - beta1) * g
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * g
     g2 = g * g
-    g2 *= 1.0 - beta2
-    v *= beta2
+    g2 *= 1.0 - ADAM_BETA2
+    v *= ADAM_BETA2
     v += g2
-    step = m / (1.0 - beta1 ** t)
+    step = m / (1.0 - ADAM_BETA1 ** t)
     step *= lr
-    den = v / (1.0 - beta2 ** t)
+    den = v / (1.0 - ADAM_BETA2 ** t)
     np.sqrt(den, out=den)
-    den += eps
+    den += ADAM_EPS
     step /= den
     x -= step
 
@@ -429,11 +420,11 @@ def adam_step(values: Sequence[np.ndarray], grads: Sequence[np.ndarray],
         if x.shape != g.shape:
             raise ShapeError(f"grad shape {g.shape} != value shape {x.shape}")
         x, m, v = (np.array(a, dtype=np.float64) for a in (x, m, v))
-        _adam_update(x, g, m, v, t, lr, state.beta1, state.beta2, state.eps)
+        _adam_update(x, g, m, v, t, lr)
         new_vals.append(x)
         new_m.append(m)
         new_v.append(v)
-    return new_vals, AdamState(new_m, new_v, t, state.beta1, state.beta2, state.eps)
+    return new_vals, AdamState(new_m, new_v, t)
 
 
 # ---------------------------------------------------------------------------

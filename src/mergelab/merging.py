@@ -15,6 +15,12 @@ import numpy as np
 from .engine import LayerParams, ParamSet, ShapeError, UnknownTaskError
 
 
+def default_init_coeff(num_tasks: int) -> float:
+    """Task arithmetic's lambda and adaptation's starting coefficient: 0.3,
+    or 0.1 for suites with more than 8 tasks."""
+    return 0.3 if num_tasks <= 8 else 0.1
+
+
 @dataclass(frozen=True)
 class TaskVector:
     """Per-layer deltas between a fine-tuned expert encoder and the pre-trained one."""

@@ -231,11 +231,13 @@ def load_suite(path) -> TaskSuite:
             raise BundleError(f"{path}: meta field 'tasks[{i}]' is {entry!r}, not "
                               "{'id': <string>, 'kind': 'classification' | 'regression'}")
         tid = entry["id"]
-        tasks.append(TaskData(
-            tid, entry["kind"],
-            *(_array(path, arrays, f"{tid}.{split}")
-              for split in ("x_train", "y_train", "x_test", "y_test")),
-        ))
+        splits = {name: _array(path, arrays, f"{tid}.{name}")
+                  for name in ("x_train", "y_train", "x_test", "y_test")}
+        for name, a in splits.items():
+            if a.shape[:1] == (0,):  # as SuiteConfig's samples_per_split forbids
+                raise BundleError(f"{path}: task '{tid}' has an empty {name[2:]} split "
+                                  f"(array '{tid}.{name}' has 0 rows)")
+        tasks.append(TaskData(tid, entry["kind"], **splits))
     _check_claimed(path, arrays)
     return TaskSuite(config=cfg, tasks=tasks)
 

@@ -165,9 +165,9 @@ def prop1_verify(instance: Prop1Instance) -> Prop1Report:
     )
 
 
-def random_linear_instance(rng: np.random.Generator, in_dim: int = 4, out_dim: int = 3,
-                           n: int = 16, loss_kind: str = "l2") -> Prop1Instance:
-    """Seeded linear-family instance with exact cross-task linearity."""
+def random_linear_instance(rng: np.random.Generator, loss_kind: str = "l2") -> Prop1Instance:
+    """Seeded linear-family instance (16 inputs, 4 -> 3), exactly linear across tasks."""
+    in_dim, out_dim, n = 4, 3, 16
     def layer():
         return (LayerParams(rng.normal(0.0, 1.0, (out_dim, in_dim)), rng.normal(0.0, 1.0, out_dim)),)
 

@@ -487,6 +487,17 @@ def test_adamerging_rejects_regression_tasks(small_setup):
                            AdaptConfig(iterations=1, trainable_layer=None), kinds)
 
 
+@pytest.mark.parametrize("kind", ["regression", "bogus"])
+def test_adamerging_names_the_kind_it_rejects(small_setup, kind):
+    suite, pre, experts, vectors, inputs = small_setup
+    heads = {t: experts[t].heads[t] for t in experts}
+    task = sorted(experts)[1]
+    with pytest.raises(ValueError,
+                       match=f"^entropy objective undefined for {kind} task '{task}'$"):
+        adamerging_entropy(pre, vectors, heads, inputs,
+                           AdaptConfig(iterations=1, trainable_layer=None), {task: kind})
+
+
 def test_adamerging_entropy_gradient_matches_finite_differences(small_setup):
     # the coefficient gradient used inside the loop, checked against FD of
     # the entropy objective

@@ -13,8 +13,9 @@ from mergelab.analysis import (
     sparsity_report,
     transfer_metrics,
 )
-from mergelab.engine import LayerParams, ParamSet, forward, init_params
-from mergelab.merging import CoefficientMatrix, MergedAssembly, TaskVector, compute_task_vector
+from mergelab.engine import LayerParams, ParamSet, ShapeError, forward, init_params
+from mergelab.merging import (CoefficientMatrix, MergedAssembly, TaskVector, compute_task_vector,
+                             merge_layerwise)
 from mergelab.suites import SuiteConfig, gen_suite, spawn_rng
 
 from conftest import random_paramset
@@ -158,7 +159,8 @@ def test_cross_merge_pairs_compositional_oracle():
     tids = sorted(experts)
     sets = {t: (suite.task(t).x_test, suite.task(t).y_test) for t in tids}
     pairs, rho = cross_merge_pairs(experts, sets)
-    assert len(pairs) == 6  # ordered pairs of 3 tasks
+    assert [(p.encoder_task, p.head_task) for p in pairs] == [  # ordered pairs of 3 tasks
+        (a, b) for a in tids for b in tids if a != b]
     for p in pairs:
         head = experts[p.head_task].heads[p.head_task]
         assert p.cross_accuracy == evaluate(experts[p.encoder_task].encoder, head,
@@ -177,6 +179,81 @@ def test_cross_merge_correlation_positive_on_reference_seed(reference_run):
     pairs, rho = cross_merge_pairs(experts, sets)
     assert len(pairs) == 12
     assert rho is not None and rho > 0.0
+
+
+# ---------------------------------------------------------------------------
+# the one cross-task scorer: every analysis that scores encoder x head pairs
+# equals a per-pair `evaluate` loop to the last bit
+
+
+def _scorer_inputs(seed=9):
+    suite, pre, experts = _three_experts(seed=seed)
+    tids = sorted(experts)
+    vectors = [compute_task_vector(experts[t], pre) for t in tids]
+    heads = [experts[t].heads[t] for t in tids]
+    sets = [(suite.task(t).x_test, suite.task(t).y_test) for t in tids]
+    return suite, pre, experts, tids, vectors, heads, sets
+
+
+def test_cross_task_matrix_takes_any_number_of_encoders():
+    suite, pre, experts, tids, vectors, heads, sets = _scorer_inputs()
+    merged = merge_layerwise(pre.encoder, vectors, CoefficientMatrix.constant(tids, 2, 0.3))
+    for encoders in ([experts[t].encoder for t in tids] + [pre.encoder, merged],  # 5 x 3
+                     [merged]):  # 1 x 3
+        mat = cross_task_matrix(encoders, heads, sets)
+        assert mat.shape == (len(encoders), 3)
+        for i, enc in enumerate(encoders):
+            for j in range(3):
+                assert mat[i, j] - evaluate(enc, heads[j], *sets[j]) == 0.0
+    assert cross_task_matrix([], heads, sets).shape == (0, 3)
+
+
+def test_cross_task_matrix_rejects_a_head_without_a_test_set():
+    suite, pre, experts, tids, vectors, heads, sets = _scorer_inputs()
+    with pytest.raises(ShapeError, match="need one test set per head: 3 heads, 2 sets"):
+        cross_task_matrix([pre.encoder], heads, sets[:2])
+    with pytest.raises(ShapeError, match="2 heads, 3 sets"):
+        cross_task_matrix([pre.encoder], heads[:2], sets)
+
+
+def test_cross_task_matrix_rejects_an_empty_test_split():
+    suite, pre, experts, tids, vectors, heads, sets = _scorer_inputs()
+    x, y = sets[1]
+    sets[1] = (x[:0], y[:0])
+    with pytest.raises(ValueError, match="empty evaluation set"):
+        cross_task_matrix([pre.encoder], heads, sets)
+
+
+def test_transfer_metrics_equals_a_per_pair_evaluate_loop():
+    suite, pre, experts, tids, vectors, heads, sets = _scorer_inputs()
+    coeffs = CoefficientMatrix(tids, np.random.default_rng(9).uniform(0.0, 0.6, (3, 2)))
+    merged_score, cross_score = transfer_metrics(pre.encoder, vectors, coeffs, heads, sets)
+    merged = merge_layerwise(pre.encoder, vectors, coeffs)
+    assert merged_score - np.mean([evaluate(merged, heads[j], *sets[j]) for j in range(3)]) == 0.0
+    single = [merge_layerwise(pre.encoder, [vectors[i]],
+                              CoefficientMatrix((tids[i],), coeffs.values[i:i + 1]))
+              for i in range(3)]
+    pairs = [evaluate(single[i], heads[j], *sets[j])
+             for i in range(3) for j in range(3) if i != j]
+    assert cross_score - np.mean(pairs) == 0.0
+
+
+def test_pilot_gains_equal_a_per_pair_evaluate_loop(monkeypatch):
+    from mergelab import adaptation
+    suite, pre, experts, tids, vectors, heads, sets = _scorer_inputs()
+    plans, fit = [], adaptation._fit
+    monkeypatch.setattr(adaptation, "_fit", lambda plan, *a: (plans.append(plan), fit(plan, *a)))
+    encoders = [merge_layerwise(pre.encoder, vectors, CoefficientMatrix.constant(tids, 2, lam))
+                for lam in (0.2, 0.5)]
+    sweep = adaptation.pilot_two_stage(encoders, suite, experts, epochs=2, seed=1)
+    assert len(sweep) == 2 and len(plans) == 6  # one retrained head per (encoder, task)
+    for n, gains in enumerate(sweep):
+        retrained = [plan.trained()[0] for plan in plans[3 * n:3 * n + 3]]
+        for i, t in enumerate(tids):
+            for j in range(3):
+                gain = (evaluate(experts[t].encoder, retrained[j], *sets[j])
+                        - evaluate(experts[t].encoder, heads[j], *sets[j]))
+                assert gains[i, j] - gain == 0.0
 
 
 # ---------------------------------------------------------------------------

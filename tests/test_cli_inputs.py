@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 from mergelab.cli import main
-from mergelab.config import ConfigError, adapt_config_from_dict
+from mergelab.config import ANALYSES, ConfigError, adapt_config_from_dict
 from mergelab.engine import init_params
-from mergelab.serialization import save_bundle
+from mergelab.serialization import load_suite, save_bundle, save_suite
 from mergelab.suites import spawn_rng
 
 from conftest import REFERENCE_CONFIG, REPO_ROOT
@@ -189,3 +189,40 @@ def test_adapt_that_diverges_exits_3_naming_the_pass_and_the_task(small, tmp_pat
                      proc.stderr), proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (out / "coeffs.json").exists()
+
+
+@pytest.fixture(scope="module")
+def empty_split(small):
+    """`small`'s suite with task0's test split (and, in a second file, its
+    train split) cut to 0 rows."""
+    suite = load_suite(small / "data.bundle")
+    paths = {}
+    for split in ("test", "train"):
+        task = suite.task("task0")
+        kept = {a: getattr(task, a) for a in (f"x_{split}", f"y_{split}")}
+        for a, values in kept.items():
+            setattr(task, a, values[:0])
+        paths[split] = small / f"empty_{split}.bundle"
+        save_suite(suite, paths[split])
+        for a, values in kept.items():
+            setattr(task, a, values)
+    return paths
+
+
+@pytest.mark.parametrize("command", [
+    ["eval", "--method", "weight_avg"],
+    ["adapt", "--method", "symerge"],
+    *(["analyze", "--method", "weight_avg", "--analyses", a] for a in ANALYSES),
+    ["finetune"],
+], ids=["eval", "adapt", *(f"analyze-{a}" for a in ANALYSES), "finetune"])
+def test_a_suite_with_an_empty_split_exits_3_naming_the_split(small, empty_split, tmp_path,
+                                                              command):
+    split = "train" if command[0] == "finetune" else "test"
+    data = empty_split[split]
+    ckpts = [] if command[0] == "finetune" else ["--ckpt-dir", small / "ckpts"]
+    proc = _run(*command, "--data", data, *ckpts, "--out-dir", tmp_path / "out")
+    assert proc.returncode == 3, proc.stderr
+    assert (f"error: {data}: task 'task0' has an empty {split} split "
+            f"(array 'task0.x_{split}' has 0 rows)") in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()

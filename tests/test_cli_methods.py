@@ -138,6 +138,27 @@ def test_merge_writes_the_layerwise_merge_of_its_coefficients(reference):
         assert all(np.array_equal(a.flat, b.flat) for a, b in zip(got, want)), method
 
 
+def test_merge_writes_the_task_arithmetic_coefficients_eval_scores(tmp_path, monkeypatch):
+    from mergelab import adaptation
+    data, ckpts, merged = tmp_path / "data.bundle", tmp_path / "ckpts", tmp_path / "merged"
+    assert main(["gen", "--out", str(data), "--tasks", "9", "--classes", "3",
+                 "--input-dim", "6", "--samples", "24", "--subspace-dim", "3",
+                 "--seed", "3"]) == 0
+    assert main(["finetune", "--data", str(data), "--out-dir", str(ckpts), "--hidden", "4",
+                 "--pre-epochs", "1", "--epochs", "1", "--seed", "3"]) == 0
+    assert main(["merge", "--ckpt-dir", str(ckpts), "--method", "task_arithmetic",
+                 "--out-dir", str(merged)]) == 0
+    scored, build = [], adaptation.build_assembly
+    monkeypatch.setattr(adaptation, "build_assembly",
+                        lambda pre, vectors, experts, coeffs, trainable:
+                        scored.append(coeffs) or build(pre, vectors, experts, coeffs, trainable))
+    assert _eval(tmp_path, "eval", "--method", "task_arithmetic")
+    written = load_coeffs(merged / "coeffs.json")
+    assert written.task_ids == scored[0].task_ids and len(written.task_ids) == 9
+    assert np.array_equal(written.values, scored[0].values)
+    assert np.all(written.values == 0.1)
+
+
 def test_merge_weight_avg_with_lambda_exits_2_naming_it(reference, capsys):
     capsys.readouterr()
     assert main(["merge", "--ckpt-dir", str(reference / "ckpts"), "--method", "weight_avg",

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from mergelab.engine import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     AdamState,
     LayerParams,
     LossSpec,
@@ -265,9 +268,9 @@ def test_adam_shape_mismatch_raises():
 
 
 def test_adam_state_defaults_match_momentum_convention():
+    assert (ADAM_BETA1, ADAM_BETA2, ADAM_EPS) == (0.9, 0.999, 1e-8)
     state = adam_init([np.zeros(1)])
-    assert (state.beta1, state.beta2) == (0.9, 0.999)
-    assert isinstance(state, AdamState)
+    assert isinstance(state, AdamState) and state.step_count == 0
 
 
 # ---------------------------------------------------------------------------

@@ -27,9 +27,10 @@ EXPORTS = {
     "engine": "AdamState LayerParams LossSpec ParamSet ShapeError UnknownTaskError adam_init "
               "adam_step backward forward loss_eval",
     "merging": "CoefficientMatrix MergedAssembly TaskVector TrainableLayer coefficient_grad "
-               "compute_task_vector merge_layerwise merge_task_arithmetic merge_uniform",
+               "compute_task_vector default_init_coeff merge_layerwise merge_task_arithmetic "
+               "merge_uniform",
     "adaptation": "AdaptConfig AdaptResult SelfLabelBatch adamerging_entropy build_assembly "
-                  "confidence_filter default_init_coeff finetune_expert make_self_labels "
+                  "confidence_filter finetune_expert make_self_labels "
                   "pilot_two_stage pretrain_backbone symerge task_vectors_from_experts",
     "analysis": "CorrelationReport DiscrepancyReport SparsityReport cross_task_matrix "
                 "discrepancy evaluate evaluate_assembly loss_correlation_report spearman "
