@@ -9,10 +9,10 @@ epoch loop (`_fit`); adaptation runs one plan per task over the merged layers,
 on a schedule drawn before the first step, with all tasks' trained layers in
 one vector that one Adam steps once a pass (`_run_adaptation` says why).
 
-Unless a loss override is given, classification tasks self-label with hard
-argmax targets from the frozen experts and regression tasks mimic expert
-outputs under an L1 loss (confidence filtering only applies to
-classification, where a top-1 probability exists).
+Every self-labeled objective is built from `make_self_labels`: unless a loss
+override is given, classification tasks train on its argmax labels and
+regression tasks mimic expert outputs under an L1 loss (confidence filtering
+only applies to classification, where a top-1 probability exists).
 """
 
 from __future__ import annotations
@@ -107,27 +107,22 @@ class AdaptConfig:
 class SelfLabelBatch:
     """Frozen-expert supervision for one set of inputs."""
 
-    inputs: np.ndarray
     targets: np.ndarray  # hard labels (classification) or output vectors (regression)
     expert_confidence: np.ndarray | None  # top-1 softmax prob; None for regression
+    logits: np.ndarray  # the expert's outputs, which distribution and vector losses read
 
 
 def make_self_labels(expert: ParamSet, task: str, inputs: np.ndarray,
                      kind: str = "classification") -> SelfLabelBatch:
-    """Self-labels from a frozen expert: argmax + top-1 confidence, or raw outputs."""
-    return _self_labels(inputs, forward(expert, task, inputs), kind)
-
-
-def _self_labels(inputs: np.ndarray, logits: np.ndarray, kind: str) -> SelfLabelBatch:
-    """`make_self_labels` from the expert's `logits` over `inputs`."""
+    """Self-labels from one forward pass of a frozen expert (finite, or ValueError)."""
+    logits = forward(expert, task, inputs)
+    if not np.isfinite(logits).all():
+        raise ValueError(f"expert outputs for task '{task}' are not finite")
     if kind == "classification":
-        return SelfLabelBatch(
-            inputs=np.asarray(inputs, dtype=np.float64),
-            targets=np.argmax(logits, axis=1).astype(np.int64),
-            expert_confidence=softmax(logits).max(axis=1),
-        )
+        return SelfLabelBatch(np.argmax(logits, axis=1).astype(np.int64),
+                              softmax(logits).max(axis=1), logits)
     if kind == "regression":
-        return SelfLabelBatch(np.asarray(inputs, dtype=np.float64), logits, None)
+        return SelfLabelBatch(logits, None, logits)
     raise ValueError(f"unknown task kind '{kind}'")
 
 
@@ -356,13 +351,6 @@ class AdaptResult:
     step_stats: list = field(default_factory=list)
 
 
-def _trainable_init(selector, expert: ParamSet, task: str) -> TrainableLayer:
-    """The expert's layers at the positions `selector` names, to be trained."""
-    layers = (*expert.encoder, expert.head(task))
-    init = tuple(layers[p] for p in layer_positions(selector, len(expert.encoder)))
-    return TrainableLayer(selector, init if isinstance(selector, tuple) else init[0])
-
-
 def build_assembly(pre: ParamSet, vectors: Mapping[str, TaskVector],
                    experts: Mapping[str, ParamSet], coeffs: CoefficientMatrix,
                    trainable: Mapping[str, TrainableLayer] | None = None) -> MergedAssembly:
@@ -386,30 +374,30 @@ def symerge(pre: ParamSet, vectors: Mapping[str, TaskVector],
             cfg: AdaptConfig, task_kinds: Mapping[str, str] | None = None) -> AdaptResult:
     """Jointly adapt merging coefficients and one task-specific layer per task.
 
-    Each pass visits every task: draw a batch of unlabeled test inputs,
-    materialize the merged model (with the task's trainable layer swapped
-    in), supervise it with the frozen expert's self-labels after confidence
-    filtering, and update the coefficients and the trainable layer with
-    separate Adam optimizers.
+    Each task's objective comes from `make_self_labels` over its test inputs,
+    and its trained layer starts as the expert's. Each pass visits every task:
+    a batch through the merged encoder with the task's trained layers in place,
+    its loss on the rows the confidence filter keeps, then Adam steps of both.
     """
     task_ids = tuple(sorted(experts))
     _validate_adapt_inputs(task_ids, vectors, inputs_by_task)
-
-    objectives = {}
+    selector = cfg.trainable_layer
+    objectives, trainable = {}, {}
     for t in task_ids:
         kind = (task_kinds or {}).get(t, "classification")
         spec = cfg.loss if cfg.loss is not None else LossSpec(
             "cross_entropy_hard" if kind == "classification" else "l1")
-        # one expert forward gives the self-labels and the targets of the chosen loss
-        logits = forward(experts[t], t, inputs_by_task[t])
-        if not np.isfinite(logits).all():
-            raise ValueError(f"expert outputs for task '{t}' are not finite")
-        labels = _self_labels(inputs_by_task[t], logits, kind)
-        objectives[t] = (spec, _targets_for_spec(labels, logits, t, spec),
-                         labels.expert_confidence if cfg.filter_enabled else None)
-
-    trainable = {} if cfg.trainable_layer is None else {
-        t: _trainable_init(cfg.trainable_layer, experts[t], t) for t in task_ids}
+        labels = make_self_labels(experts[t], t, inputs_by_task[t], kind)
+        arity = spec.target_arity
+        if arity == "labels" and labels.expert_confidence is None:
+            raise ValueError(f"hard-label loss needs classification self-labels for '{t}'")
+        targets = (None if arity == "none" else labels.targets if arity == "labels"
+                   else softmax(labels.logits) if arity == "distribution" else labels.logits)
+        objectives[t] = (spec, targets, labels.expert_confidence if cfg.filter_enabled else None)
+        if selector is not None:
+            layers = (*experts[t].encoder, experts[t].head(t))
+            init = tuple(layers[p] for p in layer_positions(selector, len(experts[t].encoder)))
+            trainable[t] = TrainableLayer(selector, init if isinstance(selector, tuple) else init[0])
     heads = {t: experts[t].head(t) for t in task_ids}
     return _run_adaptation(pre, vectors, heads, inputs_by_task, cfg, objectives, trainable)
 
@@ -429,20 +417,6 @@ def adamerging_entropy(pre: ParamSet, vectors: Mapping[str, TaskVector],
             raise ValueError(f"entropy objective undefined for {kind} task '{t}'")
     objectives = {t: (LossSpec("entropy"), None, None) for t in task_ids}
     return _run_adaptation(pre, vectors, dict(heads), inputs_by_task, cfg, objectives, {}).coeffs
-
-
-def _targets_for_spec(batch: SelfLabelBatch, logits: np.ndarray, task: str, spec: LossSpec):
-    """Full-split targets for `spec` from the self-labels and the expert's logits."""
-    arity = spec.target_arity
-    if arity == "none":
-        return None
-    if arity == "labels":
-        if batch.expert_confidence is None:
-            raise ValueError(f"hard-label loss needs classification self-labels for '{task}'")
-        return batch.targets
-    if arity == "distribution":
-        return softmax(logits)
-    return logits  # vector losses mimic expert logits directly
 
 
 def _validate_adapt_inputs(task_ids, vectors, inputs_by_task):

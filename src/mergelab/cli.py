@@ -180,9 +180,10 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     # the package's own errors (BundleError, DegenerateDataError, ShapeError,
-    # UnknownTaskError) subclass ValueError or KeyError
+    # UnknownTaskError) subclass ValueError or KeyError (whose str() quotes it)
     except (OSError, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

@@ -54,6 +54,16 @@ def _load_ckpt_dir(path: Path):
     return pre, experts, digests
 
 
+def _check_same(what: str, a: Path, a_items, b: Path, b_items) -> None:
+    """BundleError unless the inputs at `a` and `b` hold the same `what`."""
+    from .serialization import BundleError
+    if set(a_items) != set(b_items):
+        only_a, only_b = (", ".join(map(str, sorted(set(x) - set(y)))) or "none"
+                          for x, y in ((a_items, b_items), (b_items, a_items)))
+        raise BundleError(f"{a} and {b} do not hold the same {what} "
+                          f"(only in {a}: {only_a}; only in {b}: {only_b})")
+
+
 def _given(args, cls) -> dict:
     """The flags given on the command line that set a field of the config
     dataclass `cls`; each such flag stores under the field's name."""
@@ -177,17 +187,15 @@ def adapt(args) -> int:
     from .adaptation import adamerging_entropy, symerge, task_vectors_from_experts
     from .config import adapt_config_to_dict
     from .serialization import load_suite, save_coeffs, save_trainable
-    data_path = cli._out_path(args.data)
+    data_path, ckpt_dir = cli._out_path(args.data), cli._out_path(args.ckpt_dir)
     suite = load_suite(data_path)
-    pre, experts, digests = _load_ckpt_dir(cli._out_path(args.ckpt_dir))
+    pre, experts, digests = _load_ckpt_dir(ckpt_dir)
+    _check_same("tasks", data_path, suite.task_ids, ckpt_dir, experts)
     kinds = {t.task_id: t.kind for t in suite.tasks}
     test_inputs = {t.task_id: t.x_test for t in suite.tasks}
     vectors = task_vectors_from_experts(pre, experts)
 
     cfg = _adapt_config(args, num_tasks=len(experts))
-    out_dir = cli._out_path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     if args.method == "adamerging":
         heads = {t: experts[t].head(t) for t in experts}
         coeffs = adamerging_entropy(pre, vectors, heads, test_inputs, cfg, kinds)
@@ -195,6 +203,8 @@ def adapt(args) -> int:
     else:
         result = symerge(pre, vectors, experts, test_inputs, cfg, kinds)
         coeffs, trained = result.coeffs, result.trainable
+    out_dir = cli._out_path(args.out_dir)  # made once the run succeeds
+    out_dir.mkdir(parents=True, exist_ok=True)
     save_coeffs(coeffs, out_dir / "coeffs.json")
     if trained:
         save_trainable(trained, out_dir / "trainable.bundle")
@@ -218,9 +228,10 @@ class _Inputs:
         from . import adaptation, analysis, theory  # noqa: F401
         from .serialization import load_suite
         self.args = args
-        self.data_path = cli._out_path(args.data)
+        self.data_path, self.ckpt_dir = cli._out_path(args.data), cli._out_path(args.ckpt_dir)
         self.suite = load_suite(self.data_path)
-        self.pre, self.experts, self.digests = _load_ckpt_dir(cli._out_path(args.ckpt_dir))
+        self.pre, self.experts, self.digests = _load_ckpt_dir(self.ckpt_dir)
+        _check_same("tasks", self.data_path, self.suite.task_ids, self.ckpt_dir, self.experts)
         self.kinds = {t.task_id: t.kind for t in self.suite.tasks}
         self.test_sets = {t.task_id: (t.x_test, t.y_test) for t in self.suite.tasks}
         self.task_ids = tuple(sorted(self.experts))
@@ -260,7 +271,11 @@ class _Inputs:
             no_coeffs = CoefficientMatrix.constant((), len(model.encoder), 0.0)
             return MergedAssembly(tuple(model.encoder), (), no_coeffs, dict(model.heads), {})
         if args.coeffs:
-            coeffs = load_coeffs(cli._out_path(args.coeffs))
+            path = cli._out_path(args.coeffs)
+            coeffs = load_coeffs(path)
+            _check_same("tasks", path, coeffs.task_ids, self.ckpt_dir, self.task_ids)
+            _check_same("encoder layers", path, range(coeffs.num_layers),
+                        self.ckpt_dir, range(len(self.pre.encoder)))
         elif source == LEARNED:
             raise ConfigError(f"method: {args.method} needs --coeffs, the coefficient "
                               "file that `mergelab adapt` writes")

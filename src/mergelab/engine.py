@@ -163,11 +163,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def log_softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-
-
 def _xlogx(p: np.ndarray) -> np.ndarray:
     # 0 * log 0 := 0
     return np.where(p > 0.0, p * np.log(np.where(p > 0.0, p, 1.0)), 0.0)
@@ -241,7 +236,7 @@ def _loss_rows(z: np.ndarray, t, spec: LossSpec):
         cos = (z * t).sum(axis=1, keepdims=True) / (un * vn)
         return (1.0 - cos)[:, 0], -(t / (un * vn) - cos * z / (un * un)), None
 
-    # one softmax: q = softmax(z), ls = log_softmax(z)
+    # one softmax: q = softmax(z), ls = log(q) (as zs - log s)
     zs = z - z.max(axis=1, keepdims=True)
     e = np.exp(zs)
     s = e.sum(axis=1, keepdims=True)

@@ -230,14 +230,27 @@ def load_suite(path) -> TaskSuite:
                 and entry.get("kind") in ("classification", "regression")):
             raise BundleError(f"{path}: meta field 'tasks[{i}]' is {entry!r}, not "
                               "{'id': <string>, 'kind': 'classification' | 'regression'}")
-        tid = entry["id"]
+        tid, kind = entry["id"], entry["kind"]
         splits = {name: _array(path, arrays, f"{tid}.{name}")
                   for name in ("x_train", "y_train", "x_test", "y_test")}
         for name, a in splits.items():
             if a.shape[:1] == (0,):  # as SuiteConfig's samples_per_split forbids
                 raise BundleError(f"{path}: task '{tid}' has an empty {name[2:]} split "
                                   f"(array '{tid}.{name}' has 0 rows)")
-        tasks.append(TaskData(tid, entry["kind"], **splits))
+            x, classes = splits["x" + name[1:]], cfg.classes_per_task  # x_* precedes its y_*
+            if a is x:
+                ok, want = a.shape[1:] == (cfg.input_dim,), f"be 2-D with {cfg.input_dim} columns"
+            elif a.shape[:1] != x.shape[:1]:
+                ok, want = False, f"have the {len(x)} rows of '{tid}.x{name[1:]}'"
+            elif kind == "regression":
+                ok, want = a.ndim == 2, "be 2-D"
+            else:
+                ok = a.ndim == 1 and a.dtype.kind == "i" and a.min() >= 0 and a.max() < classes
+                want = f"hold 1-D integer labels in 0..{classes - 1}"
+            if not ok:
+                raise BundleError(f"{path}: task '{tid}': array '{tid}.{name}' of shape {a.shape} "
+                                  f"must {want}")
+        tasks.append(TaskData(tid, kind, **splits))
     _check_claimed(path, arrays)
     return TaskSuite(config=cfg, tasks=tasks)
 

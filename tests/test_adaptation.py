@@ -63,6 +63,24 @@ def test_self_labels_regression_pass_through():
     assert batch.expert_confidence is None
 
 
+def test_self_labels_name_the_task_whose_expert_outputs_overflow():
+    # features saturate at tanh(20) = 1.0, so every output is 2 * 1e308 + 1e308
+    enc = (LayerParams(np.zeros((2, 3)), np.full(2, 20.0)),)
+    expert = ParamSet(enc, {"t": LayerParams(np.full((3, 2), 1e308), np.full(3, 1e308))})
+    for kind in ("classification", "regression"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="expert outputs for task 't' are not finite"):
+                make_self_labels(expert, "t", np.zeros((4, 3)), kind)
+
+
+@pytest.mark.parametrize("kind", ["classification", "regression"])
+def test_self_labels_carry_the_expert_outputs(kind):
+    rng = np.random.default_rng(1)
+    expert = random_paramset(rng, tasks=("t",))
+    x = rng.normal(size=(6, 5))
+    assert np.array_equal(make_self_labels(expert, "t", x, kind).logits, forward(expert, "t", x))
+
+
 def test_confidence_filter_rules():
     keep = confidence_filter(np.array([0.9, 0.7, 0.8]), np.array([0.8, 0.9, 0.8]))
     assert keep.tolist() == [False, True, True]  # higher merged conf excluded; ties kept
@@ -339,6 +357,38 @@ def test_symerge_empty_input_split_names_the_task(small_setup):
     bad_inputs = dict(inputs, **{empty: inputs[empty][:0]})
     with pytest.raises(ValueError, match=f"empty input split for task '{empty}'"):
         symerge(pre, vectors, experts, bad_inputs, AdaptConfig(iterations=1))
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("loss", [None, "kl", "l2"])
+def test_symerge_runs_each_expert_forward_once(small_setup, monkeypatch, loss):
+    import mergelab.adaptation as adaptation
+    suite, pre, experts, vectors, inputs = small_setup
+    calls = []
+
+    def spy(params, task, x):
+        calls.append(task)
+        return forward(params, task, x)
+
+    monkeypatch.setattr(adaptation, "forward", spy)
+    symerge(pre, vectors, experts, inputs, AdaptConfig(iterations=2, batch_size=8, loss=loss))
+    assert sorted(calls) == sorted(experts)
+
+
+def test_symerge_hard_label_loss_on_a_regression_task_names_it(small_setup):
+    suite, pre, experts, vectors, inputs = small_setup
+    task = sorted(experts)[1]
+    cfg = AdaptConfig(iterations=1, loss="cross_entropy_hard")
+    with pytest.raises(ValueError, match=f"hard-label loss needs classification self-labels "
+                                         f"for '{task}'"):
+        symerge(pre, vectors, experts, inputs, cfg, {task: "regression"})
+
+
+def test_symerge_names_an_unknown_task_kind(small_setup):
+    suite, pre, experts, vectors, inputs = small_setup
+    with pytest.raises(ValueError, match="unknown task kind 'bogus'"):
+        symerge(pre, vectors, experts, inputs, AdaptConfig(iterations=1),
+                {sorted(experts)[0]: "bogus"})
 
 
 def test_train_experts_is_the_explicit_recipe_bit_for_bit():

@@ -15,7 +15,7 @@ import pytest
 from mergelab.cli import main
 from mergelab.config import ANALYSES, ConfigError, adapt_config_from_dict
 from mergelab.engine import init_params
-from mergelab.serialization import load_suite, save_bundle, save_suite
+from mergelab.serialization import load_bundle, load_suite, save_bundle, save_suite
 from mergelab.suites import spawn_rng
 
 from conftest import REFERENCE_CONFIG, REPO_ROOT
@@ -226,3 +226,135 @@ def test_a_suite_with_an_empty_split_exits_3_naming_the_split(small, empty_split
             f"(array 'task0.x_{split}' has 0 rows)") in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "out").exists()
+
+
+def _edited_suite(small, name: str, edit) -> object:
+    """A copy of `small`'s suite bundle with `edit(meta, arrays)` applied."""
+    meta, arrays = load_bundle(small / "data.bundle")
+    edit(meta, arrays)
+    path = small / f"{name}.bundle"
+    save_bundle(path, meta, arrays)
+    return path
+
+
+def _set(name: str, values):
+    return lambda meta, arrays: arrays.update({name: values(arrays[name])})
+
+
+def _declare_regression(meta, arrays):
+    meta["tasks"][1]["kind"] = "regression"
+
+
+def _label(value):
+    def put(y):
+        y = y.copy()
+        y[0] = value
+        return y
+    return put
+
+
+# `small` holds 2 tasks of 3 classes over 6 input dims, 24 rows per split
+@pytest.mark.parametrize("edit, array, problem", [
+    (_set("task0.y_test", lambda y: y[:10]), "task0.y_test",
+     "of shape (10,) must have the 24 rows of 'task0.x_test'"),
+    (_declare_regression, "task1.y_train", "of shape (24,) must be 2-D"),
+    (_set("task0.y_test", _label(99)), "task0.y_test",
+     "of shape (24,) must hold 1-D integer labels in 0..2"),
+    (_set("task0.y_test", _label(-1)), "task0.y_test",
+     "of shape (24,) must hold 1-D integer labels in 0..2"),
+    (_set("task0.y_train", lambda y: y.astype(np.float64)), "task0.y_train",
+     "of shape (24,) must hold 1-D integer labels in 0..2"),
+    (_set("task0.x_test", lambda x: x[:, :4]), "task0.x_test",
+     "of shape (24, 4) must be 2-D with 6 columns"),
+], ids=["y_rows", "regression_1d", "label_99", "label_-1", "float_labels", "x_columns"])
+@pytest.mark.parametrize("command", [["finetune"], ["adapt", "--method", "symerge"],
+                                     ["eval", "--method", "weight_avg"]],
+                         ids=["finetune", "adapt", "eval"])
+def test_a_suite_that_breaks_its_contract_exits_3_naming_the_array(small, tmp_path, command,
+                                                                   edit, array, problem):
+    data = _edited_suite(small, "broken", edit)
+    ckpts = [] if command[0] == "finetune" else ["--ckpt-dir", small / "ckpts"]
+    proc = _run(*command, "--data", data, *ckpts, "--out-dir", tmp_path / "out")
+    assert proc.returncode == 3, proc.stderr
+    task = array.partition(".")[0]
+    assert f"error: {data}: task '{task}': array '{array}' {problem}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def _drop_task1(meta, arrays):
+    meta["tasks"] = meta["tasks"][:1]
+    for name in [n for n in arrays if n.startswith("task1.")]:
+        del arrays[name]
+
+
+def _add_task2(meta, arrays):
+    meta["tasks"].append({"id": "task2", "kind": "classification"})
+    arrays.update({n.replace("task0.", "task2."): a for n, a in list(arrays.items())
+                   if n.startswith("task0.")})
+
+
+@pytest.mark.parametrize("edit, only_data, only_ckpts", [
+    (_drop_task1, "none", "task1"),
+    (_add_task2, "task2", "none"),
+], ids=["task_missing", "task_extra"])
+@pytest.mark.parametrize("command", [["adapt", "--method", "symerge"],
+                                     ["eval", "--method", "weight_avg"]], ids=["adapt", "eval"])
+def test_a_suite_that_holds_other_tasks_than_the_checkpoints_exits_3(small, tmp_path, command,
+                                                                     edit, only_data,
+                                                                     only_ckpts):
+    data = _edited_suite(small, edit.__name__, edit)
+    ckpts = small / "ckpts"
+    proc = _run(*command, "--data", data, "--ckpt-dir", ckpts, "--out-dir", tmp_path / "out")
+    assert proc.returncode == 3, proc.stderr
+    assert (f"error: {data} and {ckpts} do not hold the same tasks "
+            f"(only in {data}: {only_data}; only in {ckpts}: {only_ckpts})") in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("task_ids, columns, named", [
+    (["task0", "taskX"], 1, "do not hold the same tasks (only in {coeffs}: taskX; "
+                            "only in {ckpts}: task1)"),
+    (["task0", "task1"], 2, "do not hold the same encoder layers (only in {coeffs}: 1; "
+                            "only in {ckpts}: none)"),
+], ids=["unknown_task", "columns"])
+def test_coeffs_that_do_not_fit_the_checkpoints_exit_3_naming_both(small, tmp_path, task_ids,
+                                                                   columns, named):
+    coeffs, ckpts = tmp_path / "coeffs.json", small / "ckpts"
+    coeffs.write_text(json.dumps({"format": "coeffs", "task_ids": task_ids,
+                                  "num_layers": columns, "values": [[0.3] * columns] * 2}))
+    proc = _run("eval", "--data", small / "data.bundle", "--ckpt-dir", ckpts,
+                "--method", "task_arithmetic", "--coeffs", coeffs, "--out-dir", tmp_path / "out")
+    assert proc.returncode == 3, proc.stderr
+    assert f"error: {coeffs} " in proc.stderr
+    assert named.format(coeffs=coeffs, ckpts=ckpts) in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_key_error_prints_its_message_without_quotes(monkeypatch, capsys):
+    from mergelab import commands
+    from mergelab.engine import UnknownTaskError
+
+    def fail(args):
+        raise UnknownTaskError("missing test inputs for 'task3'")
+
+    monkeypatch.setattr(commands, "eval", fail)
+    assert main(["eval", "--data", "d", "--ckpt-dir", "c", "--out-dir", "o"]) == 3
+    assert capsys.readouterr().err == "error: missing test inputs for 'task3'\n"
+
+
+def test_adapt_with_a_hard_label_loss_on_a_regression_task_exits_3(tmp_path):
+    data, ckpts, out = tmp_path / "data.bundle", tmp_path / "ckpts", tmp_path / "out"
+    assert main(["gen", "--out", str(data), "--tasks", "2", "--classes", "3", "--input-dim", "6",
+                 "--samples", "24", "--subspace-dim", "3", "--seed", "3",
+                 "--regression", "1"]) == 0
+    assert main(["finetune", "--data", str(data), "--out-dir", str(ckpts), "--hidden", "4",
+                 "--pre-epochs", "1", "--epochs", "1", "--seed", "3"]) == 0
+    proc = _run("adapt", "--data", data, "--ckpt-dir", ckpts, "--method", "symerge",
+                "--loss", "cross_entropy_hard", "--out-dir", out)
+    assert proc.returncode == 3, proc.stderr
+    assert "error: hard-label loss needs classification self-labels for 'task1'" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
