@@ -321,8 +321,8 @@ def train_experts(suite: TaskSuite, hidden: Sequence[int], pre_epochs: int, pre_
     """(pre, {task: expert}), the inputs of every merge: a backbone of encoder
     widths `hidden` pretrained on all of `suite`'s tasks, and one expert per
     task fine-tuned from it. The keywords are a config's `finetune` keys."""
-    heads = {t.task_id: t.num_outputs for t in suite.tasks}
-    init = init_params((suite.config.input_dim, *hidden), heads, spawn_rng(seed, "init"))
+    init = init_params((suite.config.input_dim, *hidden), suite.head_widths,
+                       spawn_rng(seed, "init"))
     pre = pretrain_backbone(init, suite, pre_epochs, pre_lr, batch_size, seed)
     return pre, {t.task_id: finetune_expert(pre, t.x_train, t.y_train, t.task_id, epochs, lr,
                                             batch_size, seed, t.kind)

@@ -46,6 +46,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _out_path(path: str) -> Path:
+    """The `type` of every path flag but `--config`, inputs as well as outputs."""
     root = os.environ.get("MERGELAB_OUTPUT_ROOT")
     p = Path(path)
     if root and not p.is_absolute():
@@ -59,11 +60,11 @@ def _indices(value: str) -> tuple:
 
 def report(args) -> int:
     from .reports import aggregate_reports, write_combined
-    combined = aggregate_reports(_out_path(args.runs))
+    combined = aggregate_reports(args.runs)
     if not combined:
         print("no reports found", file=sys.stderr)
         return EXIT_RUNTIME
-    paths = write_combined(_out_path(args.out_dir), combined)
+    paths = write_combined(args.out_dir, combined)
     print(f"wrote {len(paths)} combined files to {args.out_dir}")
     return EXIT_OK
 
@@ -79,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", parents=[], help="generate a synthetic task suite")
     p.add_argument("--config", help="suite config JSON (or a gen manifest)")
-    p.add_argument("--out", required=True, help="output dataset bundle")
+    p.add_argument("--out", required=True, type=_out_path, help="output dataset bundle")
     p.add_argument("--tasks", dest="num_tasks", type=int)
     p.add_argument("--classes", dest="classes_per_task", type=int)
     p.add_argument("--input-dim", type=int)
@@ -95,8 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"1-5, with --corruption only (default {GEN_SEVERITY})")
 
     p = sub.add_parser("finetune", help="pretrain a backbone and fine-tune per-task experts")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out-dir", required=True)
+    p.add_argument("--data", required=True, type=_out_path)
+    p.add_argument("--out-dir", required=True, type=_out_path)
     p.add_argument("--hidden", default="32,24,16", type=_indices,
                    help="encoder layer widths, comma-separated")
     p.add_argument("--pre-epochs", type=int, default=2)
@@ -107,17 +108,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("merge", help="training-free merge of expert checkpoints")
-    p.add_argument("--ckpt-dir", required=True)
+    p.add_argument("--ckpt-dir", required=True, type=_out_path)
     p.add_argument("--method", required=True, choices=CONSTANT_METHODS)
     p.add_argument("--lambda", "--coeff", dest="coeff", type=float,
                    help="task-arithmetic scale (default 0.3, 0.1 beyond 8 tasks)")
-    p.add_argument("--out-dir", required=True)
+    p.add_argument("--out-dir", required=True, type=_out_path)
 
     p = sub.add_parser("adapt", help="test-time adaptation of merging coefficients")
-    p.add_argument("--data", required=True)
-    p.add_argument("--ckpt-dir", required=True)
+    p.add_argument("--data", required=True, type=_out_path)
+    p.add_argument("--ckpt-dir", required=True, type=_out_path)
     p.add_argument("--method", required=True, choices=LEARNED_METHODS)
-    p.add_argument("--out-dir", required=True)
+    p.add_argument("--out-dir", required=True, type=_out_path)
     p.add_argument("--config", help="adapt config JSON (or an adapt manifest)")
     p.add_argument("--iterations", type=int)
     p.add_argument("--batch-size", type=int)
@@ -135,13 +136,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     # what eval and analyze score: the experts, a checkpoint, or a merge
     inputs = argparse.ArgumentParser(add_help=False)
-    inputs.add_argument("--data", required=True)
-    inputs.add_argument("--ckpt-dir", required=True)
+    inputs.add_argument("--data", required=True, type=_out_path)
+    inputs.add_argument("--ckpt-dir", required=True, type=_out_path)
     inputs.add_argument("--method", default=DEFAULT_METHOD, choices=METHODS)
-    inputs.add_argument("--checkpoint", help="evaluate this merged checkpoint instead")
-    inputs.add_argument("--coeffs", help="coefficient JSON from merge/adapt")
-    inputs.add_argument("--layers", help="trainable-layer bundle from adapt")
-    inputs.add_argument("--out-dir", required=True)
+    inputs.add_argument("--checkpoint", type=_out_path,
+                        help="evaluate this merged checkpoint instead")
+    inputs.add_argument("--coeffs", type=_out_path, help="coefficient JSON from merge/adapt")
+    inputs.add_argument("--layers", type=_out_path, help="trainable-layer bundle from adapt")
+    inputs.add_argument("--out-dir", required=True, type=_out_path)
 
     p = sub.add_parser("eval", parents=[inputs],
                        help="evaluate experts, a checkpoint, or a merged assembly")
@@ -154,8 +156,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("report", help="aggregate emitted JSON reports into combined tables")
-    p.add_argument("--runs", required=True)
-    p.add_argument("--out-dir", required=True)
+    p.add_argument("--runs", required=True, type=_out_path)
+    p.add_argument("--out-dir", required=True, type=_out_path)
 
     return parser
 

@@ -3,7 +3,8 @@
 `cli.main` imports this module only when one of them runs. Each command
 imports the mergelab functions it uses when it runs, and this module binds
 none at load time, so those names are looked up on their modules at call
-time (where a tracer or a monkeypatch rebinds them).
+time (where a tracer or a monkeypatch rebinds them). Every path in `args`
+comes resolved by the parser (`cli._out_path`), inputs as well as outputs.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from dataclasses import asdict, fields
 from functools import cached_property
 from typing import TYPE_CHECKING
 
-from . import cli
 from .cli import EXIT_OK, GEN_SEVERITY
 from .config import ANALYSES, COEFF_ANALYSES, LEARNED, METHOD_COEFFS, ConfigError
 
@@ -123,7 +123,7 @@ def gen(args) -> int:
     if args.corruption:
         suite = corrupt_suite(suite, spec, cfg.seed)
 
-    out = cli._out_path(args.out)
+    out = args.out
     out.parent.mkdir(parents=True, exist_ok=True)
     save_suite(suite, out)
     manifest_cfg = {"suite": base}
@@ -137,20 +137,19 @@ def gen(args) -> int:
 def finetune(args) -> int:
     from .adaptation import train_experts
     from .serialization import load_suite, save_checkpoint
-    data_path = cli._out_path(args.data)
-    suite = load_suite(data_path)
+    suite = load_suite(args.data)
     recipe = {k: getattr(args, k)  # the flags named as `train_experts`' keywords
               for k in ("hidden", "pre_epochs", "pre_lr", "epochs", "lr", "batch_size")}
     pre, experts = train_experts(suite, seed=args.seed, **recipe)
 
     # nothing is written until every checkpoint is computed
-    out_dir = cli._out_path(args.out_dir)
+    out_dir = args.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     save_checkpoint(pre, out_dir / "pre.ckpt")
     for task, expert in experts.items():
         save_checkpoint(expert, out_dir / f"expert_{task}.ckpt")
 
-    cfg = dict(recipe, hidden=list(args.hidden), inputs={"data": _sha256(data_path)})
+    cfg = dict(recipe, hidden=list(args.hidden), inputs={"data": _sha256(args.data)})
     _write_manifest(out_dir / "finetune.manifest.json", "finetune", cfg, args.seed)
     print(f"wrote pre + {len(suite.tasks)} expert checkpoints to {out_dir}")
     return EXIT_OK
@@ -164,7 +163,7 @@ def merge(args) -> int:
     if args.coeff is not None and args.method != "task_arithmetic":
         raise ConfigError(f"--lambda: method {args.method} has a fixed coefficient, "
                           "so --lambda is not used")
-    pre, experts, digests = _load_ckpt_dir(cli._out_path(args.ckpt_dir))
+    pre, experts, digests = _load_ckpt_dir(args.ckpt_dir)
     task_ids = tuple(sorted(experts))
     vectors = [compute_task_vector(experts[t], pre) for t in task_ids]
     lam = default_init_coeff(len(task_ids)) if args.coeff is None else args.coeff
@@ -173,7 +172,7 @@ def merge(args) -> int:
 
     encoder = merge_layerwise(pre, vectors, coeffs)
     merged = ParamSet(encoder=encoder, heads=dict(pre.heads))
-    out_dir = cli._out_path(args.out_dir)
+    out_dir = args.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     save_checkpoint(merged, out_dir / "merged.ckpt")
     save_coeffs(coeffs, out_dir / "coeffs.json")
@@ -184,33 +183,27 @@ def merge(args) -> int:
 
 
 def adapt(args) -> int:
-    from .adaptation import adamerging_entropy, symerge, task_vectors_from_experts
+    from .adaptation import adamerging_entropy, symerge
     from .config import adapt_config_to_dict
-    from .serialization import load_suite, save_coeffs, save_trainable
-    data_path, ckpt_dir = cli._out_path(args.data), cli._out_path(args.ckpt_dir)
-    suite = load_suite(data_path)
-    pre, experts, digests = _load_ckpt_dir(ckpt_dir)
-    _check_same("tasks", data_path, suite.task_ids, ckpt_dir, experts)
-    kinds = {t.task_id: t.kind for t in suite.tasks}
-    test_inputs = {t.task_id: t.x_test for t in suite.tasks}
-    vectors = task_vectors_from_experts(pre, experts)
-
-    cfg = _adapt_config(args, num_tasks=len(experts))
+    from .serialization import save_coeffs, save_trainable
+    run = _Inputs(args)
+    vectors = run.vectors  # first, so a checkpoint error precedes a config error
+    cfg = _adapt_config(args, num_tasks=len(run.experts))
+    test_inputs = {t: x for t, (x, _) in run.test_sets.items()}
     if args.method == "adamerging":
-        heads = {t: experts[t].head(t) for t in experts}
-        coeffs = adamerging_entropy(pre, vectors, heads, test_inputs, cfg, kinds)
+        heads = {t: run.experts[t].head(t) for t in run.experts}
+        coeffs = adamerging_entropy(run.pre, vectors, heads, test_inputs, cfg, run.kinds)
         trained = {}
     else:
-        result = symerge(pre, vectors, experts, test_inputs, cfg, kinds)
+        result = symerge(run.pre, vectors, run.experts, test_inputs, cfg, run.kinds)
         coeffs, trained = result.coeffs, result.trainable
-    out_dir = cli._out_path(args.out_dir)  # made once the run succeeds
+    out_dir = args.out_dir  # made once the run succeeds
     out_dir.mkdir(parents=True, exist_ok=True)
     save_coeffs(coeffs, out_dir / "coeffs.json")
     if trained:
         save_trainable(trained, out_dir / "trainable.bundle")
 
-    manifest_cfg = {"method": args.method, "adapt": adapt_config_to_dict(cfg),
-                    "inputs": dict(digests, data=_sha256(data_path))}
+    manifest_cfg = dict(run.manifest_cfg(), adapt=adapt_config_to_dict(cfg))
     _write_manifest(out_dir / "adapt.manifest.json", "adapt", manifest_cfg, cfg.seed)
     extras = " + trainable layers" if trained else ""
     print(f"wrote coefficients{extras} to {out_dir}")
@@ -218,32 +211,41 @@ def adapt(args) -> int:
 
 
 class _Inputs:
-    """What `eval` and `analyze` read, loaded once. The merged model that
-    `--method` and its flags name is built on first use."""
+    """What `adapt`, `eval` and `analyze` read, loaded and checked once; the
+    merged model that `--method` and eval's flags name is built on first use.
+    (`eval` and `analyze` import every row builder's module first: compiled
+    later, with no bytecode cache, it would add to a full process's peak memory.)"""
 
     def __init__(self, args):
-        # Every module a row builder uses loads before the inputs are read:
-        # compiled from source later (no bytecode cache), it would add to the
-        # peak memory of a process that already holds its data.
-        from . import adaptation, analysis, theory  # noqa: F401
         from .serialization import load_suite
         self.args = args
-        self.data_path, self.ckpt_dir = cli._out_path(args.data), cli._out_path(args.ckpt_dir)
-        self.suite = load_suite(self.data_path)
-        self.pre, self.experts, self.digests = _load_ckpt_dir(self.ckpt_dir)
-        _check_same("tasks", self.data_path, self.suite.task_ids, self.ckpt_dir, self.experts)
+        self.suite = load_suite(args.data)
+        self.pre, self.experts, self.digests = _load_ckpt_dir(args.ckpt_dir)
+        _check_same("tasks", args.data, self.suite.task_ids, args.ckpt_dir, self.experts)
+        for t, expert in self.experts.items():
+            self.check_heads(args.ckpt_dir / f"expert_{t}.ckpt", expert)
         self.kinds = {t.task_id: t.kind for t in self.suite.tasks}
         self.test_sets = {t.task_id: (t.x_test, t.y_test) for t in self.suite.tasks}
         self.task_ids = tuple(sorted(self.experts))
         self.cls_ids = tuple(t for t in self.task_ids if self.kinds[t] == "classification")
         # a flag that the chosen method would ignore is an error, never dropped
-        self.given = [name for name in ("checkpoint", "coeffs", "layers") if getattr(args, name)]
+        self.given = [n for n in ("checkpoint", "coeffs", "layers") if getattr(args, n, None)]
         if METHOD_COEFFS[args.method] is None and self.given:
             raise ConfigError(f"method: {args.method} evaluates each expert alone, "
                               f"so --{self.given[0]} is not used")
-        if args.checkpoint and len(self.given) > 1:
+        if "checkpoint" in self.given and len(self.given) > 1:
             raise ConfigError(f"--{self.given[1]}: not used with --checkpoint, "
                               "a checkpoint that is merged already")
+
+    def check_heads(self, path: Path, model) -> None:
+        """BundleError unless each head of the checkpoint `model` at `path`
+        that the suite has a task for is as wide as the suite needs."""
+        from .serialization import BundleError
+        widths = self.suite.head_widths
+        for t, head in model.heads.items():
+            if head.out_dim != widths.get(t, head.out_dim):
+                raise BundleError(f"{path}: task '{t}' has a head of {head.out_dim} outputs "
+                                  f"where the suite {self.args.data} needs {widths[t]}")
 
     @cached_property
     def vectors(self) -> dict:
@@ -267,28 +269,27 @@ class _Inputs:
             return None
         if args.checkpoint:
             # a merged checkpoint is an assembly with no task vectors left to add
-            model = load_checkpoint(cli._out_path(args.checkpoint))
+            model = load_checkpoint(args.checkpoint)
+            self.check_heads(args.checkpoint, model)
             no_coeffs = CoefficientMatrix.constant((), len(model.encoder), 0.0)
             return MergedAssembly(tuple(model.encoder), (), no_coeffs, dict(model.heads), {})
         if args.coeffs:
-            path = cli._out_path(args.coeffs)
-            coeffs = load_coeffs(path)
-            _check_same("tasks", path, coeffs.task_ids, self.ckpt_dir, self.task_ids)
-            _check_same("encoder layers", path, range(coeffs.num_layers),
-                        self.ckpt_dir, range(len(self.pre.encoder)))
+            coeffs = load_coeffs(args.coeffs)
+            _check_same("tasks", args.coeffs, coeffs.task_ids, args.ckpt_dir, self.task_ids)
+            _check_same("encoder layers", args.coeffs, range(coeffs.num_layers),
+                        args.ckpt_dir, range(len(self.pre.encoder)))
         elif source == LEARNED:
             raise ConfigError(f"method: {args.method} needs --coeffs, the coefficient "
                               "file that `mergelab adapt` writes")
         else:
             k = len(self.task_ids)
             coeffs = self.constant_coeffs(source(k, default_init_coeff(k)))
-        trainable = load_trainable(cli._out_path(args.layers)) if args.layers else {}
+        trainable = load_trainable(args.layers) if args.layers else {}
         return build_assembly(self.pre, self.vectors, self.experts, coeffs, trainable)
 
     def manifest_cfg(self) -> dict:
-        inputs = dict(self.digests, data=_sha256(self.data_path))
-        inputs.update({name: _sha256(cli._out_path(getattr(self.args, name)))
-                       for name in self.given})
+        inputs = dict(self.digests, data=_sha256(self.args.data))
+        inputs.update({name: _sha256(getattr(self.args, name)) for name in self.given})
         return {"method": self.args.method, "inputs": inputs}
 
 
@@ -331,9 +332,7 @@ def _cross_merge_rows(run: _Inputs) -> list:
     from .analysis import cross_merge_pairs
     pairs, rho = cross_merge_pairs({t: run.experts[t] for t in run.cls_ids},
                                    {t: run.test_sets[t] for t in run.cls_ids})
-    rows = [{"row_type": "pair", "encoder_task": p.encoder_task, "head_task": p.head_task,
-             "cross_accuracy": p.cross_accuracy, "merge_accuracy": p.merge_accuracy,
-             "spearman_rho": None} for p in pairs]
+    rows = [dict(asdict(p), row_type="pair", spearman_rho=None) for p in pairs]
     rows.append({"row_type": "summary", "encoder_task": None, "head_task": None,
                  "cross_accuracy": None, "merge_accuracy": None, "spearman_rho": rho})
     return rows
@@ -366,8 +365,7 @@ def _correlation_rows(run: _Inputs) -> list:
     report = loss_correlation_report(initial, run.assembly, run.experts,
                                      {t: run.test_sets[t] for t in run.cls_ids},
                                      run.args.batch_size)
-    return [{"task": c.task, "proxy": c.proxy, "stage": c.stage,
-             "spearman_rho": c.rho, "status": c.status} for c in report.cells]
+    return [dict(asdict(c), spearman_rho=c.rho) for c in report.cells]
 
 
 def _discrepancy_rows(run: _Inputs) -> list:
@@ -379,8 +377,7 @@ def _discrepancy_rows(run: _Inputs) -> list:
         merged_pred = forward(run.assembly.materialize(t), t, x).argmax(axis=1)
         expert_pred = forward(run.experts[t], t, x).argmax(axis=1)
         rep = discrepancy(merged_pred, expert_pred, y)
-        rows.append({"task": t, "fails": rep.fails, "gains": rep.gains,
-                     "net": rep.net, "n": rep.n})
+        rows.append(dict(asdict(rep), task=t, net=rep.net))
     return rows
 
 
@@ -394,6 +391,8 @@ def _sparsity_rows(run: _Inputs) -> list:
 
 
 def _prop1_rows(run: _Inputs) -> list:
+    from itertools import permutations
+
     from .adaptation import TRAIN_LOSS
     from .engine import LossSpec
     from .suites import spawn_rng
@@ -402,31 +401,27 @@ def _prop1_rows(run: _Inputs) -> list:
     for i in range(100):
         inst = random_linear_instance(spawn_rng(run.args.seed, "prop1", i))
         rows.append(_prop1_row(f"linear-{i}", "linear", "l2", prop1_verify(inst)))
-    for ti in run.task_ids:
-        for tj in run.task_ids:
-            if ti == tj:
-                continue
-            x, y = run.test_sets[tj]
-            loss = LossSpec(TRAIN_LOSS[run.kinds[tj]])
-            inst = Prop1Instance(
-                family="nonlinear-net",
-                theta_0=tuple(run.pre.encoder),
-                theta_i=tuple(run.experts[ti].encoder),
-                theta_j=tuple(run.experts[tj].encoder),
-                inputs=x,
-                targets=y,
-                loss=loss,
-                head=run.experts[tj].head(tj),
-            )
-            rows.append(_prop1_row(f"experts-{ti}-{tj}", "nonlinear-net", loss.kind,
-                                   prop1_verify(inst)))
+    for ti, tj in permutations(run.task_ids, 2):
+        x, y = run.test_sets[tj]
+        loss = LossSpec(TRAIN_LOSS[run.kinds[tj]])
+        inst = Prop1Instance(
+            family="nonlinear-net",
+            theta_0=tuple(run.pre.encoder),
+            theta_i=tuple(run.experts[ti].encoder),
+            theta_j=tuple(run.experts[tj].encoder),
+            inputs=x,
+            targets=y,
+            loss=loss,
+            head=run.experts[tj].head(tj),
+        )
+        rows.append(_prop1_row(f"experts-{ti}-{tj}", "nonlinear-net", loss.kind,
+                               prop1_verify(inst)))
     return rows
 
 
 def _prop1_row(name, family, loss, rep) -> dict:
-    row = {"instance": name, "family": family, "loss": loss, **asdict(rep)}
-    row["ctl_residual_max"] = row.pop("ctl_residual")
-    return row
+    return dict(asdict(rep), instance=name, family=family, loss=loss,
+                ctl_residual_max=rep.ctl_residual)
 
 
 def _pilot_rows(run: _Inputs) -> list:
@@ -459,7 +454,7 @@ _ROW_BUILDERS = {
 def _write_reports(args, command: str, cfg: dict, seed: int, reports: list) -> None:
     """The run's manifest, then each (analysis, rows) report stamped with its hash."""
     from .reports import write_report
-    out_dir = cli._out_path(args.out_dir)
+    out_dir = args.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     digest = _write_manifest(out_dir / f"{command}.manifest.json", command, cfg, seed)
     for analysis, rows in reports:
@@ -467,6 +462,7 @@ def _write_reports(args, command: str, cfg: dict, seed: int, reports: list) -> N
 
 
 def eval(args) -> int:  # noqa: A001  (named as on the command line)
+    from . import adaptation, analysis, theory  # noqa: F401  (see _Inputs)
     run = _Inputs(args)
     rows = _eval_rows(run)
     _write_reports(args, "eval", run.manifest_cfg(), 0, [("eval", rows)])
@@ -476,6 +472,7 @@ def eval(args) -> int:  # noqa: A001  (named as on the command line)
 
 
 def analyze(args) -> int:
+    from . import adaptation, analysis, theory  # noqa: F401  (see _Inputs)
     run = _Inputs(args)
     analyses = tuple(args.analyses.split(","))
     for a in analyses:

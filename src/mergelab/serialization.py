@@ -242,8 +242,11 @@ def load_suite(path) -> TaskSuite:
                 ok, want = a.shape[1:] == (cfg.input_dim,), f"be 2-D with {cfg.input_dim} columns"
             elif a.shape[:1] != x.shape[:1]:
                 ok, want = False, f"have the {len(x)} rows of '{tid}.x{name[1:]}'"
-            elif kind == "regression":
-                ok, want = a.ndim == 2, "be 2-D"
+            elif kind == "regression":  # y_train precedes y_test
+                y = splits["y_train"]
+                ok = a.ndim == 2 and a.shape[1:] == y.shape[1:]
+                want = ("be 2-D" if a is y else
+                        f"have the {y.shape[1]} columns of '{tid}.y_train' of shape {y.shape}")
             else:
                 ok = a.ndim == 1 and a.dtype.kind == "i" and a.min() >= 0 and a.max() < classes
                 want = f"hold 1-D integer labels in 0..{classes - 1}"

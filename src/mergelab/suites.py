@@ -85,6 +85,8 @@ class TaskData:
 
     @property
     def num_outputs(self) -> int:
+        """The output width the train labels show. A suite's heads take theirs
+        from `TaskSuite.head_widths`, which does not depend on the labels."""
         if self.kind == "classification":
             return int(self.y_train.max()) + 1
         return self.y_train.shape[1]
@@ -98,6 +100,13 @@ class TaskSuite:
     @property
     def task_ids(self) -> tuple:
         return tuple(t.task_id for t in self.tasks)
+
+    @property
+    def head_widths(self) -> dict:
+        """{task: the output width of its head}: `classes_per_task` for a
+        classification task, the columns of `y_train` for a regression task."""
+        return {t.task_id: self.config.classes_per_task if t.kind == "classification"
+                else t.y_train.shape[1] for t in self.tasks}
 
     def task(self, task_id: str) -> TaskData:
         for t in self.tasks:

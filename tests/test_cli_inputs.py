@@ -14,8 +14,9 @@ import pytest
 
 from mergelab.cli import main
 from mergelab.config import ANALYSES, ConfigError, adapt_config_from_dict
-from mergelab.engine import init_params
-from mergelab.serialization import load_bundle, load_suite, save_bundle, save_suite
+from mergelab.engine import LayerParams, ParamSet, init_params
+from mergelab.serialization import (load_bundle, load_checkpoint, load_suite, save_bundle,
+                                    save_checkpoint, save_suite)
 from mergelab.suites import spawn_rng
 
 from conftest import REFERENCE_CONFIG, REPO_ROOT
@@ -253,6 +254,15 @@ def _label(value):
     return put
 
 
+def _regression_targets(train_columns: int, test_columns: int):
+    """Declares task1 regression, with targets of the given widths."""
+    def edit(meta, arrays):
+        _declare_regression(meta, arrays)
+        arrays.update({"task1.y_train": np.ones((24, train_columns)),
+                       "task1.y_test": np.ones((24, test_columns))})
+    return edit
+
+
 # `small` holds 2 tasks of 3 classes over 6 input dims, 24 rows per split
 @pytest.mark.parametrize("edit, array, problem", [
     (_set("task0.y_test", lambda y: y[:10]), "task0.y_test",
@@ -266,7 +276,10 @@ def _label(value):
      "of shape (24,) must hold 1-D integer labels in 0..2"),
     (_set("task0.x_test", lambda x: x[:, :4]), "task0.x_test",
      "of shape (24, 4) must be 2-D with 6 columns"),
-], ids=["y_rows", "regression_1d", "label_99", "label_-1", "float_labels", "x_columns"])
+    (_regression_targets(3, 1), "task1.y_test",
+     "of shape (24, 1) must have the 3 columns of 'task1.y_train' of shape (24, 3)"),
+], ids=["y_rows", "regression_1d", "label_99", "label_-1", "float_labels", "x_columns",
+        "regression_columns"])
 @pytest.mark.parametrize("command", [["finetune"], ["adapt", "--method", "symerge"],
                                      ["eval", "--method", "weight_avg"]],
                          ids=["finetune", "adapt", "eval"])
@@ -311,6 +324,55 @@ def test_a_suite_that_holds_other_tasks_than_the_checkpoints_exits_3(small, tmp_
             f"(only in {data}: {only_data}; only in {ckpts}: {only_ckpts})") in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "out").exists()
+
+
+def test_finetune_sizes_each_head_from_the_suite_not_from_the_labels(small, tmp_path):
+    # task0's train labels hold classes 0 and 1 only; the suite has 3 classes
+    data = _edited_suite(small, "no_class_2",
+                         _set("task0.y_train", lambda y: np.where(y == 2, 1, y)))
+    assert main(["finetune", "--data", str(data), "--out-dir", str(tmp_path), "--hidden", "4",
+                 "--pre-epochs", "1", "--epochs", "1", "--seed", "3"]) == 0
+    for ckpt in ("pre.ckpt", "expert_task0.ckpt"):
+        assert load_checkpoint(tmp_path / ckpt).heads["task0"].weight.shape == (3, 4), ckpt
+
+
+def _classes(n: int):
+    return lambda meta, arrays: meta["config"].update(classes_per_task=n)
+
+
+# `small`'s checkpoints give every task a head of 3 outputs
+@pytest.mark.parametrize("edit, task, width", [
+    (_classes(4), "task0", 4),
+    (_regression_targets(2, 2), "task1", 2),
+], ids=["classes", "regression_columns"])
+@pytest.mark.parametrize("command", [["adapt", "--method", "symerge"],
+                                     ["eval", "--method", "weight_avg"],
+                                     ["analyze", "--analyses", "cross_matrix"]],
+                         ids=["adapt", "eval", "analyze"])
+def test_a_checkpoint_head_of_another_width_than_the_suite_exits_3(small, tmp_path, capsys,
+                                                                  command, edit, task, width):
+    data = _edited_suite(small, f"{task}_width", edit)
+    ckpts, out = small / "ckpts", tmp_path / "out"
+    assert main([*command, "--data", str(data), "--ckpt-dir", str(ckpts),
+                 "--out-dir", str(out)]) == 3
+    assert capsys.readouterr().err == (f"error: {ckpts / f'expert_{task}.ckpt'}: task '{task}' "
+                                       f"has a head of 3 outputs where the suite {data} needs "
+                                       f"{width}\n")
+    assert not out.exists()
+
+
+def test_eval_checkpoint_with_a_head_of_another_width_exits_3(small, tmp_path, capsys):
+    pre = load_checkpoint(small / "ckpts" / "pre.ckpt")
+    head = pre.heads["task1"]
+    cut = tmp_path / "cut.ckpt"
+    save_checkpoint(ParamSet(pre.encoder, dict(pre.heads, task1=LayerParams(head.weight[:2],
+                                                                           head.bias[:2]))),
+                    cut)
+    assert main(["eval", "--data", str(small / "data.bundle"), "--ckpt-dir",
+                 str(small / "ckpts"), "--method", "task_arithmetic", "--checkpoint", str(cut),
+                 "--out-dir", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == (f"error: {cut}: task 'task1' has a head of 2 outputs "
+                                       f"where the suite {small / 'data.bundle'} needs 3\n")
 
 
 @pytest.mark.parametrize("task_ids, columns, named", [

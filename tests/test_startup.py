@@ -121,18 +121,45 @@ def test_report_loads_no_dataclasses(tmp_path):
     assert "json" in new and "dataclasses" not in new
 
 
-def test_merge_loads_no_adaptation(tmp_path):
-    data, ckpts = tmp_path / "data.bundle", tmp_path / "ckpts"
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A 2-task suite and its checkpoints: (data, ckpts)."""
+    root = tmp_path_factory.mktemp("trained")
+    data, ckpts = root / "data.bundle", root / "ckpts"
     assert main(["gen", "--out", str(data), "--tasks", "2", "--classes", "3",
                  "--input-dim", "6", "--samples", "24", "--subspace-dim", "3",
                  "--seed", "3"]) == 0
     assert main(["finetune", "--data", str(data), "--out-dir", str(ckpts), "--hidden", "4",
                  "--pre-epochs", "1", "--epochs", "1", "--seed", "3"]) == 0
-    proc, new = _imported_beyond_interpreter("-m", "mergelab", "merge", "--ckpt-dir",
-                                             str(ckpts), "--method", "weight_avg",
-                                             "--out-dir", str(tmp_path / "merged"))
+    return data, ckpts
+
+
+def _submodules_loaded_by(*argv) -> set:
+    """The mergelab submodules that a `mergelab <argv>` process, which must
+    exit 0, has loaded. Read from `sys.modules`: `-X importtime` does not
+    report a module that the package's `__getattr__` loads through importlib
+    (as `from . import <module>` does)."""
+    script = ("import sys; from mergelab.cli import main; assert main(sys.argv[1:]) == 0; "
+              "print(*sorted(m for m in sys.modules if m.startswith('mergelab.')))")
+    proc = subprocess.run([sys.executable, "-c", script, *map(str, argv)], capture_output=True,
+                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=str(SRC)))
     assert proc.returncode == 0, proc.stderr
-    assert "mergelab.merging" in new and "mergelab.adaptation" not in new
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def test_merge_loads_no_adaptation(trained, tmp_path):
+    loaded = _submodules_loaded_by("merge", "--ckpt-dir", trained[1], "--method", "weight_avg",
+                                   "--out-dir", tmp_path / "merged")
+    assert "mergelab.merging" in loaded and "mergelab.adaptation" not in loaded
+
+
+def test_adapt_loads_no_analysis_or_theory(trained, tmp_path):
+    data, ckpts = trained
+    loaded = _submodules_loaded_by("adapt", "--data", data, "--ckpt-dir", ckpts,
+                                   "--method", "symerge", "--iterations", "1",
+                                   "--out-dir", tmp_path / "adapted")
+    assert "mergelab.adaptation" in loaded
+    assert sorted(loaded & {"mergelab.analysis", "mergelab.theory"}) == []
 
 
 def test_report_starts_without_numpy(tmp_path):

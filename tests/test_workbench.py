@@ -1,5 +1,7 @@
 import json
 import os
+import shlex
+import shutil
 import struct
 import subprocess
 import sys
@@ -30,7 +32,7 @@ from mergelab.serialization import (
 )
 from mergelab.suites import SuiteConfig, gen_suite
 
-from conftest import REFERENCE_CONFIG, load_reference, params_equal, random_paramset
+from conftest import REFERENCE_CONFIG, REPO_ROOT, load_reference, params_equal, random_paramset
 
 GOLDEN = Path(__file__).parent / "data" / "golden_reference_eval.json"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -438,6 +440,44 @@ def test_cli_output_root_env_var(tmp_path, monkeypatch):
     abs_out = tmp_path / "abs.bundle"
     assert main(_gen_args(abs_out)) == 0
     assert abs_out.exists()
+
+
+def _readme_quickstart() -> list:
+    """The README's quickstart block: the argv of each `mergelab` command."""
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Quickstart", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()]
+    assert commands and all(c[0] == "mergelab" for c in commands)
+    return [c[1:] for c in commands]
+
+
+# the quickstart's path flags but --config, which the output root leaves alone
+QUICKSTART_PATH_FLAGS = {"--out", "--data", "--ckpt-dir", "--out-dir", "--coeffs", "--layers",
+                         "--runs"}
+
+
+def _files(root) -> dict:
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.slow
+def test_readme_quickstart_under_the_output_root_matches_a_run_with_absolute_paths(
+        tmp_path, monkeypatch):
+    cwd, root, absolute = tmp_path / "cwd", tmp_path / "root", tmp_path / "absolute"
+    shutil.copytree(REPO_ROOT / "configs", cwd / "configs")
+    monkeypatch.chdir(cwd)
+    monkeypatch.setenv("MERGELAB_OUTPUT_ROOT", str(root))
+    for argv in _readme_quickstart():
+        assert main(argv) == 0, argv
+    monkeypatch.delenv("MERGELAB_OUTPUT_ROOT")
+    for argv in _readme_quickstart():
+        argv = [str(absolute / value) if flag in QUICKSTART_PATH_FLAGS else value
+                for flag, value in zip([None, *argv], argv)]
+        assert main(argv) == 0, argv
+    assert [p.name for p in cwd.iterdir()] == ["configs"]  # every relative path went to the root
+    written = _files(root)
+    assert Path("runs", "combined", "combined_eval.csv") in written
+    assert written == _files(absolute)
 
 
 def test_cli_exit_codes(tmp_path):
