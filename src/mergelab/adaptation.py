@@ -81,15 +81,14 @@ class AdaptConfig:
     def __post_init__(self):
         check_field_types(self)
         if self.iterations < 0:
-            raise ValueError("iterations must be nonnegative")
-        if self.batch_size <= 0:
-            raise ValueError("batch_size must be positive")
-        if self.lr_coeffs <= 0.0 or self.lr_layer <= 0.0:
-            raise ValueError("learning rates must be positive")
+            raise ValueError(f"iterations: must be nonnegative, got {self.iterations}")
+        for name in ("batch_size", "lr_coeffs", "lr_layer"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name}: must be positive, got {getattr(self, name)}")
         if self.update_mode not in ("sequential", "aggregated"):
-            raise ValueError(f"unknown update_mode '{self.update_mode}'")
+            raise ValueError(f"update_mode: unknown mode '{self.update_mode}'")
         if self.task_order not in ("shuffled_each_pass", "fixed"):
-            raise ValueError(f"unknown task_order '{self.task_order}'")
+            raise ValueError(f"task_order: unknown order '{self.task_order}'")
         self.trainable_layer = read_selector(self.trainable_layer)
         if isinstance(self.loss, str):
             try:
@@ -321,6 +320,9 @@ def train_experts(suite: TaskSuite, hidden: Sequence[int], pre_epochs: int, pre_
     """(pre, {task: expert}), the inputs of every merge: a backbone of encoder
     widths `hidden` pretrained on all of `suite`'s tasks, and one expert per
     task fine-tuned from it. The keywords are a config's `finetune` keys."""
+    for name, rate in (("pre_lr", pre_lr), ("lr", lr)):
+        if not 0.0 < rate < np.inf:  # checked before any training; nan fails too
+            raise ValueError(f"{name}: learning rate must be positive and finite, got {rate}")
     init = init_params((suite.config.input_dim, *hidden), suite.head_widths,
                        spawn_rng(seed, "init"))
     pre = pretrain_backbone(init, suite, pre_epochs, pre_lr, batch_size, seed)
@@ -591,18 +593,20 @@ def pilot_two_stage(merged_encoder, suite: TaskSuite, experts: Mapping[str, Para
                     seed: int = 0) -> np.ndarray | list:
     """Gain matrix of the two-stage protocol.
 
-    Stage 1 retrains every task's head (from the expert's head) on frozen
-    merged-encoder features with ground-truth labels. Stage 2 pairs each
-    retrained head j with every expert encoder i and scores task j's test
-    set. Entry (i, j) is the accuracy gain over the original expert head.
+    Stage 1 retrains each expert's head (from that head) on frozen
+    merged-encoder features with ground-truth labels; the experts' tasks must
+    be classification tasks of `suite`, which may hold others. Stage 2 pairs
+    each retrained head j with every expert encoder i and scores task j's
+    test set. Entry (i, j) is the accuracy gain over the original expert head.
     Given a list of merged encoders (a sweep), it returns their matrices and
     computes the experts' test features and baseline accuracies once.
     """
     from .analysis import _score_features  # not at the top: `finetune` and `adapt` need none
     task_ids = tuple(sorted(experts))
-    for t in suite.tasks:
-        if t.kind != "classification":
-            raise ValueError("pilot protocol requires classification tasks")
+    for t in task_ids:
+        if suite.task(t).kind != "classification":
+            raise ValueError(f"pilot protocol requires classification tasks; "
+                             f"task '{t}' is {suite.task(t).kind}")
     sweep = not isinstance(merged_encoder[0], LayerParams)
     tests = [(suite.task(t).x_test, suite.task(t).y_test) for t in task_ids]
     # each expert encoder on each test split, once for the whole sweep

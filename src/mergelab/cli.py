@@ -47,6 +47,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _out_path(path: str) -> Path:
     """The `type` of every path flag but `--config`, inputs as well as outputs."""
+    if not path:
+        raise argparse.ArgumentTypeError("expected a path, got an empty value")
     root = os.environ.get("MERGELAB_OUTPUT_ROOT")
     p = Path(path)
     if root and not p.is_absolute():

@@ -32,11 +32,6 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(path: Path, command: str, cfg: dict, seed: int) -> str:
-    from .serialization import manifest_payload, write_manifest
-    return write_manifest(path, manifest_payload(command, cfg, seed))
-
-
 def _load_ckpt_dir(path: Path):
     from .serialization import BundleError, load_checkpoint
     pre_path = path / "pre.ckpt"
@@ -105,7 +100,7 @@ def _adapt_config(args, num_tasks: int) -> AdaptConfig:
 
 def gen(args) -> int:
     from .config import load_config_section, suite_config_from_dict
-    from .serialization import save_suite
+    from .serialization import save_suite, write_manifest
     from .suites import CorruptionSpec, SuiteConfig, corrupt_suite, gen_suite
     if args.severity is not None and not args.corruption:
         raise ConfigError("--severity: not used without --corruption")
@@ -129,14 +124,14 @@ def gen(args) -> int:
     manifest_cfg = {"suite": base}
     if args.corruption:
         manifest_cfg["corruption"] = {"kind": args.corruption, "severity": spec.severity}
-    _write_manifest(out.with_suffix(".manifest.json"), "gen", manifest_cfg, cfg.seed)
+    write_manifest(out.with_suffix(".manifest.json"), "gen", manifest_cfg, cfg.seed)
     print(f"wrote {out}")
     return EXIT_OK
 
 
 def finetune(args) -> int:
     from .adaptation import train_experts
-    from .serialization import load_suite, save_checkpoint
+    from .serialization import load_suite, save_checkpoint, write_manifest
     suite = load_suite(args.data)
     recipe = {k: getattr(args, k)  # the flags named as `train_experts`' keywords
               for k in ("hidden", "pre_epochs", "pre_lr", "epochs", "lr", "batch_size")}
@@ -150,7 +145,7 @@ def finetune(args) -> int:
         save_checkpoint(expert, out_dir / f"expert_{task}.ckpt")
 
     cfg = dict(recipe, hidden=list(args.hidden), inputs={"data": _sha256(args.data)})
-    _write_manifest(out_dir / "finetune.manifest.json", "finetune", cfg, args.seed)
+    write_manifest(out_dir / "finetune.manifest.json", "finetune", cfg, args.seed)
     print(f"wrote pre + {len(suite.tasks)} expert checkpoints to {out_dir}")
     return EXIT_OK
 
@@ -158,7 +153,7 @@ def finetune(args) -> int:
 def merge(args) -> int:
     from .engine import ParamSet
     from .merging import CoefficientMatrix, compute_task_vector, default_init_coeff, merge_layerwise
-    from .serialization import save_checkpoint, save_coeffs
+    from .serialization import save_checkpoint, save_coeffs, write_manifest
     # like eval's flags, a --lambda that the method would ignore is an error
     if args.coeff is not None and args.method != "task_arithmetic":
         raise ConfigError(f"--lambda: method {args.method} has a fixed coefficient, "
@@ -177,7 +172,7 @@ def merge(args) -> int:
     save_checkpoint(merged, out_dir / "merged.ckpt")
     save_coeffs(coeffs, out_dir / "coeffs.json")
     cfg = {"method": args.method, "coeff": coeff, "inputs": digests}
-    _write_manifest(out_dir / "merge.manifest.json", "merge", cfg, 0)
+    write_manifest(out_dir / "merge.manifest.json", "merge", cfg, 0)
     print(f"wrote merged checkpoint + coefficients to {out_dir}")
     return EXIT_OK
 
@@ -185,7 +180,7 @@ def merge(args) -> int:
 def adapt(args) -> int:
     from .adaptation import adamerging_entropy, symerge
     from .config import adapt_config_to_dict
-    from .serialization import save_coeffs, save_trainable
+    from .serialization import save_coeffs, save_trainable, write_manifest
     run = _Inputs(args)
     vectors = run.vectors  # first, so a checkpoint error precedes a config error
     cfg = _adapt_config(args, num_tasks=len(run.experts))
@@ -204,7 +199,7 @@ def adapt(args) -> int:
         save_trainable(trained, out_dir / "trainable.bundle")
 
     manifest_cfg = dict(run.manifest_cfg(), adapt=adapt_config_to_dict(cfg))
-    _write_manifest(out_dir / "adapt.manifest.json", "adapt", manifest_cfg, cfg.seed)
+    write_manifest(out_dir / "adapt.manifest.json", "adapt", manifest_cfg, cfg.seed)
     extras = " + trainable layers" if trained else ""
     print(f"wrote coefficients{extras} to {out_dir}")
     return EXIT_OK
@@ -427,16 +422,13 @@ def _prop1_row(name, family, loss, rep) -> dict:
 def _pilot_rows(run: _Inputs) -> list:
     from .adaptation import pilot_two_stage
     from .merging import merge_task_arithmetic
-    from .suites import TaskSuite
-    # merged encoder uses every task vector; head retraining and
-    # scoring only make sense for classification tasks
+    # the merged encoder uses every task vector; the classification
+    # experts alone have their heads retrained and scored
     ids = run.cls_ids
-    cls_suite = TaskSuite(config=run.suite.config,
-                          tasks=[t for t in run.suite.tasks if t.kind == "classification"])
     vectors = [run.vectors[t] for t in run.task_ids]
     coeffs = [round(0.1 * i, 1) for i in range(1, 11)]
     sweep = pilot_two_stage([merge_task_arithmetic(run.pre, vectors, c) for c in coeffs],
-                            cls_suite, {t: run.experts[t] for t in ids}, seed=run.args.seed)
+                            run.suite, {t: run.experts[t] for t in ids}, seed=run.args.seed)
     return [{"coeff": coeff, "encoder_task": enc_t, "head_task": head_t,
              "gain": float(gains[i, j])}
             for coeff, gains in zip(coeffs, sweep)
@@ -454,9 +446,10 @@ _ROW_BUILDERS = {
 def _write_reports(args, command: str, cfg: dict, seed: int, reports: list) -> None:
     """The run's manifest, then each (analysis, rows) report stamped with its hash."""
     from .reports import write_report
+    from .serialization import write_manifest
     out_dir = args.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
-    digest = _write_manifest(out_dir / f"{command}.manifest.json", command, cfg, seed)
+    digest = write_manifest(out_dir / f"{command}.manifest.json", command, cfg, seed)
     for analysis, rows in reports:
         write_report(out_dir, analysis, rows, digest)
 
@@ -475,9 +468,11 @@ def analyze(args) -> int:
     from . import adaptation, analysis, theory  # noqa: F401  (see _Inputs)
     run = _Inputs(args)
     analyses = tuple(args.analyses.split(","))
-    for a in analyses:
+    for i, a in enumerate(analyses):
         if a not in ANALYSES:
             raise ConfigError(f"analyses: '{a}' is not one of {ANALYSES}")
+        if a in analyses[:i]:
+            raise ConfigError(f"analyses: '{a}' is given twice")
     needs_coeffs = [a for a in analyses if a in COEFF_ANALYSES]
     if needs_coeffs and not args.coeffs:
         raise ConfigError(f"analyses: --coeffs is needed by {', '.join(needs_coeffs)}")

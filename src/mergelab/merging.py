@@ -273,10 +273,6 @@ class MergedAssembly:
 
     def __post_init__(self):
         self.vectors = stack_task_vectors(self.vectors, self.pre_encoder)
-        if self.coeffs.num_tasks != len(self.vectors):
-            raise ShapeError("coefficient rows != number of task vectors")
-        if self.coeffs.num_layers != len(self.pre_encoder):
-            raise ShapeError("coefficient columns != encoder depth")
         for task, tr in self.trainable.items():
             try:
                 positions = layer_positions(tr.selector, len(self.pre_encoder))

@@ -289,8 +289,6 @@ def load_coeffs(path) -> CoefficientMatrix:
     if not (isinstance(rows, list) and all(isinstance(r, list) and len(r) == num_layers
                                            and all(_is_real(v) for v in r) for r in rows)):
         raise BundleError(f"{path}: field 'values' is not a list of rows of {num_layers} numbers")
-    if len(rows) != len(doc["task_ids"]):
-        raise BundleError(f"{path}: coefficient shape does not match header")
     try:
         return CoefficientMatrix(tuple(doc["task_ids"]), np.array(rows, dtype=np.float64))
     except ValueError as exc:
@@ -339,30 +337,21 @@ def load_trainable(path) -> dict:
 # Run manifests
 
 
-def manifest_payload(command: str, config: Mapping, seed: int) -> dict:
-    from . import __version__
-    return {
-        "command": command,
-        "config": dict(config),
-        "seed": int(seed),
-        "versions": {
-            "package": __version__,
-            "bundle_format": BUNDLE_VERSION,
-            "manifest_format": MANIFEST_VERSION,
-        },
-    }
-
-
 def manifest_hash(payload: Mapping) -> str:
     return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
 
 
-def write_manifest(path, payload: Mapping) -> str:
-    digest = manifest_hash(payload)
-    doc = dict(payload)
-    doc["manifest_hash"] = digest
+def write_manifest(path, command: str, config: Mapping, seed: int) -> str:
+    """Write the manifest of one run (its command, semantic config, seed and
+    the format versions, stamped with their hash) and return the hash."""
+    from . import __version__
+    doc = {"command": command, "config": dict(config), "seed": int(seed),
+           "versions": {"package": __version__, "bundle_format": BUNDLE_VERSION,
+                        "manifest_format": MANIFEST_VERSION}}
+    digest = manifest_hash(doc)
     with open(path, "w", encoding="utf-8") as f:
-        f.write(json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False))
+        f.write(json.dumps(dict(doc, manifest_hash=digest), sort_keys=True, indent=2,
+                           ensure_ascii=False))
         f.write("\n")
     return digest
 

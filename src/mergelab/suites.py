@@ -53,17 +53,18 @@ class SuiteConfig:
 
     def __post_init__(self):
         check_field_types(self)
-        if min(self.num_tasks, self.classes_per_task, self.input_dim,
-               self.samples_per_split, self.shared_subspace_dim) <= 0:
-            raise ValueError("suite dimensions must be positive")
+        for name in ("num_tasks", "classes_per_task", "input_dim", "samples_per_split",
+                     "shared_subspace_dim"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name}: must be positive, got {getattr(self, name)}")
         if self.shared_subspace_dim > self.input_dim:
-            raise ValueError(
-                f"shared_subspace_dim {self.shared_subspace_dim} > input_dim {self.input_dim}"
-            )
+            raise ValueError(f"shared_subspace_dim: {self.shared_subspace_dim} is more than "
+                             f"input_dim {self.input_dim}")
         if not 0.0 <= self.task_rotation_strength <= 1.0:
-            raise ValueError("task_rotation_strength must be in [0, 1]")
+            raise ValueError(f"task_rotation_strength: must be in [0, 1], "
+                             f"got {self.task_rotation_strength}")
         if self.noise_std < 0.0:
-            raise ValueError("noise_std must be nonnegative")
+            raise ValueError(f"noise_std: must be nonnegative, got {self.noise_std}")
         indices = self.regression_tasks
         if not (isinstance(indices, (list, tuple)) and all(type(i) is int for i in indices)):
             raise TypeError(f"regression_tasks: expected a list of task indices, got {indices!r}")

@@ -622,3 +622,34 @@ def test_pilot_positive_mean_gain_on_reference_suite(reference_run):
     gains = pilot_two_stage(enc, suite, experts, seed=0)
     off_diag = gains[~np.eye(len(tids), dtype=bool)]
     assert off_diag.mean() > 0.0
+
+
+def test_pilot_retrains_the_classification_experts_of_a_mixed_suite(small_setup):
+    suite, pre, experts, vectors, inputs = small_setup
+    task = suite.tasks[0]
+    reg = TaskData("task9", "regression", task.x_train, np.ones((len(task.x_train), 2)),
+                   task.x_test, np.ones((len(task.x_test), 2)))
+    mixed = TaskSuite(config=suite.config, tasks=[*suite.tasks, reg])
+    encoder = experts[task.task_id].encoder
+    assert np.array_equal(pilot_two_stage(encoder, mixed, experts, seed=0),
+                          pilot_two_stage(encoder, suite, experts, seed=0))
+    with pytest.raises(ValueError, match="task 'task9' is regression"):
+        pilot_two_stage(encoder, mixed, dict(experts, task9=experts[task.task_id]), seed=0)
+
+
+def test_symerge_whose_merged_outputs_overflow_names_the_pass_and_the_task():
+    # each expert's features are (1, -1), which its head maps to finite
+    # logits (0, 0); the merged encoder (the backbone, at coefficient 0)
+    # gives (1, 1), which the head maps past the float64 range
+    def enc(bias):
+        return (LayerParams(np.zeros((2, 3)), np.array(bias)),)
+
+    head = LayerParams(np.array([[1e308, 1e308], [0.0, 0.0]]), np.zeros(2))
+    pre = ParamSet(enc([50.0, 50.0]), {"t0": head, "t1": head})
+    experts = {t: ParamSet(enc([50.0, -50.0]), {t: head}) for t in ("t0", "t1")}
+    inputs = {t: np.zeros((4, 3)) for t in experts}
+    cfg = AdaptConfig(iterations=2, batch_size=4, init_coeff=0.0, task_order="fixed")
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="^adaptation diverged: non-finite outputs "
+                                             "on pass 0 for task 't0'$"):
+            symerge(pre, task_vectors_from_experts(pre, experts), experts, inputs, cfg)

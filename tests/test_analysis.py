@@ -414,3 +414,32 @@ def test_sparsity_direct_count():
     rep = sparsity_report(CoefficientMatrix(("a", "b", "c", "d"), values))
     assert rep.overall == pytest.approx(3 / 12)
     assert rep.per_layer == (pytest.approx(0.25), pytest.approx(0.25), pytest.approx(0.25))
+
+
+def test_cross_merge_with_zero_rank_variance_reports_no_rho(tmp_path):
+    import json
+
+    from mergelab.analysis import cross_merge_pairs
+    from mergelab.cli import main
+    from mergelab.serialization import load_suite, save_checkpoint
+    data, ckpts, out = tmp_path / "data.bundle", tmp_path / "ckpts", tmp_path / "out"
+    assert main(["gen", "--out", str(data), "--tasks", "2", "--classes", "3", "--input-dim", "6",
+                 "--samples", "24", "--subspace-dim", "3", "--seed", "3"]) == 0
+    suite = load_suite(data)
+    # zero heads predict class 0 everywhere: every pair scores 1/3, a tie in both ranks
+    encoder = init_params((6, 4), {}, spawn_rng(0, "init")).encoder
+    heads = {t: LayerParams(np.zeros((3, 4)), np.zeros(3)) for t in suite.task_ids}
+    experts = {t: ParamSet(encoder, {t: heads[t]}) for t in heads}
+    pairs, rho = cross_merge_pairs(experts, {t.task_id: (t.x_test, t.y_test) for t in suite.tasks})
+    assert rho is None
+    assert {(p.cross_accuracy, p.merge_accuracy) for p in pairs} == {(1 / 3, 1 / 3)}
+
+    ckpts.mkdir()
+    save_checkpoint(ParamSet(encoder, heads), ckpts / "pre.ckpt")
+    for t, expert in experts.items():
+        save_checkpoint(expert, ckpts / f"expert_{t}.ckpt")
+    assert main(["analyze", "--data", str(data), "--ckpt-dir", str(ckpts), "--method",
+                 "task_arithmetic", "--analyses", "cross_merge", "--out-dir", str(out)]) == 0
+    summary = json.loads((out / "cross_merge.json").read_text())["rows"][-1]
+    assert summary["row_type"] == "summary" and summary["spearman_rho"] is None
+    assert (out / "cross_merge.csv").read_text().splitlines()[-1].endswith("summary,,,,,")

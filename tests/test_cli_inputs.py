@@ -40,7 +40,10 @@ def small(tmp_path_factory):
     (["--epochs", "-1"], "epochs must be nonnegative, got -1"),
     (["--lr", "0"], "learning rate must be positive"),
     (["--hidden", "32,0,16"], "layer widths must be positive, got (6, 32, 0, 16)"),
-], ids=["epochs", "lr", "hidden"])
+    (["--lr", "nan"], "error: lr: learning rate must be positive and finite, got nan"),
+    (["--lr", "inf"], "error: lr: learning rate must be positive and finite, got inf"),
+    (["--pre-lr", "0"], "error: pre_lr: learning rate must be positive and finite, got 0.0"),
+], ids=["epochs", "lr", "hidden", "lr_nan", "lr_inf", "pre_lr"])
 def test_finetune_that_fails_writes_nothing(small, tmp_path, flags, named):
     out = tmp_path / "ckpts"
     proc = subprocess.run([sys.executable, "-m", "mergelab", "finetune",
@@ -137,7 +140,14 @@ def _run(*args) -> subprocess.CompletedProcess:
     ("suite", "regression_tasks", 5),
     ("adapt", "loss", 5),
     ("adapt", "init_coeff", "auto"),
-], ids=["regression_tasks", "loss", "init_coeff_auto"])
+    ("adapt", "lr_coeffs", 0),
+    ("adapt", "iterations", -1),
+    ("suite", "num_tasks", 0),
+    ("suite", "noise_std", -1.0),
+    ("suite", "task_rotation_strength", 2.0),
+    ("suite", "shared_subspace_dim", 30),
+], ids=["regression_tasks", "loss", "init_coeff_auto", "lr_coeffs_0", "iterations_negative",
+        "num_tasks_0", "noise_std_negative", "rotation_2", "subspace_dim_30"])
 def test_a_mistyped_config_field_exits_2_without_traceback(small, tmp_path, section, field,
                                                            value):
     config = tmp_path / "c.json"
@@ -419,4 +429,24 @@ def test_adapt_with_a_hard_label_loss_on_a_regression_task_exits_3(tmp_path):
     assert proc.returncode == 3, proc.stderr
     assert "error: hard-label loss needs classification self-labels for 'task1'" in proc.stderr
     assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--coeffs", "--data", "--out-dir"])
+def test_an_empty_path_value_exits_1_naming_the_flag(small, tmp_path, monkeypatch, capsys, flag):
+    paths = {"--data": small / "data.bundle", "--ckpt-dir": small / "ckpts",
+             "--coeffs": small / "coeffs.json", "--out-dir": tmp_path / "out", flag: ""}
+    monkeypatch.chdir(tmp_path)
+    assert main(["eval", "--method", "task_arithmetic",
+                 *(a for name, value in paths.items() for a in (name, str(value)))]) == 1
+    assert f"error: argument {flag}: expected a path, got an empty value" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_repeated_analysis_exits_2_naming_it(small, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["analyze", "--data", str(small / "data.bundle"), "--ckpt-dir",
+                 str(small / "ckpts"), "--method", "task_arithmetic",
+                 "--analyses", "eval,cross_matrix,eval", "--out-dir", str(out)]) == 2
+    assert "config error: analyses: 'eval' is given twice" in capsys.readouterr().err
     assert not out.exists()

@@ -350,3 +350,16 @@ def test_coefficient_grad_takes_flat_gradients_with_a_stack():
         coefficient_grad([g.flat for g in grads[:1]], stack)
     with pytest.raises(ShapeError):
         coefficient_grad([grads[0].flat, grads[1].flat[:-1]], stack)
+
+
+@pytest.mark.parametrize("task_ids, depth, named", [
+    (("a", "b", "c"), 2, "coeff rows 3 != task vectors 2"),
+    (("a", "b"), 3, "coeff columns 3 != encoder depth 2"),
+], ids=["rows", "columns"])
+def test_assembly_rejects_coefficients_of_another_shape(task_ids, depth, named):
+    rng = np.random.default_rng(21)
+    dims = (5, 6, 4)
+    pre = _rand_encoder(rng, dims)
+    vectors = [_rand_vector(rng, dims) for _ in range(2)]
+    with pytest.raises(ShapeError, match=named):
+        MergedAssembly(pre, vectors, CoefficientMatrix.constant(task_ids, depth, 0.3), {}, {})

@@ -100,7 +100,7 @@ def test_prop1_randomized_linear_sweep():
 
 
 def test_prop1_convex_loss_kinds_on_linear_instances():
-    for kind in ("l1", "smooth_l1", "cross_entropy_hard"):
+    for kind in ("l1", "smooth_l1", "cross_entropy_hard", "cross_entropy_soft", "kl"):
         rep = prop1_verify(random_linear_instance(np.random.default_rng(7), loss_kind=kind))
         assert rep.jensen_holds
 

@@ -21,7 +21,6 @@ from mergelab.serialization import (
     load_suite,
     load_trainable,
     manifest_hash,
-    manifest_payload,
     read_manifest,
     save_bundle,
     save_checkpoint,
@@ -302,12 +301,12 @@ def test_cli_merge_on_checkpoint_with_bad_meta_exits_3_without_traceback(tmp_pat
 
 
 def test_manifest_hash_stability_and_validation(tmp_path):
-    payload = manifest_payload("gen", {"suite": {"seed": 7}}, 7)
-    assert manifest_hash(payload) == manifest_hash(json.loads(json.dumps(payload)))
     path = tmp_path / "m.manifest.json"
-    digest = write_manifest(path, payload)
+    digest = write_manifest(path, "gen", {"suite": {"seed": 7}}, 7)
     doc = read_manifest(path)
     assert doc["manifest_hash"] == digest
+    body = {k: v for k, v in doc.items() if k != "manifest_hash"}
+    assert manifest_hash(body) == manifest_hash(json.loads(json.dumps(body)))
     tampered = json.loads(path.read_text())
     tampered["seed"] = 8
     path.write_text(json.dumps(tampered))
@@ -639,6 +638,8 @@ def test_cli_analyze_coefficient_analysis_without_coeffs_exits_2(tmp_path, capsy
     (lambda d: d.update(values=[[1.0, float("nan"), 3.0], [1.0, 2.0, 3.0]]),
      "field 'values': coefficients must be finite"),
     (lambda d: d.update(values={"a": 1}), "field 'values'"),
+    (lambda d: d.update(values=[[1.0, 2.0, 3.0]] * 3),
+     r"field 'values': coefficient matrix must be \(K=2, L-1\), got \(3, 3\)"),
 ])
 def test_coeffs_file_with_missing_or_malformed_field_names_file_and_field(tmp_path, change,
                                                                           field):
