@@ -477,8 +477,8 @@ def _run_adaptation(pre, vectors, heads, inputs_by_task, cfg, objectives,
              for t in task_ids]
     layer_flat, layer_grad, m, v = np.zeros((4, sum(sizes)))
     counts = [0] * len(task_ids)  # each task's layer steps
-    # every task trains the same selector's layers (or none); the others mix task vectors
-    selector = next((tr.selector for tr in trainable.values()), None)
+    # every task trains the selector's layers (or none); the others mix task vectors
+    selector = cfg.trainable_layer
     positions = () if selector is None else layer_positions(selector, depth)
     mixed = tuple(l for l in range(depth) if l not in positions) if cfg.train_coeffs else ()
     lo = 0 if cfg.train_coeffs else min(positions)  # the layers below lo stay fixed
@@ -505,10 +505,8 @@ def _run_adaptation(pre, vectors, heads, inputs_by_task, cfg, objectives,
     step_coeffs = _adam(values, cfg.lr_coeffs)
     coeff_scale, layer_scale = (max(1.0, np.abs(a).max(initial=0.0)) for a in (values, layer_flat))
 
-    # the step record, one column per step: task, batch size, kept rows, their loss, the batch's
-    rec_task, rec_size, rec_kept = np.zeros((3, cfg.iterations * len(task_ids)), dtype=np.int64)
-    rec_loss, rec_batch = np.zeros((2, cfg.iterations * len(task_ids)))
-    s = filtered_passes = 0
+    steps = []  # one StepStats per step; a fully filtered batch's has kept=0, loss=None
+    filtered_passes = 0
     for pass_idx, order in enumerate(orders):
         agg_coeff_grad = np.zeros_like(values)
         stepped = []
@@ -520,24 +518,23 @@ def _run_adaptation(pre, vectors, heads, inputs_by_task, cfg, objectives,
                 raise ValueError(f"adaptation diverged: non-finite outputs on pass {pass_idx} "
                                  f"for task '{task_ids[k]}'")
             losses, grad, probs = _loss_rows(logits, None if y is None else y[pass_idx], spec)
-            rec_task[s], rec_size[s], rec_batch[s] = k, n, float(losses.sum()) / n
-            s += 1
+            step = StepStats(pass_idx, task_ids[k], n, n, None, float(losses.sum()) / n)
+            steps.append(step)
 
-            kept = n
             if conf is not None:
                 probs = softmax(logits) if probs is None else probs
                 keep = confidence_filter(probs.max(axis=1), conf[pass_idx]).nonzero()[0]
-                kept = keep.size
-                if kept == 0:
+                step.kept = keep.size
+                if step.kept == 0:
                     continue
-                if kept < n:
+                if step.kept < n:
                     losses, grad = losses[keep], grad[keep]
                     for i in range(plan.lowest, len(acts)):
                         acts[i] = acts[i].take(keep, axis=0)
 
-            rec_kept[s - 1], rec_loss[s - 1] = kept, float(losses.sum()) / kept
+            step.loss = float(losses.sum()) / step.kept
             stepped.append(k)
-            grad /= kept
+            grad /= step.kept
             plan.backprop(grad, acts)
             if cfg.train_coeffs:
                 cgrad = coefficient_grad(cgrad_in, stack)
@@ -576,11 +573,9 @@ def _run_adaptation(pre, vectors, heads, inputs_by_task, cfg, objectives,
         coeffs=CoefficientMatrix(task_ids, values),
         trainable={t: tr.with_layers(runs[task_ids.index(t)][0].trained())
                    for t, tr in trainable.items()},
-        loss_trace=[float(np.mean(row)) for row in
-                    rec_batch.reshape(cfg.iterations, len(task_ids))] if task_ids else [],
-        step_stats=[StepStats(s // len(task_ids), task_ids[k], n, kept, loss if kept else None, b)
-                    for s, (k, n, kept, loss, b) in enumerate(zip(*(a.tolist() for a in (
-                        rec_task, rec_size, rec_kept, rec_loss, rec_batch))))],
+        loss_trace=[float(np.mean([st.batch_loss for st in steps[i:i + len(task_ids)]]))
+                    for i in range(0, len(steps), len(task_ids))] if task_ids else [],
+        step_stats=steps,
     )
 
 

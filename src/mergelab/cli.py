@@ -57,7 +57,11 @@ def _out_path(path: str) -> Path:
 
 
 def _indices(value: str) -> tuple:
-    return tuple(int(i) for i in value.split(","))
+    try:
+        return tuple(int(i) for i in value.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got '{value}'") from None
 
 
 def report(args) -> int:

@@ -77,8 +77,6 @@ def adapt_config_to_dict(cfg: AdaptConfig) -> dict:
     from dataclasses import asdict
     doc = asdict(cfg)
     doc["loss"] = cfg.loss.kind if cfg.loss else None
-    if isinstance(cfg.trainable_layer, tuple):
-        doc["trainable_layer"] = list(cfg.trainable_layer)
     return doc
 
 

@@ -451,14 +451,10 @@ def init_params(encoder_dims: Sequence[int], head_dims: Mapping[str, int],
     in sorted task order, so layouts with the same dims are reproducible."""
     if min(encoder_dims) <= 0:
         raise ValueError(f"layer widths must be positive, got {tuple(encoder_dims)}")
-    enc = []
-    for d_in, d_out in zip(encoder_dims, encoder_dims[1:]):
-        enc.append(LayerParams(rng.normal(0.0, 1.0 / np.sqrt(d_in), (d_out, d_in)),
-                               np.zeros(d_out)))
-    feat = encoder_dims[-1]
-    heads = {}
-    for task in sorted(head_dims):
-        d_out = head_dims[task]
-        heads[task] = LayerParams(rng.normal(0.0, 1.0 / np.sqrt(feat), (d_out, feat)),
-                                  np.zeros(d_out))
-    return ParamSet(encoder=tuple(enc), heads=heads)
+
+    def layer(d_in, d_out):
+        return LayerParams(rng.normal(0.0, 1.0 / np.sqrt(d_in), (d_out, d_in)), np.zeros(d_out))
+
+    enc = tuple(layer(d_in, d_out) for d_in, d_out in zip(encoder_dims, encoder_dims[1:]))
+    return ParamSet(encoder=enc, heads={task: layer(encoder_dims[-1], head_dims[task])
+                                        for task in sorted(head_dims)})

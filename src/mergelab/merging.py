@@ -30,9 +30,6 @@ class TaskVector:
     def __post_init__(self):
         object.__setattr__(self, "deltas", tuple(self.deltas))
 
-    def __len__(self) -> int:
-        return len(self.deltas)
-
 
 @dataclass(frozen=True)
 class CoefficientMatrix:
@@ -146,9 +143,8 @@ def merge_uniform(experts: Sequence[ParamSet]) -> tuple:
 def merge_task_arithmetic(pre, vectors: Sequence[TaskVector], lam: float) -> tuple:
     """theta[l] = pre[l] + lam * sum_k delta_k[l]: the layer-wise merge with
     every coefficient equal to lam."""
-    depth = len(_encoder_of(pre))
-    coeffs = CoefficientMatrix([str(k) for k in range(len(vectors))],
-                               np.full((len(vectors), depth), float(lam)))
+    coeffs = CoefficientMatrix.constant([str(k) for k in range(len(vectors))],
+                                        len(_encoder_of(pre)), lam)
     return merge_layerwise(pre, vectors, coeffs)
 
 

@@ -343,6 +343,22 @@ def test_symerge_layer_only_ablation_freezes_coeffs(small_setup):
         assert not np.array_equal(tr.params.weight, experts[t].heads[t].weight)
 
 
+def test_symerge_whose_trained_layers_diverge_names_the_pass_and_the_task(small_setup):
+    # frozen coefficients never diverge, so the trained-layer check names the task
+    suite, pre, experts, vectors, inputs = small_setup
+    cfg = AdaptConfig(iterations=3, batch_size=8, train_coeffs=False, lr_layer=1e6)
+    with pytest.raises(ValueError, match=r"^adaptation diverged: .* on pass 0 for task 'task0'$"):
+        symerge(pre, vectors, experts, inputs, cfg)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_symerge_with_no_tasks_records_no_steps(small_setup):
+    suite, pre, experts, vectors, inputs = small_setup
+    res = symerge(pre, vectors, {}, inputs, AdaptConfig(iterations=2))
+    assert res.loss_trace == [] and res.step_stats == []
+    assert res.coeffs.task_ids == () and res.trainable == {}
+
+
 def test_symerge_missing_expert_input_raises(small_setup):
     suite, pre, experts, vectors, inputs = small_setup
     bad_inputs = dict(inputs)

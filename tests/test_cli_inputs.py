@@ -1,13 +1,21 @@
 """Inputs the commands reject before they write anything, and manifests that
 record only what a run used: `finetune` widths and training settings,
 typed `adapt` config fields, `gen --severity`, and the `adapt` config
-fields that entropy adaptation never reads."""
+fields that entropy adaptation never reads.
 
+The rejected inputs run through `cli.main` in process; one real
+`python -m mergelab` process per exit code checks that no traceback
+reaches stderr."""
+
+import contextlib
+import io
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -46,11 +54,8 @@ def small(tmp_path_factory):
 ], ids=["epochs", "lr", "hidden", "lr_nan", "lr_inf", "pre_lr"])
 def test_finetune_that_fails_writes_nothing(small, tmp_path, flags, named):
     out = tmp_path / "ckpts"
-    proc = subprocess.run([sys.executable, "-m", "mergelab", "finetune",
-                           "--data", str(small / "data.bundle"), "--out-dir", str(out),
-                           "--pre-epochs", "1", *flags],
-                          capture_output=True, text=True, timeout=120,
-                          env=dict(os.environ, PYTHONPATH=str(SRC)))
+    proc = _run("finetune", "--data", small / "data.bundle", "--out-dir", out,
+                "--pre-epochs", "1", *flags)
     assert proc.returncode == 3, proc.stderr
     assert named in proc.stderr
     assert "Traceback" not in proc.stderr
@@ -130,10 +135,35 @@ def test_gen_corruption_defaults_to_severity_5(tmp_path, capsys):
     assert out.read_bytes() == default
 
 
-def _run(*args) -> subprocess.CompletedProcess:
+def _run(*args) -> SimpleNamespace:
+    """`cli.main` on `args` in process: its exit code and its stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(list(map(str, args)))
+    return SimpleNamespace(returncode=code, stderr=err.getvalue())
+
+
+def _process(*args) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, "-m", "mergelab", *map(str, args)],
                           capture_output=True, text=True, timeout=120,
                           env=dict(os.environ, PYTHONPATH=str(SRC)))
+
+
+@pytest.mark.parametrize("code, args, named", [
+    (1, ["gen", "--regression", "a"], "error: argument --regression: expected "
+                                      "comma-separated integers, got 'a'"),
+    (2, ["gen", "--tasks", "0"], "config error: suite.num_tasks: "),
+    (3, ["finetune", "--data", "{data}", "--epochs", "-1"], "epochs must be nonnegative, got -1"),
+], ids=["usage", "config", "runtime"])
+def test_each_exit_code_of_a_real_process_comes_without_traceback(small, tmp_path, code, args,
+                                                                  named):
+    out = tmp_path / "out"
+    proc = _process(*(a.format(data=small / "data.bundle") for a in args),
+                    "--out" if args[0] == "gen" else "--out-dir", out)
+    assert proc.returncode == code, proc.stderr
+    assert named in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("section, field, value", [
@@ -450,3 +480,86 @@ def test_a_repeated_analysis_exits_2_naming_it(small, tmp_path, capsys):
                  "--analyses", "eval,cross_matrix,eval", "--out-dir", str(out)]) == 2
     assert "config error: analyses: 'eval' is given twice" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args, value", [
+    (["finetune", "--data", "d", "--out-dir", "o", "--hidden", ""], ""),
+    (["gen", "--out", "o", "--regression", "a"], "a"),
+    (["gen", "--out", "o", "--regression", "1,,2"], "1,,2"),
+], ids=["hidden_empty", "regression_letter", "regression_empty_item"])
+def test_a_malformed_index_list_exits_1_naming_the_flag(tmp_path, monkeypatch, capsys, args,
+                                                        value):
+    monkeypatch.chdir(tmp_path)
+    assert main(args) == 1
+    flag = args[-2]
+    assert (f"error: argument {flag}: expected comma-separated integers, got '{value}'"
+            in capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == []
+
+
+def _pre_bytes(small) -> bytes:
+    return (small / "ckpts" / "pre.ckpt").read_bytes()
+
+
+def _merge_on(pre=None):
+    """`merge` on a checkpoint directory that holds `pre(small)` as its pre.ckpt, or nothing."""
+    def args(small, tmp_path):
+        ckpts = tmp_path / "ckpts"
+        ckpts.mkdir()
+        if pre:
+            (ckpts / "pre.ckpt").write_bytes(pre(small))
+        return ["merge", "--ckpt-dir", ckpts, "--method", "weight_avg"]
+    return args
+
+
+def _adapt_with(config):
+    """`adapt` on `small` with a config file that holds `config`."""
+    def args(small, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        return ["adapt", "--data", small / "data.bundle", "--ckpt-dir", small / "ckpts",
+                "--method", "symerge", "--config", path]
+    return args
+
+
+def _empty_runs(small, tmp_path):
+    (tmp_path / "runs").mkdir()
+    return ["report", "--runs", tmp_path / "runs"]
+
+
+@pytest.mark.parametrize("args, code, named", [
+    (_empty_runs, 3, "no reports found"),
+    (_merge_on(), 3, "missing pre.ckpt"),
+    (_merge_on(_pre_bytes), 3, "no expert_*.ckpt files"),
+    (_merge_on(lambda small: (small / "data.bundle").read_bytes()), 3,
+     "not a parameter checkpoint"),
+    (_merge_on(lambda small: _pre_bytes(small)[:8] + struct.pack("<I", 2)
+               + _pre_bytes(small)[12:]), 3, "unsupported bundle version 2"),
+    (_merge_on(lambda small: _pre_bytes(small)[:12]), 3, "truncated header"),
+    (lambda small, tmp_path: ["eval", "--data", small / "ckpts" / "pre.ckpt",
+                              "--ckpt-dir", small / "ckpts"], 3, "not a suite file"),
+    (_adapt_with({"adapt": {"update_mode": "x"}}), 2,
+     "config error: adapt.update_mode: unknown mode 'x'"),
+    (_adapt_with({"adapt": {"task_order": "x"}}), 2,
+     "config error: adapt.task_order: unknown order 'x'"),
+    (_adapt_with({"adapt": {"iterations": -1}}), 2,
+     "config error: adapt.iterations: must be nonnegative, got -1"),
+    (_adapt_with([1]), 2, "config error: config file c.json: expected a JSON object"),
+    (_adapt_with({"adapt": [1]}), 2,
+     "config error: config file c.json: 'adapt' is not a JSON object"),
+    (lambda small, tmp_path: ["analyze", "--data", small / "data.bundle", "--ckpt-dir",
+                              small / "ckpts", "--analyses", "nope"], 2,
+     f"config error: analyses: 'nope' is not one of {ANALYSES}"),
+], ids=["report_no_reports", "merge_no_pre", "merge_no_experts", "suite_as_checkpoint",
+        "bundle_version_2", "bundle_truncated", "eval_checkpoint_as_data", "update_mode",
+        "task_order", "iterations_negative", "config_list", "adapt_section_list",
+        "unknown_analysis"])
+def test_a_named_error_exits_with_its_code_and_writes_nothing(small, tmp_path, capsys, args,
+                                                              code, named):
+    argv = [*map(str, args(small, tmp_path)), "--out-dir", str(tmp_path / "out")]
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert named in err
+    assert sorted(tmp_path.rglob("*")) == before

@@ -87,6 +87,12 @@ def test_prop1_identical_endpoints_equality():
     assert rep.jensen_holds
 
 
+def test_prop1_expert_equal_to_the_pretrained_model_is_disentangled():
+    rep = prop1_verify(_scalar_instance(theta_i=0.0))
+    assert rep.eps == 0.0 and rep.loss_i == rep.loss_pre
+    assert rep.classification == "disentangled"
+
+
 def test_prop1_randomized_linear_sweep():
     for i in range(100):
         rep = prop1_verify(random_linear_instance(np.random.default_rng(1000 + i)))
