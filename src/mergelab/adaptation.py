@@ -381,12 +381,10 @@ def symerge(pre: ParamSet, vectors: Mapping[str, TaskVector],
     a batch through the merged encoder with the task's trained layers in place,
     its loss on the rows the confidence filter keeps, then Adam steps of both.
     """
-    task_ids = tuple(sorted(experts))
-    _validate_adapt_inputs(task_ids, vectors, inputs_by_task)
+    kinds = _adapt_tasks(experts, vectors, inputs_by_task, task_kinds)
     selector = cfg.trainable_layer
     objectives, trainable = {}, {}
-    for t in task_ids:
-        kind = (task_kinds or {}).get(t, "classification")
+    for t, kind in kinds.items():
         spec = cfg.loss if cfg.loss is not None else LossSpec(
             "cross_entropy_hard" if kind == "classification" else "l1")
         labels = make_self_labels(experts[t], t, inputs_by_task[t], kind)
@@ -400,7 +398,7 @@ def symerge(pre: ParamSet, vectors: Mapping[str, TaskVector],
             layers = (*experts[t].encoder, experts[t].head(t))
             init = tuple(layers[p] for p in layer_positions(selector, len(experts[t].encoder)))
             trainable[t] = TrainableLayer(selector, init if isinstance(selector, tuple) else init[0])
-    heads = {t: experts[t].head(t) for t in task_ids}
+    heads = {t: experts[t].head(t) for t in kinds}
     return _run_adaptation(pre, vectors, heads, inputs_by_task, cfg, objectives, trainable)
 
 
@@ -411,24 +409,27 @@ def adamerging_entropy(pre: ParamSet, vectors: Mapping[str, TaskVector],
     """Coefficients-only adaptation by minimizing mean prediction entropy."""
     if cfg.trainable_layer is not None:
         raise ValueError("entropy adaptation trains coefficients only; set trainable_layer=None")
-    task_ids = tuple(sorted(heads))
-    _validate_adapt_inputs(task_ids, vectors, inputs_by_task)
-    for t in task_ids:
-        kind = (task_kinds or {}).get(t, "classification")
+    kinds = _adapt_tasks(heads, vectors, inputs_by_task, task_kinds)
+    for t, kind in kinds.items():
         if kind != "classification":
             raise ValueError(f"entropy objective undefined for {kind} task '{t}'")
-    objectives = {t: (LossSpec("entropy"), None, None) for t in task_ids}
+    objectives = {t: (LossSpec("entropy"), None, None) for t in kinds}
     return _run_adaptation(pre, vectors, dict(heads), inputs_by_task, cfg, objectives, {}).coeffs
 
 
-def _validate_adapt_inputs(task_ids, vectors, inputs_by_task):
-    for t in task_ids:
+def _adapt_tasks(tasks, vectors, inputs_by_task, task_kinds) -> dict:
+    """{task: kind} over the sorted `tasks` (a task's kind defaults to
+    classification), each checked to have a task vector and non-empty test inputs."""
+    if not tasks:
+        raise ValueError("adaptation needs at least one task, got none")
+    for t in sorted(tasks):
         if t not in vectors:
             raise UnknownTaskError(f"missing task vector for '{t}'")
         if t not in inputs_by_task:
             raise UnknownTaskError(f"missing test inputs for '{t}'")
         if len(inputs_by_task[t]) == 0:
             raise ValueError(f"empty input split for task '{t}'")
+    return {t: (task_kinds or {}).get(t, "classification") for t in sorted(tasks)}
 
 
 # adaptation has diverged when a pass ends with a coefficient or a trained-layer
@@ -574,7 +575,7 @@ def _run_adaptation(pre, vectors, heads, inputs_by_task, cfg, objectives,
         trainable={t: tr.with_layers(runs[task_ids.index(t)][0].trained())
                    for t, tr in trainable.items()},
         loss_trace=[float(np.mean([st.batch_loss for st in steps[i:i + len(task_ids)]]))
-                    for i in range(0, len(steps), len(task_ids))] if task_ids else [],
+                    for i in range(0, len(steps), len(task_ids))],
         step_stats=steps,
     )
 

@@ -144,7 +144,7 @@ def finetune(args) -> int:
     for task, expert in experts.items():
         save_checkpoint(expert, out_dir / f"expert_{task}.ckpt")
 
-    cfg = dict(recipe, hidden=list(args.hidden), inputs={"data": _sha256(args.data)})
+    cfg = dict(recipe, inputs={"data": _sha256(args.data)})
     write_manifest(out_dir / "finetune.manifest.json", "finetune", cfg, args.seed)
     print(f"wrote pre + {len(suite.tasks)} expert checkpoints to {out_dir}")
     return EXIT_OK

@@ -305,8 +305,7 @@ def encode(encoder: Sequence[LayerParams], inputs: np.ndarray) -> np.ndarray:
 
 def forward(params: ParamSet, task: str, inputs: np.ndarray) -> np.ndarray:
     """Logits of `task`'s head over encoder features."""
-    head = params.head(task)
-    return encode(params.encoder, inputs) @ head.weight.T + head.bias
+    return forward_cached(params, task, inputs)[0]
 
 
 def forward_cached(params: ParamSet, task: str, inputs: np.ndarray):

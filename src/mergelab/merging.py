@@ -84,8 +84,8 @@ def _encoder_of(p) -> tuple:
 
 
 @dataclass(frozen=True, eq=False)
-class TaskVectorStack(Sequence):
-    """K task vectors stored per layer, usable as a sequence of `TaskVector`.
+class TaskVectorStack:
+    """K task vectors stored per layer.
 
     `matrices[l]` is (K, P_l): row k is task k's layer-l delta as one flat
     vector (see `LayerParams.flat`); `shapes[l]` is that layer's weight
@@ -98,10 +98,6 @@ class TaskVectorStack(Sequence):
 
     def __len__(self) -> int:
         return len(self.matrices[0])
-
-    def __getitem__(self, k: int) -> TaskVector:
-        return TaskVector(tuple(LayerParams.from_flat(m[k], s)
-                                for m, s in zip(self.matrices, self.shapes)))
 
 
 def stack_task_vectors(vectors: Sequence[TaskVector], like) -> TaskVectorStack:

@@ -28,7 +28,7 @@ import numpy as np
 
 from .engine import LayerParams, ParamSet, ShapeError
 from .merging import CoefficientMatrix, TrainableLayer, read_selector
-from .suites import SuiteConfig, TaskData, TaskSuite
+from .suites import SPLITS, SuiteConfig, TaskData, TaskSuite
 
 MAGIC = b"MLBUNDLE"
 BUNDLE_VERSION = 1
@@ -132,14 +132,8 @@ def save_checkpoint(params: ParamSet, path) -> None:
         "encoder": [[l.out_dim, l.in_dim] for l in params.encoder],
         "heads": {t: [h.out_dim, h.in_dim] for t, h in params.heads.items()},
     }
-    arrays = {}
-    for i, layer in enumerate(params.encoder):
-        arrays[f"enc{i}.w"] = layer.weight
-        arrays[f"enc{i}.b"] = layer.bias
-    for task, head in params.heads.items():
-        arrays[f"head.{task}.w"] = head.weight
-        arrays[f"head.{task}.b"] = head.bias
-    save_bundle(path, meta, arrays)
+    save_bundle(path, meta, _layer_arrays([*((f"enc{i}", l) for i, l in enumerate(params.encoder)),
+                                           *((f"head.{t}", h) for t, h in params.heads.items())]))
 
 
 def load_checkpoint(path) -> ParamSet:
@@ -180,17 +174,31 @@ def _check_claimed(path, unclaimed) -> None:
         raise BundleError(f"{path}: array '{min(unclaimed)}' is named by no meta field")
 
 
+def _layer_arrays(layers) -> dict:
+    """The arrays `<prefix>.w` / `<prefix>.b` of the (prefix, layer) pairs `layers`."""
+    return {f"{prefix}.{k}": a for prefix, layer in layers
+            for k, a in (("w", layer.weight), ("b", layer.bias))}
+
+
+def _read_layer(path, arrays: dict, prefix: str) -> LayerParams:
+    """The layer stored as `<prefix>.w` / `<prefix>.b`, both arrays claimed."""
+    w, b = _array(path, arrays, f"{prefix}.w"), _array(path, arrays, f"{prefix}.b")
+    try:
+        return LayerParams(w, b)
+    except ValueError as exc:  # a malformed or non-finite layer
+        raise BundleError(f"{path}: arrays '{prefix}.w' and '{prefix}.b': {exc}") from exc
+
+
 def _layer(path, arrays: dict, prefix: str, pair, where: str) -> LayerParams:
-    """The layer stored as `<prefix>.w` / `<prefix>.b`, checked against the
-    [out_dim, in_dim] pair the meta field `where` declares for it."""
+    """`_read_layer`'s layer, checked against the [out_dim, in_dim] pair the
+    meta field `where` declares for it."""
     if not (isinstance(pair, list) and len(pair) == 2
             and all(type(d) is int and d >= 0 for d in pair)):
         raise BundleError(f"{path}: meta field '{where}' is {pair!r}, not an [out_dim, in_dim] pair")
-    out_dim, in_dim = pair
-    w, b = _array(path, arrays, f"{prefix}.w"), _array(path, arrays, f"{prefix}.b")
-    if w.shape != (out_dim, in_dim) or b.shape != (out_dim,):
+    layer = _read_layer(path, arrays, prefix)
+    if layer.weight.shape != tuple(pair):  # the bias has the weight's rows
         raise BundleError(f"{path}: meta field '{where}' does not match the shapes of its arrays")
-    return LayerParams(w, b)
+    return layer
 
 
 # ---------------------------------------------------------------------------
@@ -203,17 +211,8 @@ def save_suite(suite: TaskSuite, path) -> None:
         "config": asdict(suite.config),
         "tasks": [{"id": t.task_id, "kind": t.kind} for t in suite.tasks],
     }
-    arrays = {}
-    for t in suite.tasks:
-        arrays[f"{t.task_id}.x_train"] = t.x_train
-        arrays[f"{t.task_id}.x_test"] = t.x_test
-        if t.kind == "classification":
-            arrays[f"{t.task_id}.y_train"] = t.y_train.astype(np.int64)
-            arrays[f"{t.task_id}.y_test"] = t.y_test.astype(np.int64)
-        else:
-            arrays[f"{t.task_id}.y_train"] = t.y_train
-            arrays[f"{t.task_id}.y_test"] = t.y_test
-    save_bundle(path, meta, arrays)
+    save_bundle(path, meta, {f"{t.task_id}.{name}": getattr(t, name)
+                             for t in suite.tasks for name in SPLITS})
 
 
 def load_suite(path) -> TaskSuite:
@@ -231,12 +230,14 @@ def load_suite(path) -> TaskSuite:
             raise BundleError(f"{path}: meta field 'tasks[{i}]' is {entry!r}, not "
                               "{'id': <string>, 'kind': 'classification' | 'regression'}")
         tid, kind = entry["id"], entry["kind"]
-        splits = {name: _array(path, arrays, f"{tid}.{name}")
-                  for name in ("x_train", "y_train", "x_test", "y_test")}
+        splits = {name: _array(path, arrays, f"{tid}.{name}") for name in SPLITS}
         for name, a in splits.items():
             if a.shape[:1] == (0,):  # as SuiteConfig's samples_per_split forbids
                 raise BundleError(f"{path}: task '{tid}' has an empty {name[2:]} split "
                                   f"(array '{tid}.{name}' has 0 rows)")
+            if not np.isfinite(a).all():
+                raise BundleError(f"{path}: task '{tid}': array '{tid}.{name}' holds a "
+                                  "non-finite value")
             x, classes = splits["x" + name[1:]], cfg.classes_per_task  # x_* precedes its y_*
             if a is x:
                 ok, want = a.shape[1:] == (cfg.input_dim,), f"be 2-D with {cfg.input_dim} columns"
@@ -300,14 +301,10 @@ def _is_real(v) -> bool:
 
 
 def save_trainable(trainable: Mapping[str, TrainableLayer], path) -> None:
-    meta = {"format": "trainable", "selectors": {}}
-    arrays = {}
-    for task, tr in trainable.items():
-        meta["selectors"][task] = tr.selector  # a tuple is written as a JSON list
-        for pos, layer in enumerate(tr.layers()):
-            arrays[f"{task}.{pos}.w"] = layer.weight
-            arrays[f"{task}.{pos}.b"] = layer.bias
-    save_bundle(path, meta, arrays)
+    # a tuple selector is written as a JSON list
+    meta = {"format": "trainable", "selectors": {t: tr.selector for t, tr in trainable.items()}}
+    save_bundle(path, meta, _layer_arrays((f"{t}.{pos}", layer) for t, tr in trainable.items()
+                                          for pos, layer in enumerate(tr.layers())))
 
 
 def load_trainable(path) -> dict:
@@ -324,8 +321,7 @@ def load_trainable(path) -> dict:
                               "'head', a layer index or a list of them") from None
         if selector is None:  # the task has no trained layer
             continue
-        layers = tuple(LayerParams(_array(path, arrays, f"{task}.{p}.w"),
-                                   _array(path, arrays, f"{task}.{p}.b"))
+        layers = tuple(_read_layer(path, arrays, f"{task}.{p}")
                        for p in range(len(selector) if isinstance(selector, tuple) else 1))
         out[task] = TrainableLayer(selector, layers if isinstance(selector, tuple) else layers[0])
     # a selector claims only the `<task>.<i>.<w|b>` arrays of the layers it reads

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from numbers import Integral, Real
 
 import numpy as np
@@ -73,6 +73,9 @@ class SuiteConfig:
             if not 0 <= i < self.num_tasks:
                 raise ValueError(f"regression_tasks: task index {i} is out of range "
                                  f"for {self.num_tasks} tasks")
+
+
+SPLITS = ("x_train", "y_train", "x_test", "y_test")  # a task's arrays, each x_* before its y_*
 
 
 @dataclass
@@ -155,17 +158,14 @@ def gen_suite(cfg: SuiteConfig) -> TaskSuite:
             if kind == "classification":
                 y = _balanced_labels(cfg.samples_per_split, cfg.classes_per_task)
                 x = protos[y] + cfg.noise_std * rng.normal(0.0, 1.0, (len(y), cfg.input_dim))
-                splits[split] = (x, y)
             else:
                 x = rng.normal(0.0, 1.0, (cfg.samples_per_split, cfg.input_dim))
                 # task-specific linear targets built on the shared subspace
                 w_rng = spawn_rng(cfg.seed, "regmap", k)
                 w = w_rng.normal(0.0, 1.0, (cfg.classes_per_task, cfg.shared_subspace_dim)) @ basis.T @ rot.T
                 y = x @ w.T
-                splits[split] = (x, y)
-        tasks.append(TaskData(task_id, kind,
-                              splits["train"][0], splits["train"][1],
-                              splits["test"][0], splits["test"][1]))
+            splits[f"x_{split}"], splits[f"y_{split}"] = x, y
+        tasks.append(TaskData(task_id, kind, **splits))
     return TaskSuite(config=cfg, tasks=tasks)
 
 
@@ -216,5 +216,5 @@ def corrupt_suite(suite: TaskSuite, spec: CorruptionSpec, seed: int) -> TaskSuit
     tasks = []
     for t in suite.tasks:
         x_test, y_test = corrupt_split(t.x_test, t.y_test, spec, seed)
-        tasks.append(TaskData(t.task_id, t.kind, t.x_train, t.y_train, x_test, y_test))
+        tasks.append(replace(t, x_test=x_test, y_test=y_test))
     return TaskSuite(config=suite.config, tasks=tasks)

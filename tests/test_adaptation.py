@@ -19,7 +19,15 @@ from mergelab.adaptation import (
     train_experts,
 )
 from mergelab.analysis import evaluate, evaluate_assembly
-from mergelab.engine import LayerParams, ParamSet, ShapeError, forward, init_params, softmax
+from mergelab.engine import (
+    LayerParams,
+    ParamSet,
+    ShapeError,
+    UnknownTaskError,
+    forward,
+    init_params,
+    softmax,
+)
 from mergelab.merging import CoefficientMatrix, TaskVector
 from mergelab.suites import SuiteConfig, TaskData, TaskSuite, gen_suite, spawn_rng
 
@@ -351,12 +359,32 @@ def test_symerge_whose_trained_layers_diverge_names_the_pass_and_the_task(small_
         symerge(pre, vectors, experts, inputs, cfg)
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")
-def test_symerge_with_no_tasks_records_no_steps(small_setup):
+def test_adaptation_with_no_tasks_is_a_named_error(small_setup):
     suite, pre, experts, vectors, inputs = small_setup
-    res = symerge(pre, vectors, {}, inputs, AdaptConfig(iterations=2))
-    assert res.loss_trace == [] and res.step_stats == []
-    assert res.coeffs.task_ids == () and res.trainable == {}
+    with pytest.raises(ValueError, match="adaptation needs at least one task"):
+        symerge(pre, vectors, {}, inputs, AdaptConfig(iterations=2))
+    with pytest.raises(ValueError, match="adaptation needs at least one task"):
+        adamerging_entropy(pre, vectors, {}, inputs, AdaptConfig(iterations=2,
+                                                                 trainable_layer=None))
+
+
+def test_symerge_without_a_task_vector_names_the_task(small_setup):
+    suite, pre, experts, vectors, inputs = small_setup
+    missing = sorted(experts)[1]
+    partial = {t: v for t, v in vectors.items() if t != missing}
+    with pytest.raises(UnknownTaskError, match=f"missing task vector for '{missing}'"):
+        symerge(pre, partial, experts, inputs, AdaptConfig(iterations=1))
+
+
+@pytest.mark.parametrize("train", ["finetune_expert", "pilot_two_stage"])
+def test_training_at_a_zero_learning_rate_is_rejected(small_setup, train):
+    suite, pre, experts, vectors, inputs = small_setup
+    t = suite.tasks[0]
+    with pytest.raises(ValueError, match="learning rate must be positive"):
+        if train == "finetune_expert":
+            finetune_expert(pre, t.x_train, t.y_train, t.task_id, epochs=1, lr=0.0)
+        else:
+            pilot_two_stage(pre.encoder, suite, experts, lr=0.0)
 
 
 def test_symerge_missing_expert_input_raises(small_setup):

@@ -29,7 +29,6 @@ from mergelab.engine import (
 from mergelab.merging import (
     CoefficientMatrix,
     MergedAssembly,
-    TaskVector,
     TrainableLayer,
     coefficient_grad,
     compute_task_vector,
@@ -164,14 +163,14 @@ def test_materialize_is_merge_plus_the_task_layer_swap(form, case, pick):
     assert _close(asm.materialize("u").encoder, merge_layerwise(pre, vectors, coeffs), atol=0.0)
 
 
-def test_stack_is_a_sequence_of_its_task_vectors():
+def test_stack_holds_each_task_vector_as_a_row_per_layer():
     pre, _, vectors, _, _, _ = _setup((2, 3, 11))
     stack = stack_task_vectors(vectors, pre)
     assert len(stack) == 3
     assert stack_task_vectors(stack, pre) is stack
-    for got, want in zip(stack, vectors):
-        assert isinstance(got, TaskVector)
-        assert _close(got.deltas, want.deltas, atol=0.0)
+    for l, matrix in enumerate(stack.matrices):
+        for k, vec in enumerate(vectors):
+            assert np.array_equal(matrix[k], vec.deltas[l].flat)
 
 
 def test_symerge_steps_equal_the_composed_public_functions():

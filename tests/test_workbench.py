@@ -265,6 +265,43 @@ def test_cli_on_a_suite_bundle_with_an_extra_array_exits_3(tmp_path, capsys):
     assert "array 'ghost.0.b' is named by no meta field" in capsys.readouterr().err
 
 
+def _set_nan(name):
+    return lambda m, a: a[name].__setitem__((0,) * a[name].ndim, np.nan)
+
+
+@pytest.mark.parametrize("save, load, mutate, message", [
+    (lambda p: save_checkpoint(random_paramset(np.random.default_rng(35)), p), load_checkpoint,
+     _set_nan("enc1.w"), "arrays 'enc1.w' and 'enc1.b': layer parameters must be finite"),
+    (_trainable, load_trainable, lambda m, a: a.update({"a.0.w": a["a.0.w"].ravel()}),
+     "arrays 'a.0.w' and 'a.0.b': layer expects 2-D weight"),
+    (lambda p: save_suite(gen_suite(SuiteConfig(num_tasks=2, samples_per_split=20)), p),
+     load_suite, _set_nan("task0.x_test"),
+     "task 'task0': array 'task0.x_test' holds a non-finite value"),
+], ids=["nan-checkpoint", "1d-trainable-weight", "nan-suite"])
+def test_loaders_name_the_file_and_arrays_of_an_unusable_value(tmp_path, save, load, mutate,
+                                                              message):
+    path = tmp_path / "good.bundle"
+    save(path)
+    with pytest.raises(BundleError, match=f"bad.bundle: {message}"):
+        load(_tampered(path, tmp_path / "bad.bundle", mutate))
+
+
+@pytest.mark.parametrize("name, array", [("data.bundle", "task1.x_train"),
+                                         ("ckpts/pre.ckpt", "enc0.b")])
+def test_cli_eval_on_a_non_finite_input_exits_3_naming_the_file(tmp_path, capsys, name, array):
+    data, ckpts = tmp_path / "data.bundle", tmp_path / "ckpts"
+    ckpts.mkdir()
+    save_suite(gen_suite(SuiteConfig(num_tasks=2, samples_per_split=20)), data)
+    save_checkpoint(random_paramset(np.random.default_rng(36), dims=(24, 6, 4),
+                                    tasks=("task0", "task1"), classes=5), ckpts / "pre.ckpt")
+    _tampered(tmp_path / name, tmp_path / name, _set_nan(array))
+    code = main(["eval", "--data", str(data), "--ckpt-dir", str(ckpts),
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert f"{tmp_path / name}: " in err and f"'{array}'" in err
+
+
 def test_assembly_rejects_trainable_layer_out_of_range():
     rng = np.random.default_rng(32)
     pre = random_paramset(rng)
