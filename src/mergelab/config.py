@@ -88,7 +88,7 @@ def load_config_file(path) -> dict:
             data = json.load(f)
     except OSError as exc:
         raise ConfigError(f"config file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, bad or too deeply nested JSON
         raise ConfigError(f"config file {Path(path).name}: invalid JSON ({exc})") from exc
     if isinstance(data, dict) and "config" in data and "command" in data:
         data = data["config"]

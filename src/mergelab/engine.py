@@ -303,9 +303,15 @@ def encode(encoder: Sequence[LayerParams], inputs: np.ndarray) -> np.ndarray:
     return _activations(encoder, _check_inputs(inputs, encoder[0].in_dim))[-1]
 
 
+def _apply(head: LayerParams, features: np.ndarray) -> np.ndarray:
+    """The logits of the affine `head` (no activation) over `features`."""
+    return features @ head.weight.T + head.bias
+
+
 def forward(params: ParamSet, task: str, inputs: np.ndarray) -> np.ndarray:
     """Logits of `task`'s head over encoder features."""
-    return forward_cached(params, task, inputs)[0]
+    head = params.head(task)  # an unknown task is named before any input error
+    return _apply(head, encode(params.encoder, inputs))
 
 
 def forward_cached(params: ParamSet, task: str, inputs: np.ndarray):
@@ -313,7 +319,7 @@ def forward_cached(params: ParamSet, task: str, inputs: np.ndarray):
     Selecting the same rows of each gives the cache of a sub-batch."""
     head = params.head(task)
     acts = _activations(params.encoder, _check_inputs(inputs, params.encoder[0].in_dim))
-    return acts[-1] @ head.weight.T + head.bias, acts
+    return _apply(head, acts[-1]), acts
 
 
 def _backprop(g: np.ndarray, acts: list, layers: Sequence[LayerParams], out: Sequence) -> None:

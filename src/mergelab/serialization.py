@@ -28,7 +28,7 @@ import numpy as np
 
 from .engine import LayerParams, ParamSet, ShapeError
 from .merging import CoefficientMatrix, TrainableLayer, read_selector
-from .suites import SPLITS, SuiteConfig, TaskData, TaskSuite
+from .suites import SPLITS, TASK_KINDS, SuiteConfig, TaskData, TaskSuite
 
 MAGIC = b"MLBUNDLE"
 BUNDLE_VERSION = 1
@@ -55,7 +55,7 @@ def save_bundle(path, meta: Mapping, arrays: Mapping[str, np.ndarray]) -> None:
         elif a.dtype == np.int64:
             dtype = "int64"
         else:
-            raise BundleError(f"unsupported dtype {a.dtype} for array '{name}'")
+            raise BundleError(f"{path}: unsupported dtype {a.dtype} for array '{name}'")
         entries.append({"name": name, "dtype": dtype, "shape": list(a.shape)})
         payload.append(a.astype(_DTYPES[dtype]).tobytes(order="C"))
     header = canonical_json({"meta": dict(meta), "arrays": entries}).encode("utf-8")
@@ -81,7 +81,7 @@ def load_bundle(path):
         raise BundleError(f"{path}: truncated header")
     try:
         header = json.loads(blob[16:16 + header_len].decode("utf-8"))
-    except ValueError as exc:  # bad UTF-8 or bad JSON
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, bad or too deeply nested JSON
         raise BundleError(f"{path}: header is not valid JSON ({exc})") from exc
     if not isinstance(header, dict):
         raise BundleError(f"{path}: header is {type(header).__name__}, not an object")
@@ -98,7 +98,10 @@ def load_bundle(path):
         nbytes = math.prod(shape) * dtype.itemsize
         if offset + nbytes > len(blob):
             raise BundleError(f"{path}: truncated payload for array '{entry['name']}'")
-        a = np.frombuffer(blob[offset:offset + nbytes], dtype=dtype).reshape(shape)
+        try:
+            a = np.frombuffer(blob[offset:offset + nbytes], dtype=dtype).reshape(shape)
+        except ValueError as exc:  # more, or larger, dimensions than numpy allows
+            raise BundleError(f"{path}: arrays[{i}].shape: {exc}") from exc
         arrays[entry["name"]] = a.astype(entry["dtype"])
         offset += nbytes
     if offset != len(blob):
@@ -226,37 +229,17 @@ def load_suite(path) -> TaskSuite:
     tasks = []
     for i, entry in enumerate(_meta_field(path, meta, "tasks", list)):
         if not (isinstance(entry, dict) and isinstance(entry.get("id"), str)
-                and entry.get("kind") in ("classification", "regression")):
+                and entry.get("kind") in TASK_KINDS):
             raise BundleError(f"{path}: meta field 'tasks[{i}]' is {entry!r}, not "
                               "{'id': <string>, 'kind': 'classification' | 'regression'}")
-        tid, kind = entry["id"], entry["kind"]
-        splits = {name: _array(path, arrays, f"{tid}.{name}") for name in SPLITS}
-        for name, a in splits.items():
-            if a.shape[:1] == (0,):  # as SuiteConfig's samples_per_split forbids
-                raise BundleError(f"{path}: task '{tid}' has an empty {name[2:]} split "
-                                  f"(array '{tid}.{name}' has 0 rows)")
-            if not np.isfinite(a).all():
-                raise BundleError(f"{path}: task '{tid}': array '{tid}.{name}' holds a "
-                                  "non-finite value")
-            x, classes = splits["x" + name[1:]], cfg.classes_per_task  # x_* precedes its y_*
-            if a is x:
-                ok, want = a.shape[1:] == (cfg.input_dim,), f"be 2-D with {cfg.input_dim} columns"
-            elif a.shape[:1] != x.shape[:1]:
-                ok, want = False, f"have the {len(x)} rows of '{tid}.x{name[1:]}'"
-            elif kind == "regression":  # y_train precedes y_test
-                y = splits["y_train"]
-                ok = a.ndim == 2 and a.shape[1:] == y.shape[1:]
-                want = ("be 2-D" if a is y else
-                        f"have the {y.shape[1]} columns of '{tid}.y_train' of shape {y.shape}")
-            else:
-                ok = a.ndim == 1 and a.dtype.kind == "i" and a.min() >= 0 and a.max() < classes
-                want = f"hold 1-D integer labels in 0..{classes - 1}"
-            if not ok:
-                raise BundleError(f"{path}: task '{tid}': array '{tid}.{name}' of shape {a.shape} "
-                                  f"must {want}")
-        tasks.append(TaskData(tid, kind, **splits))
+        tid = entry["id"]
+        tasks.append(TaskData(tid, entry["kind"],
+                              **{name: _array(path, arrays, f"{tid}.{name}") for name in SPLITS}))
     _check_claimed(path, arrays)
-    return TaskSuite(config=cfg, tasks=tasks)
+    try:
+        return TaskSuite(config=cfg, tasks=tasks)
+    except ValueError as exc:  # the suite contract
+        raise BundleError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -274,12 +257,17 @@ def save_coeffs(coeffs: CoefficientMatrix, path) -> None:
         f.write(canonical_json(doc))
 
 
-def load_coeffs(path) -> CoefficientMatrix:
+def _read_json(path):
+    """The JSON value in the file `path`; BundleError naming it if there is none."""
     try:
         with open(path, encoding="utf-8") as f:
-            doc = json.load(f)
-    except ValueError as exc:  # bad UTF-8 or bad JSON
+            return json.load(f)
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, bad or too deeply nested JSON
         raise BundleError(f"{path}: not valid JSON ({exc})") from exc
+
+
+def load_coeffs(path) -> CoefficientMatrix:
+    doc = _read_json(path)
     if not isinstance(doc, dict) or doc.get("format") != "coeffs":
         raise BundleError(f"{path}: not a coefficient file")
     if not isinstance(doc.get("task_ids"), list):
@@ -353,8 +341,9 @@ def write_manifest(path, command: str, config: Mapping, seed: int) -> str:
 
 
 def read_manifest(path) -> dict:
-    with open(path, encoding="utf-8") as f:
-        doc = json.load(f)
+    doc = _read_json(path)
+    if not isinstance(doc, dict):
+        raise BundleError(f"{path}: holds a JSON {type(doc).__name__}, not a manifest object")
     body = {k: v for k, v in doc.items() if k != "manifest_hash"}
     if manifest_hash(body) != doc.get("manifest_hash"):
         raise BundleError(f"{path}: manifest hash does not match its contents")

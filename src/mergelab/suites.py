@@ -76,12 +76,13 @@ class SuiteConfig:
 
 
 SPLITS = ("x_train", "y_train", "x_test", "y_test")  # a task's arrays, each x_* before its y_*
+TASK_KINDS = ("classification", "regression")
 
 
 @dataclass
 class TaskData:
     task_id: str
-    kind: str  # "classification" | "regression"
+    kind: str  # one of TASK_KINDS
     x_train: np.ndarray
     y_train: np.ndarray
     x_test: np.ndarray
@@ -98,8 +99,41 @@ class TaskData:
 
 @dataclass
 class TaskSuite:
+    """Tasks held to the suite contract on construction (see README, "Files
+    and formats"); a breach is a ValueError naming the task and the array."""
+
     config: SuiteConfig
     tasks: list
+
+    def __post_init__(self):
+        if len(set(self.task_ids)) < len(self.tasks):
+            raise ValueError(f"task ids {list(self.task_ids)} are not distinct")
+        classes, dim = self.config.classes_per_task, self.config.input_dim
+        for t in self.tasks:
+            tid, y = t.task_id, t.y_train
+            if t.kind not in TASK_KINDS:
+                raise ValueError(f"task '{tid}': kind {t.kind!r} is not one of {TASK_KINDS}")
+            for name in SPLITS:
+                a, x = getattr(t, name), getattr(t, "x" + name[1:])
+                if a.shape[:1] == (0,):  # as SuiteConfig's samples_per_split forbids
+                    raise ValueError(f"task '{tid}' has an empty {name[2:]} split "
+                                     f"(array '{tid}.{name}' has 0 rows)")
+                if not np.isfinite(a).all():
+                    raise ValueError(f"task '{tid}': array '{tid}.{name}' holds a non-finite value")
+                if name[0] == "x":
+                    ok, want = a.shape[1:] == (dim,), f"be 2-D with {dim} columns"
+                elif a.shape[:1] != x.shape[:1]:
+                    ok, want = False, f"have the {len(x)} rows of '{tid}.x{name[1:]}'"
+                elif t.kind == "regression":  # y_train precedes y_test
+                    ok = a.ndim == 2 and a.shape[1:] == y.shape[1:]
+                    want = ("be 2-D" if name == "y_train" else
+                            f"have the {y.shape[1]} columns of '{tid}.y_train' of shape {y.shape}")
+                else:
+                    ok = a.ndim == 1 and a.dtype.kind == "i" and a.min() >= 0 and a.max() < classes
+                    want = f"hold 1-D integer labels in 0..{classes - 1}"
+                if not ok:
+                    raise ValueError(f"task '{tid}': array '{tid}.{name}' of shape {a.shape} "
+                                     f"must {want}")
 
     @property
     def task_ids(self) -> tuple:

@@ -1,7 +1,10 @@
 """Property tests for the on-disk formats: random checkpoints and trainable
-layers round-trip exactly and re-save to the same bytes, and every loader,
-given a truncated or bit-flipped copy of a real file, raises nothing but
-BundleError."""
+layers round-trip exactly and re-save to the same bytes, and every reader,
+given arbitrary bytes or a truncated or bit-flipped copy of a real file,
+raises nothing but BundleError."""
+
+import json
+import struct
 
 import numpy as np
 import pytest
@@ -11,12 +14,15 @@ from hypothesis import strategies as st
 from mergelab.engine import LayerParams, ParamSet
 from mergelab.merging import CoefficientMatrix, TrainableLayer
 from mergelab.serialization import (
+    BUNDLE_VERSION,
+    MAGIC,
     BundleError,
     load_bundle,
     load_checkpoint,
     load_coeffs,
     load_suite,
     load_trainable,
+    read_manifest,
     save_bundle,
     save_checkpoint,
     save_coeffs,
@@ -139,3 +145,61 @@ def test_loaders_raise_only_bundle_errors_on_corrupt_bytes(workdir, files, name,
     except BundleError:
         return
     assert name not in UNUSABLE, f"{name} loaded"
+
+
+# ---------------------------------------------------------------------------
+# arbitrary bytes
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner,
+                                                                 max_size=4),
+    max_leaves=12)
+# array entries a header might declare: any dtype name, any number of dimensions
+entries = st.fixed_dictionaries({
+    "name": st.text(max_size=6) | st.integers(),
+    "dtype": st.sampled_from(["float64", "int64", "float32"]),
+    "shape": st.lists(st.integers(0, 2**64), max_size=70) | json_values})
+headers = st.fixed_dictionaries(
+    {"meta": st.fixed_dictionaries({"format": st.sampled_from(["paramset", "suite",
+                                                                "trainable"])},
+                                   optional={k: json_values for k in
+                                             ("encoder", "heads", "config", "tasks", "selectors")}),
+     "arrays": st.lists(entries, max_size=3)})
+
+
+def _framed(header: bytes, payload: bytes = b"") -> bytes:
+    """Bundle bytes with a valid magic, version and header length."""
+    return MAGIC + struct.pack("<II", BUNDLE_VERSION, len(header)) + header + payload
+
+
+blobs = st.one_of(
+    st.binary(max_size=200),
+    st.binary(max_size=200).map(lambda b: MAGIC + b),
+    st.tuples(headers | json_values, st.binary(max_size=64)).map(
+        lambda hp: _framed(json.dumps(hp[0]).encode(), hp[1])),
+    json_values.map(lambda v: json.dumps(v).encode()))
+READERS = {"load_suite": load_suite, "load_checkpoint": load_checkpoint,
+           "load_trainable": load_trainable, "load_coeffs": load_coeffs,
+           "read_manifest": read_manifest}
+DEEP = b"[" * 100_000  # deeper than the JSON parser recurses
+
+
+@settings(max_examples=300, deadline=None)
+@given(reader=st.sampled_from(sorted(READERS)), blob=blobs)
+@example(reader="read_manifest", blob=b"\xff\xfe")
+@example(reader="read_manifest", blob=b"[]")
+@example(reader="read_manifest", blob=DEEP)
+@example(reader="load_coeffs", blob=DEEP)
+@example(reader="load_checkpoint", blob=_framed(DEEP))
+@example(reader="load_suite", blob=_framed(json.dumps(
+    {"meta": {}, "arrays": [{"name": "a", "dtype": "int64", "shape": [0, 2**63]}]}).encode()))
+@example(reader="load_trainable", blob=_framed(json.dumps(
+    {"meta": {}, "arrays": [{"name": "a", "dtype": "int64", "shape": [0] * 70}]}).encode()))
+def test_readers_raise_only_bundle_errors_on_arbitrary_bytes(workdir, reader, blob):
+    path = workdir / "arbitrary"
+    path.write_bytes(blob)
+    try:
+        READERS[reader](path)
+    except BundleError as exc:
+        assert str(exc).startswith(f"{path}: "), exc

@@ -77,6 +77,16 @@ def test_cli_gen_with_a_suite_section_that_is_not_an_object_exits_2(tmp_path, ca
     assert "'suite' is not a JSON object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("data", [b"\xff{}", b"[" * 100_000], ids=["not_utf8", "too_deep"])
+def test_cli_gen_with_a_config_file_that_is_not_json_exits_2_naming_it(tmp_path, capsys, data):
+    from mergelab.cli import main
+    config = tmp_path / "suite.json"
+    config.write_bytes(data)
+    assert main(["gen", "--config", str(config), "--out", str(tmp_path / "d.bundle")]) == 2
+    assert "config file suite.json: invalid JSON (" in capsys.readouterr().err
+    assert not (tmp_path / "d.bundle").exists()
+
+
 # any value a JSON config file can hold, plus the values each field accepts
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),

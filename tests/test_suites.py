@@ -7,6 +7,8 @@ from mergelab.engine import forward, init_params
 from mergelab.suites import (
     CorruptionSpec,
     SuiteConfig,
+    TaskData,
+    TaskSuite,
     corrupt_features,
     corrupt_split,
     corrupt_suite,
@@ -184,3 +186,57 @@ def test_train_and_test_splits_are_disjoint():
     for t in suite.tasks:
         train_rows = {row.tobytes() for row in t.x_train}
         assert all(row.tobytes() not in train_rows for row in t.x_test)
+
+
+# ---------------------------------------------------------------------------
+# the suite contract, held by every TaskSuite however it is built
+
+# 2 tasks (task1 regression with 3 target columns) of 3 classes over 6 input
+# dims, 20 rows per split
+_CFG = SuiteConfig(num_tasks=2, classes_per_task=3, input_dim=6, samples_per_split=20,
+                   shared_subspace_dim=2, regression_tasks=(1,))
+
+
+def _with(task: int, **fields):
+    """The tasks of `_CFG`'s suite with `fields` replaced in task `task`."""
+    tasks = gen_suite(_CFG).tasks
+    tasks[task] = TaskData(**{**vars(tasks[task]), **fields})
+    return tasks
+
+
+@pytest.mark.parametrize("tasks, message", [
+    (_with(0, y_train=np.zeros(20)),
+     "task 'task0': array 'task0.y_train' of shape (20,) must hold 1-D integer labels in 0..2"),
+    (_with(0, y_test=np.full(20, 3)),
+     "task 'task0': array 'task0.y_test' of shape (20,) must hold 1-D integer labels in 0..2"),
+    (_with(0, x_test=np.zeros((20, 4))),
+     "task 'task0': array 'task0.x_test' of shape (20, 4) must be 2-D with 6 columns"),
+    (_with(0, y_test=np.zeros(10, dtype=np.int64)),
+     "task 'task0': array 'task0.y_test' of shape (10,) must have the 20 rows of 'task0.x_test'"),
+    (_with(1, y_train=np.zeros(20)),
+     "task 'task1': array 'task1.y_train' of shape (20,) must be 2-D"),
+    (_with(1, y_test=np.zeros((20, 1))),
+     "task 'task1': array 'task1.y_test' of shape (20, 1) must have the 3 columns of "
+     "'task1.y_train' of shape (20, 3)"),
+    (_with(0, x_train=np.zeros((0, 6))),
+     "task 'task0' has an empty train split (array 'task0.x_train' has 0 rows)"),
+    (_with(1, x_test=np.full((20, 6), np.inf)),
+     "task 'task1': array 'task1.x_test' holds a non-finite value"),
+    (_with(0, kind="ranking"),
+     "task 'task0': kind 'ranking' is not one of ('classification', 'regression')"),
+    (_with(1, task_id="task0"), "task ids ['task0', 'task0'] are not distinct"),
+], ids=["float_labels", "label_3", "x_columns", "y_rows", "regression_1d", "regression_columns",
+        "empty_split", "non_finite", "unknown_kind", "repeated_id"])
+def test_a_suite_that_breaks_its_contract_is_a_value_error_naming_the_array(tasks, message):
+    with pytest.raises(ValueError) as info:
+        TaskSuite(_CFG, tasks)
+    assert str(info.value) == message
+
+
+def test_a_corruption_that_overflows_breaks_the_contract_where_it_is_made():
+    suite = TaskSuite(_CFG, _with(0, x_test=np.full((20, 6), 1e308)))
+    with np.errstate(over="ignore", invalid="ignore"):  # the batch mean overflows
+        with pytest.raises(ValueError, match=r"^task 'task0': array 'task0.x_test' holds a "
+                                             "non-finite value$"):
+            corrupt_suite(suite, CorruptionSpec("contrast_scale", 1), seed=3)
+
