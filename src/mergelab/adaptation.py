@@ -32,6 +32,7 @@ from .engine import (
     UnknownTaskError,
     _activations,
     _adam_update,
+    _apply,
     _backprop,
     _check_inputs,
     _check_outputs,
@@ -53,10 +54,12 @@ from .merging import (
     MergedAssembly,
     TaskVector,
     TrainableLayer,
+    _merge_layer,
     coefficient_grad,
     compute_task_vector,
     default_init_coeff,  # noqa: F401  (read as `adaptation.default_init_coeff`)
     layer_positions,
+    merge_layerwise,
     read_selector,
     stack_task_vectors,
 )
@@ -186,8 +189,7 @@ class _StepPlan:
     def forward(self, x: np.ndarray):
         """The activations of checked inputs `x` (`_activations`) and the logits."""
         acts = _activations(self.layers[:-1], x)
-        head = self.layers[-1]
-        return acts, acts[-1] @ head.weight.T + head.bias
+        return acts, _apply(self.layers[-1], acts[-1])
 
     def backprop(self, g: np.ndarray, acts: list):
         """Write into `grads` the gradients for the gradient `g` at the logits."""
@@ -357,14 +359,9 @@ def build_assembly(pre: ParamSet, vectors: Mapping[str, TaskVector],
                    experts: Mapping[str, ParamSet], coeffs: CoefficientMatrix,
                    trainable: Mapping[str, TrainableLayer] | None = None) -> MergedAssembly:
     """Assemble the merged multi-task model with frozen expert heads."""
-    heads = {task: experts[task].head(task) for task in coeffs.task_ids}
-    return MergedAssembly(
-        pre_encoder=tuple(pre.encoder),
-        vectors=tuple(vectors[task] for task in coeffs.task_ids),
-        coeffs=coeffs,
-        heads=heads,
-        trainable=dict(trainable or {}),
-    )
+    ids = coeffs.task_ids
+    return MergedAssembly(tuple(pre.encoder), tuple(vectors[t] for t in ids), coeffs,
+                          {t: experts[t].head(t) for t in ids}, dict(trainable or {}))
 
 
 def task_vectors_from_experts(pre: ParamSet, experts: Mapping[str, ParamSet]) -> dict:
@@ -396,8 +393,8 @@ def symerge(pre: ParamSet, vectors: Mapping[str, TaskVector],
         objectives[t] = (spec, targets, labels.expert_confidence if cfg.filter_enabled else None)
         if selector is not None:
             layers = (*experts[t].encoder, experts[t].head(t))
-            init = tuple(layers[p] for p in layer_positions(selector, len(experts[t].encoder)))
-            trainable[t] = TrainableLayer(selector, init if isinstance(selector, tuple) else init[0])
+            init = [layers[p] for p in layer_positions(selector, len(experts[t].encoder))]
+            trainable[t] = TrainableLayer.build(selector, init.__getitem__)
     heads = {t: experts[t].head(t) for t in kinds}
     return _run_adaptation(pre, vectors, heads, inputs_by_task, cfg, objectives, trainable)
 
@@ -458,16 +455,15 @@ def _run_adaptation(pre, vectors, heads, inputs_by_task, cfg, objectives,
     ValueError naming the pass and the task."""
     task_ids = tuple(objectives)
     depth = len(pre.encoder)
-    values = CoefficientMatrix.constant(task_ids, depth, cfg.init_coeff).values
+    coeffs = CoefficientMatrix.constant(task_ids, depth, cfg.init_coeff)
+    values = coeffs.values  # stepped in place
     stack = stack_task_vectors([vectors[t] for t in task_ids], pre.encoder)
-    merged = _split(np.empty(sum(l.flat.size for l in pre.encoder)), pre.encoder)
+    merged = merge_layerwise(pre.encoder, stack, coeffs)
 
-    def merge(layers):
+    def merge(layers):  # a coefficient step re-merges the layers it mixes, in place
         for l in layers:
-            np.add(pre.encoder[l].flat, values[:, l] @ stack.matrices[l], out=merged[l].flat)
+            _merge_layer(pre.encoder, values, stack, l, out=merged[l].flat)
 
-    # every layer merged once; a coefficient step re-merges the layers it mixes
-    merge(range(depth))
     order_rng = spawn_rng(cfg.seed, "task-order")
     orders = [order_rng.permutation(len(task_ids)).tolist()
               if cfg.task_order == "shuffled_each_pass" else range(len(task_ids))

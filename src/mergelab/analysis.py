@@ -11,8 +11,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .engine import (LayerParams, LossSpec, ParamSet, ShapeError, _activations, _check_inputs,
-                     _check_outputs, _check_targets, _loss_rows, encode, forward)
+from .engine import (LayerParams, LossSpec, ParamSet, ShapeError, _activations, _apply,
+                     _check_inputs, _check_outputs, _check_targets, _loss_rows, encode, forward)
 from .merging import CoefficientMatrix, MergedAssembly, TaskVector, merge_layerwise, merge_uniform
 
 
@@ -25,7 +25,7 @@ def evaluate(encoder, head: LayerParams, x: np.ndarray, y: np.ndarray,
     """Accuracy for classification; mean L1 error for regression."""
     if len(x) == 0:
         raise ValueError("empty evaluation set")
-    out = encode(encoder, x) @ head.weight.T + head.bias
+    out = _apply(head, encode(encoder, x))
     if kind == "classification":
         return _accuracy(out, y)
     if kind == "regression":
@@ -58,7 +58,7 @@ def _score_features(feats: Sequence, heads: Sequence[LayerParams],
     out = np.zeros((len(feats), len(heads)))
     for i, row in enumerate(feats):
         for j, (h, head, (_, y)) in enumerate(zip(row, heads, test_sets)):
-            out[i, j] = _accuracy(h @ head.weight.T + head.bias, y)
+            out[i, j] = _accuracy(_apply(head, h), y)
     return out
 
 
@@ -208,10 +208,9 @@ def loss_correlation_report(initial: MergedAssembly, adapted: MergedAssembly,
         expert_labels = np.argmax(forward(experts[task], task, x), axis=1)
         for stage, assembly in (("initial", initial), ("adapted", adapted)):
             model = assembly.materialize(task)
-            head = model.head(task)
             h = _check_inputs(x[:nb * bs], model.encoder[0].in_dim).reshape(nb, bs, -1)
-            logits = _activations(model.encoder, h)[-1] @ head.weight.T + head.bias
-            z = _check_outputs(logits.reshape(nb * bs, head.out_dim))
+            logits = _apply(model.head(task), _activations(model.encoder, h)[-1])
+            z = _check_outputs(logits.reshape(nb * bs, -1))
 
             def batch_losses(targets, spec):  # each batch's mean, summed as its own array would be
                 rows = _loss_rows(z, _check_targets(z.shape, targets, spec), spec)[0]

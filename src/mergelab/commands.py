@@ -158,6 +158,8 @@ def merge(args) -> int:
     if args.coeff is not None and args.method != "task_arithmetic":
         raise ConfigError(f"--lambda: method {args.method} has a fixed coefficient, "
                           "so --lambda is not used")
+    if args.coeff is not None and not abs(args.coeff) < float("inf"):  # nan too
+        raise ConfigError(f"--lambda: expected a finite real number, got {args.coeff!r}")
     pre, experts, digests = _load_ckpt_dir(args.ckpt_dir)
     task_ids = tuple(sorted(experts))
     vectors = [compute_task_vector(experts[t], pre) for t in task_ids]
@@ -165,8 +167,7 @@ def merge(args) -> int:
     coeff = METHOD_COEFFS[args.method](len(task_ids), lam)
     coeffs = CoefficientMatrix.constant(task_ids, len(pre.encoder), coeff)
 
-    encoder = merge_layerwise(pre, vectors, coeffs)
-    merged = ParamSet(encoder=encoder, heads=dict(pre.heads))
+    merged = ParamSet(encoder=merge_layerwise(pre, vectors, coeffs), heads=dict(pre.heads))
     out_dir = args.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     save_checkpoint(merged, out_dir / "merged.ckpt")

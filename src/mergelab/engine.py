@@ -289,23 +289,24 @@ def _check_inputs(inputs: np.ndarray, in_dim: int) -> np.ndarray:
     return h
 
 
+def _apply(layer: LayerParams, x: np.ndarray) -> np.ndarray:
+    """The package's one affine map, `layer` over the last axis of `x`. An `@` product, so a
+    stacked (passes, batch, width) `x` rounds as each batch would alone; `ndarray.dot` does not."""
+    return x @ layer.weight.T + layer.bias
+
+
 def _activations(layers: Sequence[LayerParams], h: np.ndarray) -> list:
     """The checked inputs `h` (`_check_inputs`), then the output of every
     encoder layer in `layers` (tanh after each)."""
     acts = [h]
     for layer in layers:
-        acts.append(np.tanh(acts[-1] @ layer.weight.T + layer.bias))
+        acts.append(np.tanh(_apply(layer, acts[-1])))
     return acts
 
 
 def encode(encoder: Sequence[LayerParams], inputs: np.ndarray) -> np.ndarray:
     """Push a batch through the encoder chain (tanh after every layer)."""
     return _activations(encoder, _check_inputs(inputs, encoder[0].in_dim))[-1]
-
-
-def _apply(head: LayerParams, features: np.ndarray) -> np.ndarray:
-    """The logits of the affine `head` (no activation) over `features`."""
-    return features @ head.weight.T + head.bias
 
 
 def forward(params: ParamSet, task: str, inputs: np.ndarray) -> np.ndarray:

@@ -7,7 +7,7 @@ and that scalar weights the whole layer delta, bias included.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,16 +145,20 @@ def merge_task_arithmetic(pre, vectors: Sequence[TaskVector], lam: float) -> tup
 
 
 def merge_layerwise(pre, vectors: Sequence[TaskVector], coeffs: CoefficientMatrix) -> tuple:
-    """theta[l] = pre[l] + sum_k coeff[k, l] * delta_k[l], as pre[l] + coeff[:, l] @ D_l."""
+    """theta[l] = pre[l] + sum_k coeff[k, l] * delta_k[l], each layer by `_merge_layer`."""
     pre_enc = _encoder_of(pre)
     stack = stack_task_vectors(vectors, pre_enc)
     if coeffs.num_tasks != len(stack):
         raise ShapeError(f"coeff rows {coeffs.num_tasks} != task vectors {len(stack)}")
     if coeffs.num_layers != len(pre_enc):
         raise ShapeError(f"coeff columns {coeffs.num_layers} != encoder depth {len(pre_enc)}")
-    c = coeffs.values
-    return tuple(LayerParams.from_flat(base.flat + c[:, l] @ d, shape)
-                 for l, (base, d, shape) in enumerate(zip(pre_enc, stack.matrices, stack.shapes)))
+    return tuple(LayerParams.from_flat(_merge_layer(pre_enc, coeffs.values, stack, l), shape)
+                 for l, shape in enumerate(stack.shapes))
+
+
+def _merge_layer(pre_enc, values: np.ndarray, stack: TaskVectorStack, l: int, out=None):
+    """Layer `l` of the merge, flat: pre[l] + values[:, l] @ D_l (into `out` if given)."""
+    return np.add(pre_enc[l].flat, values[:, l] @ stack.matrices[l], out=out)
 
 
 def coefficient_grad(encoder_grads: Sequence[LayerParams],
@@ -228,12 +232,17 @@ class TrainableLayer:
     selector: object
     params: object
 
+    @classmethod
+    def build(cls, selector, layer: Callable[[int], LayerParams]) -> "TrainableLayer":
+        """`selector` over `layer(0)`, `layer(1)`, ...: a tuple for a list of indices, else one."""
+        if isinstance(selector, (list, tuple)):
+            return cls(selector, tuple(map(layer, range(len(selector)))))
+        return cls(selector, layer(0))
+
     def layer_indices(self) -> tuple:
         if self.selector == "head":
             return ()
-        if isinstance(self.selector, int):
-            return (self.selector,)
-        return tuple(self.selector)
+        return (self.selector,) if isinstance(self.selector, int) else tuple(self.selector)
 
     def layers(self) -> tuple:
         """The trained layers, one per selected position."""
@@ -241,9 +250,7 @@ class TrainableLayer:
 
     def with_layers(self, layers) -> "TrainableLayer":
         """The same selector over new `layers`, given as `layers()` gives them."""
-        layers = tuple(layers)
-        single = not isinstance(self.params, tuple)
-        return TrainableLayer(self.selector, layers[0] if single else layers)
+        return TrainableLayer.build(self.selector, tuple(layers).__getitem__)
 
 
 @dataclass

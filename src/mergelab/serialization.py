@@ -300,8 +300,7 @@ def load_trainable(path) -> dict:
     if meta.get("format") != "trainable":
         raise BundleError(f"{path}: not a trainable-layer file")
     out = {}
-    selectors = _meta_field(path, meta, "selectors", dict)
-    for task, sel in selectors.items():
+    for task, sel in _meta_field(path, meta, "selectors", dict).items():
         try:
             selector = read_selector(sel)
         except ValueError:
@@ -309,9 +308,8 @@ def load_trainable(path) -> dict:
                               "'head', a layer index or a list of them") from None
         if selector is None:  # the task has no trained layer
             continue
-        layers = tuple(_read_layer(path, arrays, f"{task}.{p}")
-                       for p in range(len(selector) if isinstance(selector, tuple) else 1))
-        out[task] = TrainableLayer(selector, layers if isinstance(selector, tuple) else layers[0])
+        out[task] = TrainableLayer.build(selector,
+                                         lambda p: _read_layer(path, arrays, f"{task}.{p}"))
     # a selector claims only the `<task>.<i>.<w|b>` arrays of the layers it reads
     _check_claimed(path, arrays)
     return out

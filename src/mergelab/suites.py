@@ -79,7 +79,7 @@ SPLITS = ("x_train", "y_train", "x_test", "y_test")  # a task's arrays, each x_*
 TASK_KINDS = ("classification", "regression")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TaskData:
     task_id: str
     kind: str  # one of TASK_KINDS
@@ -97,15 +97,16 @@ class TaskData:
         return self.y_train.shape[1]
 
 
-@dataclass
+@dataclass(frozen=True)
 class TaskSuite:
     """Tasks held to the suite contract on construction (see README, "Files
     and formats"); a breach is a ValueError naming the task and the array."""
 
     config: SuiteConfig
-    tasks: list
+    tasks: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "tasks", tuple(self.tasks))
         if len(set(self.task_ids)) < len(self.tasks):
             raise ValueError(f"task ids {list(self.task_ids)} are not distinct")
         classes, dim = self.config.classes_per_task, self.config.input_dim
@@ -191,7 +192,8 @@ def gen_suite(cfg: SuiteConfig) -> TaskSuite:
             rng = spawn_rng(cfg.seed, "samples", k, split)
             if kind == "classification":
                 y = _balanced_labels(cfg.samples_per_split, cfg.classes_per_task)
-                x = protos[y] + cfg.noise_std * rng.normal(0.0, 1.0, (len(y), cfg.input_dim))
+                with np.errstate(over="ignore"):  # the suite contract names an overflow
+                    x = protos[y] + cfg.noise_std * rng.normal(0.0, 1.0, (len(y), cfg.input_dim))
             else:
                 x = rng.normal(0.0, 1.0, (cfg.samples_per_split, cfg.input_dim))
                 # task-specific linear targets built on the shared subspace

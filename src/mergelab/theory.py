@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .engine import LOSS_TABLE, LayerParams, LossSpec, ShapeError, encode, loss_eval, _as_f64
+from .engine import LOSS_TABLE, LayerParams, LossSpec, ShapeError, _apply, _as_f64, encode, loss_eval
 from .merging import merge_uniform
 
 MODEL_FAMILIES = ("linear", "nonlinear-net")
@@ -31,18 +31,15 @@ def model_outputs(encoder: Sequence[LayerParams], inputs: np.ndarray, family: st
                   head: LayerParams | None = None) -> np.ndarray:
     """Forward pass for a verifier model: affine for the linear family (single
     layer, no activation), tanh chain otherwise; optional fixed shared head."""
-    x = _as_f64(inputs)
     if family == "linear":
         if len(encoder) != 1:
             raise ShapeError("linear family requires exactly one encoder layer")
-        h = x @ encoder[0].weight.T + encoder[0].bias
+        h = _apply(encoder[0], _as_f64(inputs))
     elif family == "nonlinear-net":
-        h = encode(tuple(encoder), x)
+        h = encode(tuple(encoder), inputs)  # which checks and converts `inputs`
     else:
         raise ValueError(f"unknown model family '{family}'")
-    if head is not None:
-        h = h @ head.weight.T + head.bias
-    return h
+    return h if head is None else _apply(head, h)
 
 
 def ctl_residual(theta_i: Sequence[LayerParams], theta_j: Sequence[LayerParams],
@@ -78,9 +75,8 @@ class Prop1Instance:
             raise ValueError(f"unknown model family '{self.family}'")
         if not LOSS_TABLE[self.loss.kind][1]:
             raise ValueError(f"loss '{self.loss.kind}' is not convex in the output")
-        object.__setattr__(self, "theta_0", tuple(self.theta_0))
-        object.__setattr__(self, "theta_i", tuple(self.theta_i))
-        object.__setattr__(self, "theta_j", tuple(self.theta_j))
+        for name in ("theta_0", "theta_i", "theta_j"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
 
 
 @dataclass

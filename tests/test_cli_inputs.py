@@ -19,12 +19,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mergelab.cli import main
-from mergelab.config import ANALYSES, ConfigError, adapt_config_from_dict
+from mergelab.config import ANALYSES, CONSTANT_METHODS, ConfigError, adapt_config_from_dict
 from mergelab.engine import LayerParams, ParamSet, init_params
-from mergelab.serialization import (load_bundle, load_checkpoint, load_suite, save_bundle,
-                                    save_checkpoint, save_suite)
+from mergelab.serialization import load_bundle, load_checkpoint, save_bundle, save_checkpoint
 from mergelab.suites import spawn_rng
 
 from conftest import REFERENCE_CONFIG, REPO_ROOT
@@ -234,20 +235,15 @@ def test_adapt_that_diverges_exits_3_naming_the_pass_and_the_task(small, tmp_pat
 
 @pytest.fixture(scope="module")
 def empty_split(small):
-    """`small`'s suite with task0's test split (and, in a second file, its
-    train split) cut to 0 rows."""
-    suite = load_suite(small / "data.bundle")
-    paths = {}
-    for split in ("test", "train"):
-        task = suite.task("task0")
-        kept = {a: getattr(task, a) for a in (f"x_{split}", f"y_{split}")}
-        for a, values in kept.items():
-            setattr(task, a, values[:0])
-        paths[split] = small / f"empty_{split}.bundle"
-        save_suite(suite, paths[split])
-        for a, values in kept.items():
-            setattr(task, a, values)
-    return paths
+    """`small`'s suite bundle with task0's test split (and, in a second file,
+    its train split) cut to 0 rows, which no built suite can hold."""
+    def cut(split):
+        def edit(meta, arrays):
+            for a in (f"task0.x_{split}", f"task0.y_{split}"):
+                arrays[a] = arrays[a][:0]
+        return edit
+    return {split: _edited_suite(small, f"empty_{split}", cut(split))
+            for split in ("test", "train")}
 
 
 @pytest.mark.parametrize("command", [
@@ -563,3 +559,42 @@ def test_a_named_error_exits_with_its_code_and_writes_nothing(small, tmp_path, c
     err = capsys.readouterr().err
     assert named in err
     assert sorted(tmp_path.rglob("*")) == before
+
+
+# hostile values for a numeric flag: small ints (from -3 up to `top`), the
+# floats that break range checks, and text that is no number at all
+def _hostile(top: int = 64):
+    return st.integers(-3, top).map(str) | st.sampled_from(
+        ["nan", "inf", "-inf", "-0.0", "1e308", "", " ", "x", "1,2", "0x10"])
+
+
+# at most 8 tasks of 64 samples, so that no example allocates more than a few MiB
+_GEN_FLAGS = st.fixed_dictionaries(
+    {"--tasks": _hostile(8), "--samples": _hostile(64)},
+    optional={flag: _hostile() for flag in ("--classes", "--input-dim", "--subspace-dim",
+                                            "--rotation", "--noise", "--seed", "--severity")}
+    | {"--corruption": st.sampled_from(["gaussian_noise", "feature_mask", "contrast_scale"])})
+
+
+def _exits_cleanly(argv: list) -> None:
+    """`argv` through `cli.main` exits with a documented code and no traceback."""
+    proc = _run(*argv)
+    assert proc.returncode in (0, 1, 2, 3), proc
+    assert "Traceback" not in proc.stderr, proc.stderr
+
+
+@settings(max_examples=100, deadline=None)
+@given(flags=_GEN_FLAGS)
+@example(flags={"--tasks": "2", "--samples": "8", "--noise": "1e308"})  # the draws overflow
+def test_gen_with_hostile_numeric_flags_exits_with_a_documented_code(tmp_path_factory, flags):
+    out = tmp_path_factory.mktemp("gen") / "data.bundle"
+    _exits_cleanly(["gen", *(a for flag, value in flags.items() for a in (flag, value)),
+                    "--out", out])
+
+
+@settings(max_examples=50, deadline=None)
+@given(method=st.sampled_from(CONSTANT_METHODS), value=_hostile())
+def test_merge_with_a_hostile_lambda_exits_with_a_documented_code(small, tmp_path_factory,
+                                                                  method, value):
+    _exits_cleanly(["merge", "--ckpt-dir", small / "ckpts", "--method", method,
+                    "--lambda", value, "--out-dir", tmp_path_factory.mktemp("merge")])

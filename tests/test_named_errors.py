@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from mergelab.analysis import CorrelationReport, discrepancy, evaluate, spearman, transfer_metrics
+from mergelab.cli import main
 from mergelab.config import ConfigError, _build, suite_config_from_dict
 from mergelab.engine import (
     LayerParams,
@@ -175,3 +176,14 @@ def test_forward_gives_forward_cached_logits_bit_for_bit():
     params = random_paramset(np.random.default_rng(3), dims=(5, 7, 4))
     x = np.random.default_rng(4).normal(size=(9, 5))
     assert forward(params, "b", x).tobytes() == forward_cached(params, "b", x)[0].tobytes()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_merge_with_a_non_finite_lambda_exits_2_naming_the_flag(tmp_path, capsys, value):
+    out = tmp_path / "out"  # the flag is checked before the checkpoints are read
+    code = main(["merge", "--ckpt-dir", str(tmp_path / "ckpts"), "--method", "task_arithmetic",
+                 "--lambda", value, "--out-dir", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (f"config error: --lambda: expected a finite real "
+                                       f"number, got {value}\n")
+    assert not out.exists()

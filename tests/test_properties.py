@@ -1,5 +1,7 @@
 """Property tests for the stacked merge kernels, over random depth, widths and
-task count, each run on plain lists of TaskVector and on their stack."""
+task count, each run on plain lists of TaskVector and on their stack, and for
+the rules that one function owns (the affine map, the layer merge), which
+must give the same bits in every caller."""
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from mergelab.adaptation import (
     symerge,
     task_vectors_from_experts,
 )
+from mergelab.analysis import cross_task_matrix, evaluate
 from mergelab.engine import (
     LayerParams,
     LossSpec,
@@ -24,18 +27,21 @@ from mergelab.engine import (
     forward,
     init_params,
     loss_eval,
+    _split,
     softmax,
 )
 from mergelab.merging import (
     CoefficientMatrix,
     MergedAssembly,
     TrainableLayer,
+    _merge_layer,
     coefficient_grad,
     compute_task_vector,
     merge_layerwise,
     stack_task_vectors,
 )
 from mergelab.suites import SuiteConfig, gen_suite, spawn_rng
+from mergelab.theory import model_outputs
 
 FORMS = ("list", "stack")
 PROPERTY = settings(max_examples=30, deadline=None)
@@ -216,3 +222,39 @@ def test_symerge_steps_equal_the_composed_public_functions():
     assert np.abs(result.coeffs.values - coeffs.values).max() <= 1e-12
     for t in tids:
         assert np.abs(result.trainable[t].params.flat - trainable[t].params.flat).max() <= 1e-12
+
+
+@PROPERTY
+@given(widths=st.lists(st.integers(1, 12), min_size=2, max_size=5),  # encoder depth 1-4
+       batch=st.integers(1, 20), head_widths=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+       k=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_each_shared_rule_gives_the_same_bits_in_every_caller(widths, batch, head_widths, k,
+                                                               seed):
+    rng = np.random.default_rng(seed)
+
+    def encoder():
+        return tuple(_layer(rng, o, i) for i, o in zip(widths, widths[1:]))
+
+    pre = encoder()
+    vectors = [compute_task_vector(encoder(), pre) for _ in range(k)]
+    coeffs = _coeffs(rng.normal(0.0, 1.0, (k, len(pre))))
+    merged = merge_layerwise(pre, vectors, coeffs)
+    # the merge rule, layer by layer into one preallocated buffer, as adaptation runs it
+    buf = np.empty(sum(l.flat.size for l in pre))
+    stack = stack_task_vectors(vectors, pre)
+    for l, view in enumerate(_split(buf, pre)):
+        _merge_layer(pre, coeffs.values, stack, l, out=view.flat)
+    assert buf.tobytes() == np.concatenate([l.flat for l in merged]).tobytes()
+
+    encoders = [pre, merged]
+    heads = [_layer(rng, w, widths[-1]) for w in head_widths]
+    test_sets = [(rng.normal(0.0, 1.0, (batch, widths[0])), rng.integers(0, w, batch))
+                 for w in head_widths]
+    matrix = cross_task_matrix(encoders, heads, test_sets)
+    for i, enc in enumerate(encoders):
+        for j, (head, (x, y)) in enumerate(zip(heads, test_sets)):
+            logits = forward(ParamSet(enc, {"t": head}), "t", x)
+            assert model_outputs(enc, x, "nonlinear-net", head).tobytes() == logits.tobytes()
+            accuracy = evaluate(enc, head, x, y)
+            assert accuracy == float((np.argmax(logits, axis=1) == y).mean())
+            assert matrix[i, j] == accuracy

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
@@ -199,7 +201,7 @@ _CFG = SuiteConfig(num_tasks=2, classes_per_task=3, input_dim=6, samples_per_spl
 
 def _with(task: int, **fields):
     """The tasks of `_CFG`'s suite with `fields` replaced in task `task`."""
-    tasks = gen_suite(_CFG).tasks
+    tasks = list(gen_suite(_CFG).tasks)
     tasks[task] = TaskData(**{**vars(tasks[task]), **fields})
     return tasks
 
@@ -240,3 +242,11 @@ def test_a_corruption_that_overflows_breaks_the_contract_where_it_is_made():
                                              "non-finite value$"):
             corrupt_suite(suite, CorruptionSpec("contrast_scale", 1), seed=3)
 
+
+def test_a_built_suite_is_frozen_so_it_stays_within_its_contract():
+    suite = gen_suite(_CFG)
+    assert isinstance(suite.tasks, tuple)
+    with pytest.raises(FrozenInstanceError):
+        suite.task("task0").x_test = np.zeros((0, 6))  # 0 rows, which the contract forbids
+    with pytest.raises(FrozenInstanceError):
+        suite.tasks = ()
