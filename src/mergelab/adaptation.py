@@ -9,10 +9,8 @@ epoch loop (`_fit`); adaptation runs one plan per task over the merged layers,
 on a schedule drawn before the first step, with all tasks' trained layers in
 one vector that one Adam steps once a pass (`_run_adaptation` says why).
 
-Every self-labeled objective is built from `make_self_labels`: unless a loss
-override is given, classification tasks train on its argmax labels and
-regression tasks mimic expert outputs under an L1 loss (confidence filtering
-only applies to classification, where a top-1 probability exists).
+Every self-labeled objective is built from `make_self_labels` and trained on
+its task kind's self-label loss (`suites.KIND_RULES`) unless a loss is given.
 """
 
 from __future__ import annotations
@@ -63,7 +61,7 @@ from .merging import (
     read_selector,
     stack_task_vectors,
 )
-from .suites import TaskSuite, check_field_types, spawn_rng
+from .suites import TaskSuite, check_field_types, kind_rules, spawn_rng
 
 
 @dataclass
@@ -123,9 +121,8 @@ def make_self_labels(expert: ParamSet, task: str, inputs: np.ndarray,
     if kind == "classification":
         return SelfLabelBatch(np.argmax(logits, axis=1).astype(np.int64),
                               softmax(logits).max(axis=1), logits)
-    if kind == "regression":
-        return SelfLabelBatch(logits, None, logits)
-    raise ValueError(f"unknown task kind '{kind}'")
+    kind_rules(kind)  # a ValueError for an unknown kind
+    return SelfLabelBatch(logits, None, logits)
 
 
 def confidence_filter(merged_conf: np.ndarray, expert_conf: np.ndarray) -> np.ndarray:
@@ -223,6 +220,8 @@ class _BatchStream:
         return idx
 
 
+# each training loop ends an overflow in its own error for non-finite values, not a warning
+@np.errstate(over="ignore", invalid="ignore")
 def _fit(plan: _StepPlan, x: np.ndarray, y: np.ndarray, spec: LossSpec, epochs: int,
          batch_size: int, rng: np.random.Generator, lr: float) -> list:
     """Train `plan` on (x, y) for `epochs` passes over the data, reshuffled
@@ -251,16 +250,6 @@ def _fit(plan: _StepPlan, x: np.ndarray, y: np.ndarray, spec: LossSpec, epochs: 
     return history
 
 
-# the loss each task kind trains on (pretraining, fine-tuning) and the `prop1` pairs score
-TRAIN_LOSS = {"classification": "cross_entropy_hard", "regression": "l2"}
-
-
-def _train_loss(kind: str) -> LossSpec:
-    if kind not in TRAIN_LOSS:
-        raise ValueError(f"unknown task kind '{kind}'")
-    return LossSpec(TRAIN_LOSS[kind])
-
-
 def finetune_expert(pre: ParamSet, x: np.ndarray, y: np.ndarray, task: str,
                     epochs: int, lr: float, batch_size: int = 32, seed: int = 0,
                     kind: str = "classification", return_history: bool = False):
@@ -270,7 +259,7 @@ def finetune_expert(pre: ParamSet, x: np.ndarray, y: np.ndarray, task: str,
     Returns a ParamSet holding only this task's head. With epochs=0 the
     pre-trained parameters come back unchanged.
     """
-    spec = _train_loss(kind)
+    spec = LossSpec(kind_rules(kind).train_loss)
     if len(x) == 0:
         raise ValueError("empty training set")
     params = ParamSet(encoder=pre.encoder, heads={task: pre.head(task)})
@@ -284,6 +273,7 @@ def finetune_expert(pre: ParamSet, x: np.ndarray, y: np.ndarray, task: str,
     return (params, history) if return_history else params
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def pretrain_backbone(init: ParamSet, suite: TaskSuite, epochs: int, lr: float,
                       batch_size: int = 32, seed: int = 0) -> ParamSet:
     """Brief pooled training over all tasks' train splits (round-robin batches).
@@ -302,7 +292,7 @@ def pretrain_backbone(init: ParamSet, suite: TaskSuite, epochs: int, lr: float,
     depth = len(init.encoder)
     params = ParamSet(encoder=views[:depth], heads=dict(zip(task_ids, views[depth:])))
     state = adam_init([flat])
-    runs = [(t, _train_loss(t.kind),
+    runs = [(t, LossSpec(kind_rules(t.kind).train_loss),
              _BatchStream(len(t.x_train), batch_size, spawn_rng(seed, "pretrain", t.task_id)))
             for t in suite.tasks]
     steps_per_epoch = max(len(t.x_train) // min(batch_size, len(t.x_train)) for t in suite.tasks)
@@ -382,8 +372,7 @@ def symerge(pre: ParamSet, vectors: Mapping[str, TaskVector],
     selector = cfg.trainable_layer
     objectives, trainable = {}, {}
     for t, kind in kinds.items():
-        spec = cfg.loss if cfg.loss is not None else LossSpec(
-            "cross_entropy_hard" if kind == "classification" else "l1")
+        spec = cfg.loss if cfg.loss is not None else LossSpec(kind_rules(kind).self_label_loss)
         labels = make_self_labels(experts[t], t, inputs_by_task[t], kind)
         arity = spec.target_arity
         if arity == "labels" and labels.expert_confidence is None:
@@ -438,6 +427,7 @@ def _diverged(x: np.ndarray, start_scale: float) -> bool:
     return not np.abs(x).max(initial=0.0) <= DIVERGED * start_scale  # true for NaN too
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _run_adaptation(pre, vectors, heads, inputs_by_task, cfg, objectives,
                     trainable) -> AdaptResult:
     """Adapt the coefficients and the `trainable` layers on one objective per
@@ -611,8 +601,9 @@ def pilot_two_stage(merged_encoder, suite: TaskSuite, experts: Mapping[str, Para
             # a plan with no encoder layers: the head alone, trained on the features
             head, data = experts[task].head(task), suite.task(task)
             plan = _StepPlan([head], {0: head})
-            _fit(plan, encode(encoder, data.x_train), data.y_train, LossSpec("cross_entropy_hard"),
-                 epochs, batch_size, spawn_rng(seed, "pilot", task), lr)
+            _fit(plan, encode(encoder, data.x_train), data.y_train,
+                 LossSpec(kind_rules(data.kind).train_loss), epochs, batch_size,
+                 spawn_rng(seed, "pilot", task), lr)
             retrained += plan.trained()
         gains.append(_score_features(feats, retrained, tests) - baseline)
     return gains if sweep else gains[0]

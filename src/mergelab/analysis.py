@@ -12,8 +12,10 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .engine import (LayerParams, LossSpec, ParamSet, ShapeError, _activations, _apply,
-                     _check_inputs, _check_outputs, _check_targets, _loss_rows, encode, forward)
+                     _check_inputs, _check_outputs, _check_targets, _loss_rows, encode, forward,
+                     loss_eval)
 from .merging import CoefficientMatrix, MergedAssembly, TaskVector, merge_layerwise, merge_uniform
+from .suites import kind_rules
 
 
 class DegenerateDataError(ValueError):
@@ -22,15 +24,11 @@ class DegenerateDataError(ValueError):
 
 def evaluate(encoder, head: LayerParams, x: np.ndarray, y: np.ndarray,
              kind: str = "classification") -> float:
-    """Accuracy for classification; mean L1 error for regression."""
+    """The score of `kind`'s metric: top-1 accuracy, or the batch mean of its loss."""
     if len(x) == 0:
         raise ValueError("empty evaluation set")
-    out = _apply(head, encode(encoder, x))
-    if kind == "classification":
-        return _accuracy(out, y)
-    if kind == "regression":
-        return float(np.abs(out - np.asarray(y, dtype=np.float64)).sum(axis=1).mean())
-    raise ValueError(f"unknown task kind '{kind}'")
+    out, loss = _apply(head, encode(encoder, x)), kind_rules(kind).metric_loss
+    return _accuracy(out, y) if loss is None else loss_eval(out, y, LossSpec(loss))
 
 
 def _accuracy(logits: np.ndarray, y) -> float:

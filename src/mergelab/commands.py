@@ -297,6 +297,7 @@ def _eval_rows(run: _Inputs) -> list:
     import numpy as np
 
     from .analysis import evaluate, evaluate_assembly
+    from .suites import kind_rules
     assembly = run.assembly
     rows = []
     for t in run.task_ids:
@@ -306,8 +307,7 @@ def _eval_rows(run: _Inputs) -> list:
             value = evaluate(run.experts[t].encoder, run.experts[t].head(t), x, y, kind)
         else:
             value = evaluate_assembly(assembly, t, x, y, kind)
-        metric = "accuracy" if kind == "classification" else "l1_error"
-        rows.append({"task": t, "metric": metric, "value": value})
+        rows.append({"task": t, "metric": kind_rules(kind).metric, "value": value})
     acc = [r["value"] for r in rows if r["metric"] == "accuracy"]
     if acc:
         rows.append({"task": "MEAN", "metric": "accuracy", "value": float(np.mean(acc))})
@@ -389,9 +389,8 @@ def _sparsity_rows(run: _Inputs) -> list:
 def _prop1_rows(run: _Inputs) -> list:
     from itertools import permutations
 
-    from .adaptation import TRAIN_LOSS
     from .engine import LossSpec
-    from .suites import spawn_rng
+    from .suites import kind_rules, spawn_rng
     from .theory import Prop1Instance, prop1_verify, random_linear_instance
     rows = []
     for i in range(100):
@@ -399,7 +398,7 @@ def _prop1_rows(run: _Inputs) -> list:
         rows.append(_prop1_row(f"linear-{i}", "linear", "l2", prop1_verify(inst)))
     for ti, tj in permutations(run.task_ids, 2):
         x, y = run.test_sets[tj]
-        loss = LossSpec(TRAIN_LOSS[run.kinds[tj]])
+        loss = LossSpec(kind_rules(run.kinds[tj]).train_loss)
         inst = Prop1Instance(
             family="nonlinear-net",
             theta_0=tuple(run.pre.encoder),

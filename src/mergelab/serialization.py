@@ -231,7 +231,7 @@ def load_suite(path) -> TaskSuite:
         if not (isinstance(entry, dict) and isinstance(entry.get("id"), str)
                 and entry.get("kind") in TASK_KINDS):
             raise BundleError(f"{path}: meta field 'tasks[{i}]' is {entry!r}, not "
-                              "{'id': <string>, 'kind': 'classification' | 'regression'}")
+                              f"{{'id': <string>, 'kind': {' | '.join(map(repr, TASK_KINDS))}}}")
         tid = entry["id"]
         tasks.append(TaskData(tid, entry["kind"],
                               **{name: _array(path, arrays, f"{tid}.{name}") for name in SPLITS}))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections import namedtuple
 from dataclasses import dataclass, fields, replace
 from numbers import Integral, Real
 
@@ -63,8 +64,8 @@ class SuiteConfig:
         if not 0.0 <= self.task_rotation_strength <= 1.0:
             raise ValueError(f"task_rotation_strength: must be in [0, 1], "
                              f"got {self.task_rotation_strength}")
-        if self.noise_std < 0.0:
-            raise ValueError(f"noise_std: must be nonnegative, got {self.noise_std}")
+        if not 0.0 <= self.noise_std <= 1e300:  # keeps every draw finite; the signal has norm 1
+            raise ValueError(f"noise_std: must be in [0, 1e300], got {self.noise_std}")
         indices = self.regression_tasks
         if not (isinstance(indices, (list, tuple)) and all(type(i) is int for i in indices)):
             raise TypeError(f"regression_tasks: expected a list of task indices, got {indices!r}")
@@ -76,7 +77,21 @@ class SuiteConfig:
 
 
 SPLITS = ("x_train", "y_train", "x_test", "y_test")  # a task's arrays, each x_* before its y_*
-TASK_KINDS = ("classification", "regression")
+# A task kind's rules (each loss an `engine.LOSS_TABLE` kind): its experts train on `train_loss`
+# (pretraining, fine-tuning, the pilot's heads, `prop1`), its self-labels adapt on `self_label_loss`
+# unless `AdaptConfig.loss` is set, and `eval` reports `metric`: `metric_loss`'s mean, or accuracy.
+KindRules = namedtuple("KindRules", "train_loss self_label_loss metric metric_loss")
+KIND_RULES = {  # its keys are the task kinds
+    "classification": KindRules("cross_entropy_hard", "cross_entropy_hard", "accuracy", None),
+    "regression": KindRules("l2", "l1", "l1_error", "l1"),
+}
+TASK_KINDS = tuple(KIND_RULES)
+
+
+def kind_rules(kind: str) -> KindRules:
+    if kind not in KIND_RULES:
+        raise ValueError(f"unknown task kind '{kind}'")
+    return KIND_RULES[kind]
 
 
 @dataclass(frozen=True)
@@ -192,8 +207,7 @@ def gen_suite(cfg: SuiteConfig) -> TaskSuite:
             rng = spawn_rng(cfg.seed, "samples", k, split)
             if kind == "classification":
                 y = _balanced_labels(cfg.samples_per_split, cfg.classes_per_task)
-                with np.errstate(over="ignore"):  # the suite contract names an overflow
-                    x = protos[y] + cfg.noise_std * rng.normal(0.0, 1.0, (len(y), cfg.input_dim))
+                x = protos[y] + cfg.noise_std * rng.normal(0.0, 1.0, (len(y), cfg.input_dim))
             else:
                 x = rng.normal(0.0, 1.0, (cfg.samples_per_split, cfg.input_dim))
                 # task-specific linear targets built on the shared subspace

@@ -23,8 +23,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mergelab.cli import main
-from mergelab.config import ANALYSES, CONSTANT_METHODS, ConfigError, adapt_config_from_dict
-from mergelab.engine import LayerParams, ParamSet, init_params
+from mergelab.config import (ANALYSES, CONSTANT_METHODS, LEARNED_METHODS, METHODS, ConfigError,
+                             adapt_config_from_dict)
+from mergelab.engine import LOSS_KINDS, LayerParams, ParamSet, init_params
 from mergelab.serialization import load_bundle, load_checkpoint, save_bundle, save_checkpoint
 from mergelab.suites import spawn_rng
 
@@ -576,25 +577,105 @@ _GEN_FLAGS = st.fixed_dictionaries(
     | {"--corruption": st.sampled_from(["gaussian_noise", "feature_mask", "contrast_scale"])})
 
 
-def _exits_cleanly(argv: list) -> None:
-    """`argv` through `cli.main` exits with a documented code and no traceback."""
+def _flags(drawn: dict) -> list:
+    return [a for flag, value in drawn.items() for a in (flag, value)]
+
+
+def _exits_cleanly(argv: list, root) -> None:
+    """`argv`, which writes under the empty directory `root`, through `cli.main`
+    exits with a documented code and no traceback, and writes nothing unless it
+    exits 0."""
     proc = _run(*argv)
     assert proc.returncode in (0, 1, 2, 3), proc
     assert "Traceback" not in proc.stderr, proc.stderr
+    if proc.returncode:
+        assert list(root.iterdir()) == [], proc
 
 
 @settings(max_examples=100, deadline=None)
 @given(flags=_GEN_FLAGS)
-@example(flags={"--tasks": "2", "--samples": "8", "--noise": "1e308"})  # the draws overflow
+@example(flags={"--tasks": "2", "--samples": "8", "--noise": "1e308"})  # beyond the noise bound
 def test_gen_with_hostile_numeric_flags_exits_with_a_documented_code(tmp_path_factory, flags):
-    out = tmp_path_factory.mktemp("gen") / "data.bundle"
-    _exits_cleanly(["gen", *(a for flag, value in flags.items() for a in (flag, value)),
-                    "--out", out])
+    root = tmp_path_factory.mktemp("gen")
+    _exits_cleanly(["gen", *_flags(flags), "--out", root / "data.bundle"], root)
 
 
 @settings(max_examples=50, deadline=None)
 @given(method=st.sampled_from(CONSTANT_METHODS), value=_hostile())
 def test_merge_with_a_hostile_lambda_exits_with_a_documented_code(small, tmp_path_factory,
                                                                   method, value):
+    root = tmp_path_factory.mktemp("merge")
     _exits_cleanly(["merge", "--ckpt-dir", small / "ckpts", "--method", method,
-                    "--lambda", value, "--out-dir", tmp_path_factory.mktemp("merge")])
+                    "--lambda", value, "--out-dir", root / "out"], root)
+
+
+# finetune's flags, each drawn or left at the tiny pipeline's value
+_FINETUNE_FLAGS = st.fixed_dictionaries({}, optional={
+    flag: _hostile() for flag in ("--hidden", "--pre-epochs", "--pre-lr", "--epochs", "--lr",
+                                  "--batch-size")})
+
+
+@settings(max_examples=40, deadline=None)
+@given(flags=_FINETUNE_FLAGS)
+@example(flags={"--pre-lr": "1e308"})  # pretraining overflows
+@example(flags={"--lr": "1e308", "--epochs": "3"})  # fine-tuning overflows
+def test_finetune_with_hostile_flags_exits_with_a_documented_code(small, tmp_path_factory,
+                                                                  flags):
+    root = tmp_path_factory.mktemp("finetune")
+    _exits_cleanly(["finetune", "--data", small / "data.bundle", "--out-dir", root / "ckpts",
+                    "--hidden", "4", "--pre-epochs", "1", "--epochs", "1", *_flags(flags)], root)
+
+
+# adapt's numeric flags (a drawn pass count, so that none runs the default 500),
+# and free text for the layer selector and the loss kind
+_ADAPT_FLAGS = st.fixed_dictionaries(
+    {"--iterations": _hostile()},
+    optional={**{flag: _hostile() for flag in ("--batch-size", "--lr-coeffs", "--lr-layer",
+                                               "--init-coeff")},
+              "--trainable-layer": st.sampled_from(["head", "none", "0", "1", "0:1", "1:0", "2"])
+              | st.text(max_size=6),
+              "--loss": st.sampled_from(LOSS_KINDS) | st.text(max_size=12)})
+
+
+@settings(max_examples=60, deadline=None)
+@given(method=st.sampled_from(LEARNED_METHODS), flags=_ADAPT_FLAGS)
+@example(method="symerge", flags={"--iterations": "3", "--init-coeff": "1e308"})  # overflows
+def test_adapt_with_hostile_flags_exits_with_a_documented_code(small, tmp_path_factory,
+                                                               method, flags):
+    root = tmp_path_factory.mktemp("adapt")
+    _exits_cleanly(["adapt", "--data", small / "data.bundle", "--ckpt-dir", small / "ckpts",
+                    "--method", method, *_flags(flags), "--out-dir", root / "out"], root)
+
+
+@pytest.fixture(scope="module")
+def small_inputs(small):
+    """The files that eval reads beside a suite and its checkpoints: a merged
+    checkpoint, coefficients and trained layers, keyed by eval's flag."""
+    merged, adapted = small / "merged", small / "adapted"
+    ckpts = ["--data", str(small / "data.bundle"), "--ckpt-dir", str(small / "ckpts")]
+    assert main(["merge", *ckpts[2:], "--method", "task_arithmetic",
+                 "--out-dir", str(merged)]) == 0
+    assert main(["adapt", *ckpts, "--method", "symerge", "--iterations", "2",
+                 "--out-dir", str(adapted)]) == 0
+    return {"--checkpoint": merged / "merged.ckpt", "--coeffs": adapted / "coeffs.json",
+            "--layers": adapted / "trainable.bundle"}
+
+
+# an input file of eval: the real one, a path that does not exist, or arbitrary bytes
+_EVAL_FILE = st.sampled_from(["present", "missing"]) | st.binary(max_size=64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(method=st.sampled_from(METHODS), files=st.fixed_dictionaries({}, optional={
+    flag: _EVAL_FILE for flag in ("--coeffs", "--layers", "--checkpoint")}))
+def test_eval_with_present_missing_or_garbage_files_exits_with_a_documented_code(
+        small, small_inputs, tmp_path_factory, method, files):
+    given_dir, root = tmp_path_factory.mktemp("given"), tmp_path_factory.mktemp("eval")
+    argv = ["eval", "--data", small / "data.bundle", "--ckpt-dir", small / "ckpts",
+            "--method", method, "--out-dir", root / "out"]
+    for flag, file in files.items():
+        path = small_inputs[flag] if file == "present" else given_dir / flag[2:]
+        if isinstance(file, bytes):
+            path.write_bytes(file)
+        argv += [flag, path]
+    _exits_cleanly(argv, root)

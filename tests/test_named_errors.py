@@ -30,6 +30,7 @@ from mergelab.serialization import (
     BundleError,
     load_bundle,
     load_checkpoint,
+    load_suite,
     read_manifest,
     save_bundle,
 )
@@ -144,6 +145,10 @@ CASES = {
                       "{d}/f.json: not valid JSON (Expecting property name*)"),
     "manifest_list": (lambda d: read_manifest(_raw(d, b"[]")), BundleError,
                       "{d}/f.json: holds a JSON list, not a manifest object"),
+    "suite_noise": (lambda d: load_suite(_bundle(d, {"format": "suite", "config": {
+                        "noise_std": 1e308}, "tasks": []}, {})), BundleError,
+                    "{d}/f.bundle: meta field 'config': noise_std: must be in [0, 1e300], "
+                    "got 1e+308"),
     # suites
     "suite_task": (lambda d: gen_suite(SuiteConfig(num_tasks=1, samples_per_split=5)).task("b"),
                    KeyError, "no task 'b' in suite"),
@@ -187,3 +192,17 @@ def test_merge_with_a_non_finite_lambda_exits_2_naming_the_flag(tmp_path, capsys
     assert capsys.readouterr().err == (f"config error: --lambda: expected a finite real "
                                        f"number, got {value}\n")
     assert not out.exists()
+
+
+def test_gen_with_a_noise_beyond_the_bound_exits_2_naming_the_flag(tmp_path, capsys):
+    out = tmp_path / "data.bundle"
+    code = main(["gen", "--tasks", "2", "--samples", "8", "--noise", "1e308", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == ("config error: suite.noise_std: must be in [0, 1e300], "
+                                       "got 1e+308\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_the_largest_noise_the_bound_allows_draws_a_finite_suite():
+    cfg = SuiteConfig(num_tasks=2, samples_per_split=8, noise_std=1e300)
+    assert all(np.isfinite(t.x_train).all() for t in gen_suite(cfg).tasks)  # the contract holds
