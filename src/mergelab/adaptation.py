@@ -2,12 +2,13 @@
 self-labeled joint adaptation of coefficients plus one task-specific layer,
 and the supervised two-stage head-retraining pilot.
 
-All but backbone pretraining train some layers of one forward pass against
-fixed targets through one step plan (`_StepPlan`). Fine-tuning (the encoder)
-and the pilot (the head alone, on fixed features) run it in one drop-last
-epoch loop (`_fit`); adaptation runs one plan per task over the merged layers,
-on a schedule drawn before the first step, with all tasks' trained layers in
-one vector that one Adam steps once a pass (`_run_adaptation` says why).
+All but backbone pretraining train some layers of one whole model through
+one step plan (`_StepPlan`). Fine-tuning (the encoder) and the pilot (the
+head over a merged encoder) run it in one drop-last epoch loop (`_fit`);
+adaptation runs one plan per task over the merged layers, on a schedule
+drawn before the first step, with all tasks' trained layers in one vector
+that one Adam steps once a pass (`_run_adaptation` says why). Every loop
+ends a divergence in one error (`_check_finite`).
 
 Every self-labeled objective is built from `make_self_labels` and trained on
 its task kind's self-label loss (`suites.KIND_RULES`) unless a loss is given.
@@ -33,7 +34,6 @@ from .engine import (
     _apply,
     _backprop,
     _check_inputs,
-    _check_outputs,
     _check_targets,
     _loss_rows,
     _split,
@@ -42,6 +42,7 @@ from .engine import (
     backward,
     encode,
     forward,
+    forward_cached,
     init_params,
     params_to_arrays,
     arrays_to_params,
@@ -154,17 +155,24 @@ def _adam(x: np.ndarray, lr: float):
     return step
 
 
+def _check_finite(a: np.ndarray, stage: str, what: str, where: str):
+    """Raise that `stage` diverged `where` (pass or epoch, task, rate) unless `a` is all finite."""
+    if not np.isfinite(a).all():
+        raise ValueError(f"{stage} diverged: non-finite {what} on {where}")
+
+
 class _StepPlan:
     """What the steps of one training loop read, fixed for the loop.
 
-    `layers` are the encoder layers of one forward pass, then the head. The
-    positions in `trained` (position -> initial layer) hold views of
-    `flat`, a copy of those layers that the loop's Adam steps in place, and
-    their gradients are views of `train_grad`; `into` gives these two
-    vectors (slices of a pair that adaptation's tasks share), fresh ones
-    otherwise. The other layers stay the caller's. `grads[i]` is a view of
-    layer i's gradient, or None when nothing reads it: the trained layers
-    and those in `read` have one, and `lowest` is the lowest of them.
+    `layers` are a whole model, its encoder layers and then its head. The
+    positions in `trained` (position -> initial layer) hold views of `flat`,
+    a copy of those layers that the loop's Adam steps in place, and their
+    gradients are views of `train_grad`; `into` gives these two vectors
+    (slices of a pair that adaptation's tasks share), fresh ones otherwise.
+    The other layers stay the caller's. `grads[i]` is a view of layer i's
+    gradient, or None when nothing reads it: the trained layers and those in
+    `read` have one, and `lowest` is the lowest of them. A loop applies the
+    layers below `lowest` once and feeds the plan their outputs.
     """
 
     def __init__(self, layers: Sequence[LayerParams], trained: dict, read=(), into=None):
@@ -183,9 +191,9 @@ class _StepPlan:
             self.grads[i] = grad
         self.lowest = min((*self.positions, *read), default=len(self.layers))
 
-    def forward(self, x: np.ndarray):
-        """The activations of checked inputs `x` (`_activations`) and the logits."""
-        acts = _activations(self.layers[:-1], x)
+    def forward(self, h: np.ndarray):
+        """The activations from checked inputs `h` of layer `lowest` (None below) and the logits."""
+        acts = [None] * self.lowest + _activations(self.layers[self.lowest:-1], h)
         return acts, _apply(self.layers[-1], acts[-1])
 
     def backprop(self, g: np.ndarray, acts: list):
@@ -223,29 +231,33 @@ class _BatchStream:
 # each training loop ends an overflow in its own error for non-finite values, not a warning
 @np.errstate(over="ignore", invalid="ignore")
 def _fit(plan: _StepPlan, x: np.ndarray, y: np.ndarray, spec: LossSpec, epochs: int,
-         batch_size: int, rng: np.random.Generator, lr: float) -> list:
-    """Train `plan` on (x, y) for `epochs` passes over the data, reshuffled
-    by `rng` each pass, one Adam step at rate `lr` per full batch (a short
-    last batch is dropped). Returns each epoch's mean batch loss."""
+         batch_size: int, rng: np.random.Generator, lr: float, stage: str, task: str) -> list:
+    """Train `plan` on (x, y), `x` put through the layers below its lowest
+    once, for `epochs` passes over the data, reshuffled by `rng` each pass,
+    one Adam step at rate `lr` per full batch (a short last batch is
+    dropped). Returns each epoch's mean batch loss."""
     step = _adam(plan.flat, lr)
     if epochs < 0:
         raise ValueError(f"epochs must be nonnegative, got {epochs}")
     n = len(x)
-    x = _check_inputs(x, plan.layers[0].in_dim)
+    x = _activations(plan.layers[:plan.lowest], _check_inputs(x, plan.layers[0].in_dim))[-1]
     y = _check_targets((n, plan.layers[-1].out_dim), y, spec)
     batches = _BatchStream(n, batch_size, rng)
     bs = batches.bs
     history = []
-    for _ in range(epochs):
+    for epoch in range(epochs):
+        where = f"epoch {epoch} for task '{task}' at learning rate {lr:g}"
         epoch_losses = []
         for _ in range(n // bs):
             idx = batches.next_indices()
             acts, logits = plan.forward(x[idx])
-            rows, g, _ = _loss_rows(_check_outputs(logits), y[idx], spec)
+            _check_finite(logits, stage, "outputs", where)
+            rows, g, _ = _loss_rows(logits, y[idx], spec)
             g /= bs
             plan.backprop(g, acts)
             step(plan.train_grad)
             epoch_losses.append(float(rows.sum()) / bs)
+        _check_finite(plan.flat, stage, "layer parameters", where)
         history.append(float(np.mean(epoch_losses)))
     return history
 
@@ -262,14 +274,11 @@ def finetune_expert(pre: ParamSet, x: np.ndarray, y: np.ndarray, task: str,
     spec = LossSpec(kind_rules(kind).train_loss)
     if len(x) == 0:
         raise ValueError("empty training set")
-    params = ParamSet(encoder=pre.encoder, heads={task: pre.head(task)})
-    if epochs == 0:
-        return (params, []) if return_history else params
-
     # the encoder is trained (a copy of `pre`'s); the head gets no gradient
-    plan = _StepPlan([*params.encoder, params.head(task)], dict(enumerate(params.encoder)))
-    history = _fit(plan, x, y, spec, epochs, batch_size, spawn_rng(seed, "finetune", task), lr)
-    params = ParamSet(encoder=plan.trained(), heads=params.heads)
+    plan = _StepPlan([*pre.encoder, pre.head(task)], dict(enumerate(pre.encoder)))
+    history = _fit(plan, x, y, spec, epochs, batch_size, spawn_rng(seed, "finetune", task), lr,
+                   "fine-tuning", task)
+    params = ParamSet(encoder=plan.trained(), heads={task: plan.layers[-1]})
     return (params, history) if return_history else params
 
 
@@ -296,14 +305,22 @@ def pretrain_backbone(init: ParamSet, suite: TaskSuite, epochs: int, lr: float,
              _BatchStream(len(t.x_train), batch_size, spawn_rng(seed, "pretrain", t.task_id)))
             for t in suite.tasks]
     steps_per_epoch = max(len(t.x_train) // min(batch_size, len(t.x_train)) for t in suite.tasks)
-    for _ in range(epochs):
+    for epoch in range(epochs):
         for _ in range(steps_per_epoch):
             for t, spec, stream in runs:
                 idx = stream.next_indices()
-                _, grads = backward(params, t.task_id, t.x_train[idx], t.y_train[idx], spec)
+                cache = forward_cached(params, t.task_id, t.x_train[idx])
+                _check_finite(cache[0], "pretraining", "outputs",
+                              f"epoch {epoch} for task '{t.task_id}' at learning rate {lr:g}")
+                _, grads = backward(params, t.task_id, t.x_train[idx], t.y_train[idx], spec,
+                                    cache=cache)
                 (new,), state = adam_step([flat], [np.concatenate(params_to_arrays(grads))],
                                           state, lr)
                 flat[...] = new
+    if epochs:  # the last steps can leave outputs non-finite that no step saw
+        for t in suite.tasks:
+            _check_finite(forward(params, t.task_id, t.x_train), "pretraining", "outputs",
+                          f"epoch {epochs - 1} for task '{t.task_id}' at learning rate {lr:g}")
     return arrays_to_params(init, params_to_arrays(params))
 
 
@@ -369,8 +386,7 @@ def symerge(pre: ParamSet, vectors: Mapping[str, TaskVector],
     its loss on the rows the confidence filter keeps, then Adam steps of both.
     """
     kinds = _adapt_tasks(experts, vectors, inputs_by_task, task_kinds)
-    selector = cfg.trainable_layer
-    objectives, trainable = {}, {}
+    objectives = {}
     for t, kind in kinds.items():
         spec = cfg.loss if cfg.loss is not None else LossSpec(kind_rules(kind).self_label_loss)
         labels = make_self_labels(experts[t], t, inputs_by_task[t], kind)
@@ -380,12 +396,8 @@ def symerge(pre: ParamSet, vectors: Mapping[str, TaskVector],
         targets = (None if arity == "none" else labels.targets if arity == "labels"
                    else softmax(labels.logits) if arity == "distribution" else labels.logits)
         objectives[t] = (spec, targets, labels.expert_confidence if cfg.filter_enabled else None)
-        if selector is not None:
-            layers = (*experts[t].encoder, experts[t].head(t))
-            init = [layers[p] for p in layer_positions(selector, len(experts[t].encoder))]
-            trainable[t] = TrainableLayer.build(selector, init.__getitem__)
-    heads = {t: experts[t].head(t) for t in kinds}
-    return _run_adaptation(pre, vectors, heads, inputs_by_task, cfg, objectives, trainable)
+    models = {t: (*experts[t].encoder, experts[t].head(t)) for t in kinds}
+    return _run_adaptation(pre, vectors, models, inputs_by_task, cfg, objectives)
 
 
 def adamerging_entropy(pre: ParamSet, vectors: Mapping[str, TaskVector],
@@ -400,7 +412,8 @@ def adamerging_entropy(pre: ParamSet, vectors: Mapping[str, TaskVector],
         if kind != "classification":
             raise ValueError(f"entropy objective undefined for {kind} task '{t}'")
     objectives = {t: (LossSpec("entropy"), None, None) for t in kinds}
-    return _run_adaptation(pre, vectors, dict(heads), inputs_by_task, cfg, objectives, {}).coeffs
+    models = {t: (*pre.encoder, heads[t]) for t in kinds}
+    return _run_adaptation(pre, vectors, models, inputs_by_task, cfg, objectives).coeffs
 
 
 def _adapt_tasks(tasks, vectors, inputs_by_task, task_kinds) -> dict:
@@ -428,21 +441,21 @@ def _diverged(x: np.ndarray, start_scale: float) -> bool:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _run_adaptation(pre, vectors, heads, inputs_by_task, cfg, objectives,
-                    trainable) -> AdaptResult:
-    """Adapt the coefficients and the `trainable` layers on one objective per
-    task: (loss spec, whole-split targets, expert confidence that filters
-    the task's batches or None). Everything is checked, and what no step
-    changes is fixed, before the first step: the schedule (task orders and
-    batch indices; the seeded streams never read the model), the merged
-    encoder (whose mixed layers are merged again after each coefficient
-    step) and, with frozen coefficients, each task's activations below its
-    lowest trained layer for all its batches (stacked per layer). All tasks'
-    trained layers are one vector that Adam steps at the end of each pass
-    (the same numbers as a step after each task's step, whose layers no
-    other step reads): one update while the tasks' step counts agree, else
-    one per stepped task's segment. A pass that ends beyond `DIVERGED` raises a
-    ValueError naming the pass and the task."""
+def _run_adaptation(pre, vectors, models, inputs_by_task, cfg, objectives) -> AdaptResult:
+    """Adapt the coefficients and the selected layers of each task's starting
+    model (`models`: its layers, head last) on one objective per task: (loss
+    spec, whole-split targets, expert confidence that filters the task's
+    batches or None). Everything is checked, and what no step changes is
+    fixed, before the first step: the schedule (task orders and batch
+    indices; the seeded streams never read the model), the merged encoder
+    (whose mixed layers are merged again after each coefficient step) and,
+    with frozen coefficients, each task's inputs of its plan's lowest layer
+    for all its batches (stacked per pass). All tasks' trained layers are
+    one vector that Adam steps at the end of each pass (the same numbers as
+    a step after each task's step, whose layers no other step reads): one
+    update while the tasks' step counts agree, else one per stepped task's
+    segment. A pass that ends beyond `DIVERGED` raises a ValueError naming
+    the pass and the task."""
     task_ids = tuple(objectives)
     depth = len(pre.encoder)
     coeffs = CoefficientMatrix.constant(task_ids, depth, cfg.init_coeff)
@@ -459,33 +472,29 @@ def _run_adaptation(pre, vectors, heads, inputs_by_task, cfg, objectives,
               if cfg.task_order == "shuffled_each_pass" else range(len(task_ids))
               for _ in range(cfg.iterations)]
 
-    # the tasks' trained layers (in task order) in one vector, with its gradient and moments
-    sizes = [sum(l.flat.size for l in trainable[t].layers()) if t in trainable else 0
-             for t in task_ids]
-    layer_flat, layer_grad, m, v = np.zeros((4, sum(sizes)))
-    counts = [0] * len(task_ids)  # each task's layer steps
     # every task trains the selector's layers (or none); the others mix task vectors
     selector = cfg.trainable_layer
     positions = () if selector is None else layer_positions(selector, depth)
     mixed = tuple(l for l in range(depth) if l not in positions) if cfg.train_coeffs else ()
-    lo = 0 if cfg.train_coeffs else min(positions)  # the layers below lo stay fixed
+    # the tasks' trained layers (in task order) in one vector, with its gradient and moments
+    sizes = [sum(models[t][p].flat.size for p in positions) for t in task_ids]
+    layer_flat, layer_grad, m, v = np.zeros((4, sum(sizes)))
+    counts = [0] * len(task_ids)  # each task's layer steps
     runs = []
     for (t, (spec, targets, conf)), size, end in zip(objectives.items(), sizes, accumulate(sizes)):
-        tr = trainable.get(t)
         seg = slice(end - size, end)
-        plan = _StepPlan([*merged, heads[t]][lo:],
-                         {p - lo: layer for p, layer in zip(positions, tr.layers() if tr else ())},
-                         mixed, (layer_flat[seg], layer_grad[seg]))
+        plan = _StepPlan([*merged, models[t][-1]], {p: models[t][p] for p in positions}, mixed,
+                         (layer_flat[seg], layer_grad[seg]))
         # a layer the task replaces has no coefficient gradient: its column stays 0
         cgrad_in = [None if l in positions else plan.grads[l].flat
                     for l in range(depth)] if cfg.train_coeffs else None
         x = _check_inputs(inputs_by_task[t], pre.encoder[0].in_dim)
-        y = _check_targets((len(x), heads[t].out_dim), targets, spec)
+        y = _check_targets((len(x), plan.layers[-1].out_dim), targets, spec)
         stream = _BatchStream(len(x), cfg.batch_size, spawn_rng(cfg.seed, "batches", t))
         idx = np.array([stream.next_indices() for _ in range(cfg.iterations)],
                        dtype=np.int64).reshape(cfg.iterations, stream.bs)
-        if lo:  # row p of x becomes pass p's activations at layer lo
-            x = _activations(merged[:lo], x[idx])[-1]
+        if plan.lowest:  # row p of x becomes pass p's inputs of layer `lowest`
+            x = _activations(plan.layers[:plan.lowest], x[idx])[-1]
         # row p of y and conf: pass p's targets and expert confidences
         y, conf = (None if a is None else a[idx] for a in (y, conf))
         runs.append((plan, x, idx, y, spec, conf, cgrad_in, seg))
@@ -494,16 +503,15 @@ def _run_adaptation(pre, vectors, heads, inputs_by_task, cfg, objectives,
 
     steps = []  # one StepStats per step; a fully filtered batch's has kept=0, loss=None
     filtered_passes = 0
+    agg_coeff_grad = np.zeros_like(values)  # the pass's summed coefficient gradient
     for pass_idx, order in enumerate(orders):
-        agg_coeff_grad = np.zeros_like(values)
         stepped = []
         for k in order:
             plan, x, idx, y, spec, conf, cgrad_in, _ = runs[k]
             n = idx.shape[1]
-            acts, logits = plan.forward(x[pass_idx] if lo else x[idx[pass_idx]])
-            if not np.isfinite(logits).all():
-                raise ValueError(f"adaptation diverged: non-finite outputs on pass {pass_idx} "
-                                 f"for task '{task_ids[k]}'")
+            acts, logits = plan.forward(x[pass_idx] if plan.lowest else x[idx[pass_idx]])
+            _check_finite(logits, "adaptation", "outputs",
+                          f"pass {pass_idx} for task '{task_ids[k]}'")
             losses, grad, probs = _loss_rows(logits, None if y is None else y[pass_idx], spec)
             step = StepStats(pass_idx, task_ids[k], n, n, None, float(losses.sum()) / n)
             steps.append(step)
@@ -536,12 +544,13 @@ def _run_adaptation(pre, vectors, heads, inputs_by_task, cfg, objectives,
             continue
         if cfg.update_mode == "aggregated" and cfg.train_coeffs:
             step_coeffs(agg_coeff_grad)
+            agg_coeff_grad[...] = 0.0
             merge(mixed)
         for k in stepped:
             counts[k] += 1
-        if trainable and len(stepped) == len(task_ids) and len(set(counts)) == 1:
+        if positions and len(stepped) == len(task_ids) and len(set(counts)) == 1:
             _adam_update(layer_flat, layer_grad, m, v, counts[0], cfg.lr_layer)
-        elif trainable:
+        elif positions:
             for k in stepped:
                 seg = runs[k][-1]
                 _adam_update(layer_flat[seg], layer_grad[seg], m[seg], v[seg], counts[k],
@@ -558,8 +567,8 @@ def _run_adaptation(pre, vectors, heads, inputs_by_task, cfg, objectives,
                       "every batch lost all its rows to the confidence filter, no update applied")
     return AdaptResult(
         coeffs=CoefficientMatrix(task_ids, values),
-        trainable={t: tr.with_layers(runs[task_ids.index(t)][0].trained())
-                   for t, tr in trainable.items()},
+        trainable={t: TrainableLayer.build(selector, run[0].trained().__getitem__)
+                   for t, run in zip(task_ids, runs) if positions},
         loss_trace=[float(np.mean([st.batch_loss for st in steps[i:i + len(task_ids)]]))
                     for i in range(0, len(steps), len(task_ids))],
         step_stats=steps,
@@ -598,12 +607,11 @@ def pilot_two_stage(merged_encoder, suite: TaskSuite, experts: Mapping[str, Para
     for encoder in merged_encoder if sweep else [merged_encoder]:
         retrained = []
         for task in task_ids:
-            # a plan with no encoder layers: the head alone, trained on the features
+            # the head trained over the frozen merged encoder
             head, data = experts[task].head(task), suite.task(task)
-            plan = _StepPlan([head], {0: head})
-            _fit(plan, encode(encoder, data.x_train), data.y_train,
-                 LossSpec(kind_rules(data.kind).train_loss), epochs, batch_size,
-                 spawn_rng(seed, "pilot", task), lr)
+            plan = _StepPlan([*encoder, head], {len(encoder): head})
+            _fit(plan, data.x_train, data.y_train, LossSpec(kind_rules(data.kind).train_loss),
+                 epochs, batch_size, spawn_rng(seed, "pilot", task), lr, "pilot retraining", task)
             retrained += plan.trained()
         gains.append(_score_features(feats, retrained, tests) - baseline)
     return gains if sweep else gains[0]

@@ -202,6 +202,9 @@ def gen_suite(cfg: SuiteConfig) -> TaskSuite:
         rot = _task_rotation(cfg, k)
         protos = shared_protos @ rot.T
         kind = "regression" if k in cfg.regression_tasks else "classification"
+        if kind == "regression":  # task-specific linear targets built on the shared subspace
+            w_rng = spawn_rng(cfg.seed, "regmap", k)
+            w = w_rng.normal(0.0, 1.0, (cfg.classes_per_task, cfg.shared_subspace_dim)) @ basis.T @ rot.T
         splits = {}
         for split in ("train", "test"):
             rng = spawn_rng(cfg.seed, "samples", k, split)
@@ -210,9 +213,6 @@ def gen_suite(cfg: SuiteConfig) -> TaskSuite:
                 x = protos[y] + cfg.noise_std * rng.normal(0.0, 1.0, (len(y), cfg.input_dim))
             else:
                 x = rng.normal(0.0, 1.0, (cfg.samples_per_split, cfg.input_dim))
-                # task-specific linear targets built on the shared subspace
-                w_rng = spawn_rng(cfg.seed, "regmap", k)
-                w = w_rng.normal(0.0, 1.0, (cfg.classes_per_task, cfg.shared_subspace_dim)) @ basis.T @ rot.T
                 y = x @ w.T
             splits[f"x_{split}"], splits[f"y_{split}"] = x, y
         tasks.append(TaskData(task_id, kind, **splits))

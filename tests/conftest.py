@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from mergelab.adaptation import train_experts
 from mergelab.engine import LayerParams, ParamSet
@@ -10,6 +11,12 @@ from mergelab.suites import SuiteConfig, gen_suite
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 REFERENCE_CONFIG = REPO_ROOT / "configs" / "reference.json"
+
+# every property test draws the same examples on every run (a hash of the test
+# seeds them); `pytest --hypothesis-profile explore` draws fresh ones instead
+settings.register_profile("tier1", derandomize=True)
+settings.register_profile("explore", derandomize=False)
+settings.load_profile("tier1")
 
 
 def load_reference():

@@ -125,7 +125,8 @@ def test_finetune_zero_epochs_is_noop():
     rng = np.random.default_rng(1)
     pre = random_paramset(rng, tasks=("t",))
     x, y = _separable_task(rng)
-    out = finetune_expert(pre, x[:, :4], y, "t", epochs=0, lr=0.01)
+    with pytest.raises(ShapeError, match="input dim 4 != first layer in_dim 5"):
+        finetune_expert(pre, x[:, :4], y, "t", epochs=0, lr=0.01)  # as at every epoch count
     # dims differ: rebuild a matching pre
     pre = ParamSet((LayerParams(rng.normal(size=(6, 4)), rng.normal(size=6)),),
                    {"t": LayerParams(rng.normal(size=(2, 6)), rng.normal(size=2))})
@@ -357,6 +358,26 @@ def test_symerge_whose_trained_layers_diverge_names_the_pass_and_the_task(small_
     cfg = AdaptConfig(iterations=3, batch_size=8, train_coeffs=False, lr_layer=1e6)
     with pytest.raises(ValueError, match=r"^adaptation diverged: .* on pass 0 for task 'task0'$"):
         symerge(pre, vectors, experts, inputs, cfg)
+
+
+@pytest.mark.parametrize("loop, named", [
+    ("pretrain", "pretraining diverged: non-finite outputs on epoch 1 for task 'task0'"),
+    ("finetune", "fine-tuning diverged: non-finite layer parameters on epoch 2 for task 'task1'"),
+    ("pilot", "pilot retraining diverged: non-finite outputs on epoch 1 for task 'task0'"),
+])
+def test_a_divergent_rate_names_the_loop_the_epoch_the_task_and_the_rate(small_setup, loop,
+                                                                          named):
+    suite, pre, experts, _, _ = small_setup
+    t = suite.tasks[1]
+    run = {
+        "pretrain": lambda: pretrain_backbone(pre, suite, 3, 1e308),
+        "finetune": lambda: finetune_expert(pre, t.x_train, t.y_train, t.task_id, epochs=3,
+                                            lr=1e308),
+        "pilot": lambda: pilot_two_stage(pre.encoder, suite, experts, epochs=3, lr=1e308),
+    }[loop]
+    with pytest.raises(ValueError) as exc:
+        run()
+    assert str(exc.value) == f"{named} at learning rate 1e+308"
 
 
 def test_adaptation_with_no_tasks_is_a_named_error(small_setup):

@@ -566,7 +566,7 @@ def test_a_named_error_exits_with_its_code_and_writes_nothing(small, tmp_path, c
 # floats that break range checks, and text that is no number at all
 def _hostile(top: int = 64):
     return st.integers(-3, top).map(str) | st.sampled_from(
-        ["nan", "inf", "-inf", "-0.0", "1e308", "", " ", "x", "1,2", "0x10"])
+        ["nan", "inf", "-inf", "-0.0", "1e308", "-1e-1", "", " ", "x", "1,2", "0x10"])
 
 
 # at most 8 tasks of 64 samples, so that no example allocates more than a few MiB
@@ -581,15 +581,16 @@ def _flags(drawn: dict) -> list:
     return [a for flag, value in drawn.items() for a in (flag, value)]
 
 
-def _exits_cleanly(argv: list, root) -> None:
+def _exits_cleanly(argv: list, root) -> SimpleNamespace:
     """`argv`, which writes under the empty directory `root`, through `cli.main`
     exits with a documented code and no traceback, and writes nothing unless it
-    exits 0."""
+    exits 0. Returns the run's exit code and stderr."""
     proc = _run(*argv)
     assert proc.returncode in (0, 1, 2, 3), proc
     assert "Traceback" not in proc.stderr, proc.stderr
     if proc.returncode:
         assert list(root.iterdir()) == [], proc
+    return proc
 
 
 @settings(max_examples=100, deadline=None)
@@ -609,10 +610,35 @@ def test_merge_with_a_hostile_lambda_exits_with_a_documented_code(small, tmp_pat
                     "--lambda", value, "--out-dir", root / "out"], root)
 
 
+@pytest.mark.parametrize("command, flag", [
+    (["merge", "--method", "task_arithmetic"], "--lambda"),
+    (["adapt", "--method", "symerge", "--iterations", "2"], "--init-coeff"),
+], ids=["merge", "adapt"])
+def test_a_negative_number_with_an_exponent_after_a_space_is_a_value(small, tmp_path, command,
+                                                                     flag):
+    inputs = ["--ckpt-dir", small / "ckpts"] + (["--data", small / "data.bundle"]
+                                                if command[0] == "adapt" else [])
+    trees = []
+    for value in ([flag, "-1e-1"], [f"{flag}=-0.1"]):
+        out = tmp_path / str(len(trees))
+        proc = _run(*command, *inputs, *value, "--out-dir", out)
+        assert proc.returncode == 0, proc.stderr
+        trees.append({p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*"))})
+    assert trees[0] == trees[1] and len(trees[0]) >= 3
+
+
 # finetune's flags, each drawn or left at the tiny pipeline's value
 _FINETUNE_FLAGS = st.fixed_dictionaries({}, optional={
     flag: _hostile() for flag in ("--hidden", "--pre-epochs", "--pre-lr", "--epochs", "--lr",
                                   "--batch-size")})
+
+# recipes that overflow, and the error naming the stage, epoch, task and rate that diverged
+_DIVERGING = {
+    "--pre-lr 1e308": "error: pretraining diverged: non-finite outputs on epoch 0 for task "
+                      "'task0' at learning rate 1e+308\n",
+    "--lr 1e308 --epochs 3": "error: fine-tuning diverged: non-finite layer parameters on "
+                             "epoch 2 for task 'task0' at learning rate 1e+308\n",
+}
 
 
 @settings(max_examples=40, deadline=None)
@@ -622,8 +648,12 @@ _FINETUNE_FLAGS = st.fixed_dictionaries({}, optional={
 def test_finetune_with_hostile_flags_exits_with_a_documented_code(small, tmp_path_factory,
                                                                   flags):
     root = tmp_path_factory.mktemp("finetune")
-    _exits_cleanly(["finetune", "--data", small / "data.bundle", "--out-dir", root / "ckpts",
-                    "--hidden", "4", "--pre-epochs", "1", "--epochs", "1", *_flags(flags)], root)
+    proc = _exits_cleanly(["finetune", "--data", small / "data.bundle", "--out-dir",
+                           root / "ckpts", "--hidden", "4", "--pre-epochs", "1", "--epochs", "1",
+                           *_flags(flags)], root)
+    diverged = _DIVERGING.get(" ".join(_flags(flags)))
+    if diverged is not None:
+        assert (proc.returncode, proc.stderr) == (3, diverged)
 
 
 # adapt's numeric flags (a drawn pass count, so that none runs the default 500),

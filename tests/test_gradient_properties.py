@@ -1,7 +1,8 @@
 """Property tests of the exact gradients over random shapes and every loss kind:
 `engine.backward` against central differences, within criterion 1's
-tolerance, and a step plan that trains every layer against `backward`, bit
-for bit.
+tolerance, a step plan that trains every layer against `backward`, bit for
+bit, and a plan fed at a higher lowest layer against the every-layer plan
+and `engine.forward`, bit for bit.
 
 Each example draws an encoder of depth 1-4 and widths 1-12, a batch of 1-20,
 a head of width 2-6 and one of the nine loss kinds, with targets of that
@@ -26,6 +27,7 @@ from mergelab.engine import (
     _loss_rows,
     arrays_to_params,
     backward,
+    encode,
     forward,
     loss_eval,
     params_to_arrays,
@@ -126,4 +128,29 @@ def test_a_plan_that_trains_every_layer_gives_the_backward_gradient_bit_for_bit(
     plan.backprop(g, acts)
     _, grads = backward(params, "t", x, targets, spec)
     want = np.concatenate([layer.flat for layer in (*grads.encoder, grads.head("t"))])
+    assert plan.train_grad.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", LOSS_KINDS)
+@PROPERTY
+@given(case=cases, k=st.integers(1, 4))
+def test_a_plan_fed_at_its_lowest_layer_gives_the_every_layer_plans_numbers_bit_for_bit(
+        kind, case, k):
+    # the plan trains layer k and the head (the head alone when k is the head's position)
+    params, x, targets, spec, _ = _problem(case, kind)
+    layers = [*params.encoder, params.head("t")]
+    top = len(layers) - 1
+    k = min(k, top)
+    plan = _StepPlan(layers, {k: layers[k], top: layers[top]})
+    assert plan.lowest == k
+    acts, logits = plan.forward(encode(params.encoder[:k], x))
+    assert acts[:k] == [None] * k
+    assert logits.tobytes() == forward(params, "t", x).tobytes()
+    _, g, _ = _loss_rows(logits, _check_targets(logits.shape, targets, spec), spec)
+    g /= len(x)
+    plan.backprop(g, acts)
+    every = _StepPlan(layers, dict(enumerate(layers)))
+    every_acts, _ = every.forward(_check_inputs(x, layers[0].in_dim))
+    every.backprop(g, every_acts)
+    want = np.concatenate([every.grads[i].flat for i in sorted({k, top})])
     assert plan.train_grad.tobytes() == want.tobytes()
