@@ -9,9 +9,11 @@ reproducible, manifest-stamped runs.
 
 `import mergelab` loads none of the modules below, so a CLI command that
 computes nothing starts without numpy: `cli` holds the parser and `report`,
-and `commands`, loaded only when a numeric command runs, imports per
-command only the modules it uses. The first name read through the package
-(PEP 562) loads them all, as `import mergelab` once did.
+and `commands`, loaded only when a numeric command runs, loads the modules
+that every such command uses and, per command, the others it calls. The
+first name read through the package (PEP 562) loads them all, as `import
+mergelab` once did; inside the package, `from . import <exported module>`
+is such a read, so it loads every module.
 """
 
 import importlib

@@ -49,6 +49,7 @@ from .engine import (
     softmax,
 )
 from .merging import (
+    MAX_INIT_COEFF,
     CoefficientMatrix,
     MergedAssembly,
     TaskVector,
@@ -87,6 +88,9 @@ class AdaptConfig:
         for name in ("batch_size", "lr_coeffs", "lr_layer"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name}: must be positive, got {getattr(self, name)}")
+        if not abs(self.init_coeff) <= MAX_INIT_COEFF:
+            raise ValueError(f"init_coeff: must be in [-{MAX_INIT_COEFF:g}, {MAX_INIT_COEFF:g}], "
+                             f"got {self.init_coeff}")
         if self.update_mode not in ("sequential", "aggregated"):
             raise ValueError(f"update_mode: unknown mode '{self.update_mode}'")
         if self.task_order not in ("shuffled_each_pass", "fixed"):
@@ -259,6 +263,8 @@ def _fit(plan: _StepPlan, x: np.ndarray, y: np.ndarray, spec: LossSpec, epochs: 
             epoch_losses.append(float(rows.sum()) / bs)
         _check_finite(plan.flat, stage, "layer parameters", where)
         history.append(float(np.mean(epoch_losses)))
+    if epochs:  # the last steps can leave outputs non-finite that no step saw
+        _check_finite(plan.forward(x)[1], stage, "outputs", where)
     return history
 
 

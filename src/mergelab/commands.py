@@ -1,30 +1,43 @@
 """The numeric subcommands: gen, finetune, merge, adapt, eval and analyze.
 
-`cli.main` imports this module only when one of them runs. Each command
-imports the mergelab functions it uses when it runs, and this module binds
-none at load time, so those names are looked up on their modules at call
-time (where a tracer or a monkeypatch rebinds them). Every path in `args`
-comes resolved by the parser (`cli._out_path`), inputs as well as outputs.
+`cli.main` imports this module only when one of them runs. It binds the
+modules that every one of them loads (`engine`, `merging`, `reports`,
+`serialization`, `suites`) once, as modules, and calls through them; each
+command imports `adaptation`, `analysis` and `theory` only if it uses them.
+So every mergelab name is looked up on its module at call time (where a
+tracer or a monkeypatch rebinds it). Every path in `args` comes resolved by
+the parser (`cli._out_path`), inputs as well as outputs.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import asdict, fields
 from functools import cached_property
+from itertools import permutations
 from typing import TYPE_CHECKING
 
+import numpy as np
+
+# by full name: `from . import engine` reads the package's `__getattr__`, which loads every module
+import mergelab.engine as engine
+import mergelab.merging as merging
+import mergelab.reports as reports
+import mergelab.serialization as serialization
+import mergelab.suites as suites
+
 from .cli import EXIT_OK, GEN_SEVERITY
-from .config import ANALYSES, COEFF_ANALYSES, LEARNED, METHOD_COEFFS, ConfigError
+from .config import (ANALYSES, COEFF_ANALYSES, LEARNED, METHOD_COEFFS, ConfigError,
+                     adapt_config_from_dict, adapt_config_to_dict, load_config_section,
+                     suite_config_from_dict)
 
 if TYPE_CHECKING:
     from pathlib import Path
 
     from .adaptation import AdaptConfig
-    from .merging import CoefficientMatrix, MergedAssembly
 
 
 def _sha256(path: Path) -> str:
-    import hashlib
     h = hashlib.sha256()
     with open(path, "rb") as f:
         for chunk in iter(lambda: f.read(1 << 16), b""):
@@ -33,30 +46,28 @@ def _sha256(path: Path) -> str:
 
 
 def _load_ckpt_dir(path: Path):
-    from .serialization import BundleError, load_checkpoint
     pre_path = path / "pre.ckpt"
     if not pre_path.exists():
-        raise BundleError(f"{path}: missing pre.ckpt")
-    pre = load_checkpoint(pre_path)
+        raise serialization.BundleError(f"{path}: missing pre.ckpt")
+    pre = serialization.load_checkpoint(pre_path)
     experts = {}
     digests = {"pre.ckpt": _sha256(pre_path)}
     for ckpt in sorted(path.glob("expert_*.ckpt")):
         task = ckpt.stem[len("expert_"):]
-        experts[task] = load_checkpoint(ckpt)
+        experts[task] = serialization.load_checkpoint(ckpt)
         digests[ckpt.name] = _sha256(ckpt)
     if not experts:
-        raise BundleError(f"{path}: no expert_*.ckpt files")
+        raise serialization.BundleError(f"{path}: no expert_*.ckpt files")
     return pre, experts, digests
 
 
 def _check_same(what: str, a: Path, a_items, b: Path, b_items) -> None:
     """BundleError unless the inputs at `a` and `b` hold the same `what`."""
-    from .serialization import BundleError
     if set(a_items) != set(b_items):
         only_a, only_b = (", ".join(map(str, sorted(set(x) - set(y)))) or "none"
                           for x, y in ((a_items, b_items), (b_items, a_items)))
-        raise BundleError(f"{a} and {b} do not hold the same {what} "
-                          f"(only in {a}: {only_a}; only in {b}: {only_b})")
+        raise serialization.BundleError(f"{a} and {b} do not hold the same {what} "
+                                        f"(only in {a}: {only_a}; only in {b}: {only_b})")
 
 
 def _given(args, cls) -> dict:
@@ -74,8 +85,6 @@ _ENTROPY_UNUSED = {"loss": "--loss", "trainable_layer": "--trainable-layer",
 
 def _adapt_config(args, num_tasks: int) -> AdaptConfig:
     from .adaptation import AdaptConfig
-    from .config import adapt_config_from_dict, load_config_section
-    from .merging import default_init_coeff
     base = load_config_section(args.config, "adapt") if args.config else {}
     given = _given(args, AdaptConfig)
     if args.method == "adamerging":
@@ -90,7 +99,7 @@ def _adapt_config(args, num_tasks: int) -> AdaptConfig:
                 base.pop(name, None)
         given["trainable_layer"] = None
     base.update(given)
-    base.setdefault("init_coeff", default_init_coeff(num_tasks))
+    base.setdefault("init_coeff", merging.default_init_coeff(num_tasks))
     return adapt_config_from_dict(base)
 
 
@@ -99,40 +108,36 @@ def _adapt_config(args, num_tasks: int) -> AdaptConfig:
 
 
 def gen(args) -> int:
-    from .config import load_config_section, suite_config_from_dict
-    from .serialization import save_suite, write_manifest
-    from .suites import CorruptionSpec, SuiteConfig, corrupt_suite, gen_suite
     if args.severity is not None and not args.corruption:
         raise ConfigError("--severity: not used without --corruption")
     base = load_config_section(args.config, "suite") if args.config else {}
-    base.update(_given(args, SuiteConfig))
+    base.update(_given(args, suites.SuiteConfig))
     cfg = suite_config_from_dict(base)
     if args.corruption:
         try:
-            spec = CorruptionSpec(args.corruption,
-                                  GEN_SEVERITY if args.severity is None else args.severity)
+            spec = suites.CorruptionSpec(args.corruption,
+                                         GEN_SEVERITY if args.severity is None else args.severity)
         except (TypeError, ValueError) as exc:  # "severity: <problem>"
             raise ConfigError(f"--severity: {str(exc).partition(': ')[2]}") from None
 
-    suite = gen_suite(cfg)
+    suite = suites.gen_suite(cfg)
     if args.corruption:
-        suite = corrupt_suite(suite, spec, cfg.seed)
+        suite = suites.corrupt_suite(suite, spec, cfg.seed)
 
     out = args.out
     out.parent.mkdir(parents=True, exist_ok=True)
-    save_suite(suite, out)
+    serialization.save_suite(suite, out)
     manifest_cfg = {"suite": base}
     if args.corruption:
         manifest_cfg["corruption"] = {"kind": args.corruption, "severity": spec.severity}
-    write_manifest(out.with_suffix(".manifest.json"), "gen", manifest_cfg, cfg.seed)
+    serialization.write_manifest(out.with_suffix(".manifest.json"), "gen", manifest_cfg, cfg.seed)
     print(f"wrote {out}")
     return EXIT_OK
 
 
 def finetune(args) -> int:
     from .adaptation import train_experts
-    from .serialization import load_suite, save_checkpoint, write_manifest
-    suite = load_suite(args.data)
+    suite = serialization.load_suite(args.data)
     recipe = {k: getattr(args, k)  # the flags named as `train_experts`' keywords
               for k in ("hidden", "pre_epochs", "pre_lr", "epochs", "lr", "batch_size")}
     pre, experts = train_experts(suite, seed=args.seed, **recipe)
@@ -140,48 +145,46 @@ def finetune(args) -> int:
     # nothing is written until every checkpoint is computed
     out_dir = args.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(pre, out_dir / "pre.ckpt")
+    serialization.save_checkpoint(pre, out_dir / "pre.ckpt")
     for task, expert in experts.items():
-        save_checkpoint(expert, out_dir / f"expert_{task}.ckpt")
+        serialization.save_checkpoint(expert, out_dir / f"expert_{task}.ckpt")
 
     cfg = dict(recipe, inputs={"data": _sha256(args.data)})
-    write_manifest(out_dir / "finetune.manifest.json", "finetune", cfg, args.seed)
+    serialization.write_manifest(out_dir / "finetune.manifest.json", "finetune", cfg, args.seed)
     print(f"wrote pre + {len(suite.tasks)} expert checkpoints to {out_dir}")
     return EXIT_OK
 
 
 def merge(args) -> int:
-    from .engine import ParamSet
-    from .merging import CoefficientMatrix, compute_task_vector, default_init_coeff, merge_layerwise
-    from .serialization import save_checkpoint, save_coeffs, write_manifest
     # like eval's flags, a --lambda that the method would ignore is an error
     if args.coeff is not None and args.method != "task_arithmetic":
         raise ConfigError(f"--lambda: method {args.method} has a fixed coefficient, "
                           "so --lambda is not used")
     if args.coeff is not None and not abs(args.coeff) < float("inf"):  # nan too
         raise ConfigError(f"--lambda: expected a finite real number, got {args.coeff!r}")
+    if args.coeff is not None and not abs(args.coeff) <= merging.MAX_INIT_COEFF:
+        raise ConfigError(f"--lambda: must be in [-{merging.MAX_INIT_COEFF:g}, "
+                          f"{merging.MAX_INIT_COEFF:g}], got {args.coeff}")
     pre, experts, digests = _load_ckpt_dir(args.ckpt_dir)
     task_ids = tuple(sorted(experts))
-    vectors = [compute_task_vector(experts[t], pre) for t in task_ids]
-    lam = default_init_coeff(len(task_ids)) if args.coeff is None else args.coeff
+    vectors = [merging.compute_task_vector(experts[t], pre) for t in task_ids]
+    lam = merging.default_init_coeff(len(task_ids)) if args.coeff is None else args.coeff
     coeff = METHOD_COEFFS[args.method](len(task_ids), lam)
-    coeffs = CoefficientMatrix.constant(task_ids, len(pre.encoder), coeff)
+    coeffs = merging.CoefficientMatrix.constant(task_ids, len(pre.encoder), coeff)
 
-    merged = ParamSet(encoder=merge_layerwise(pre, vectors, coeffs), heads=dict(pre.heads))
+    merged = engine.ParamSet(merging.merge_layerwise(pre, vectors, coeffs), dict(pre.heads))
     out_dir = args.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(merged, out_dir / "merged.ckpt")
-    save_coeffs(coeffs, out_dir / "coeffs.json")
+    serialization.save_checkpoint(merged, out_dir / "merged.ckpt")
+    serialization.save_coeffs(coeffs, out_dir / "coeffs.json")
     cfg = {"method": args.method, "coeff": coeff, "inputs": digests}
-    write_manifest(out_dir / "merge.manifest.json", "merge", cfg, 0)
+    serialization.write_manifest(out_dir / "merge.manifest.json", "merge", cfg, 0)
     print(f"wrote merged checkpoint + coefficients to {out_dir}")
     return EXIT_OK
 
 
 def adapt(args) -> int:
     from .adaptation import adamerging_entropy, symerge
-    from .config import adapt_config_to_dict
-    from .serialization import save_coeffs, save_trainable, write_manifest
     run = _Inputs(args)
     vectors = run.vectors  # first, so a checkpoint error precedes a config error
     cfg = _adapt_config(args, num_tasks=len(run.experts))
@@ -195,12 +198,12 @@ def adapt(args) -> int:
         coeffs, trained = result.coeffs, result.trainable
     out_dir = args.out_dir  # made once the run succeeds
     out_dir.mkdir(parents=True, exist_ok=True)
-    save_coeffs(coeffs, out_dir / "coeffs.json")
+    serialization.save_coeffs(coeffs, out_dir / "coeffs.json")
     if trained:
-        save_trainable(trained, out_dir / "trainable.bundle")
+        serialization.save_trainable(trained, out_dir / "trainable.bundle")
 
     manifest_cfg = dict(run.manifest_cfg(), adapt=adapt_config_to_dict(cfg))
-    write_manifest(out_dir / "adapt.manifest.json", "adapt", manifest_cfg, cfg.seed)
+    serialization.write_manifest(out_dir / "adapt.manifest.json", "adapt", manifest_cfg, cfg.seed)
     extras = " + trainable layers" if trained else ""
     print(f"wrote coefficients{extras} to {out_dir}")
     return EXIT_OK
@@ -213,9 +216,8 @@ class _Inputs:
     later, with no bytecode cache, it would add to a full process's peak memory.)"""
 
     def __init__(self, args):
-        from .serialization import load_suite
         self.args = args
-        self.suite = load_suite(args.data)
+        self.suite = serialization.load_suite(args.data)
         self.pre, self.experts, self.digests = _load_ckpt_dir(args.ckpt_dir)
         _check_same("tasks", args.data, self.suite.task_ids, args.ckpt_dir, self.experts)
         for t, expert in self.experts.items():
@@ -236,41 +238,39 @@ class _Inputs:
     def check_heads(self, path: Path, model) -> None:
         """BundleError unless each head of the checkpoint `model` at `path`
         that the suite has a task for is as wide as the suite needs."""
-        from .serialization import BundleError
         widths = self.suite.head_widths
         for t, head in model.heads.items():
             if head.out_dim != widths.get(t, head.out_dim):
-                raise BundleError(f"{path}: task '{t}' has a head of {head.out_dim} outputs "
-                                  f"where the suite {self.args.data} needs {widths[t]}")
+                raise serialization.BundleError(
+                    f"{path}: task '{t}' has a head of {head.out_dim} outputs "
+                    f"where the suite {self.args.data} needs {widths[t]}")
 
     @cached_property
     def vectors(self) -> dict:
         from .adaptation import task_vectors_from_experts
         return task_vectors_from_experts(self.pre, self.experts)
 
-    def constant_coeffs(self, value: float) -> CoefficientMatrix:
-        from .merging import CoefficientMatrix
-        return CoefficientMatrix.constant(self.task_ids, len(self.pre.encoder), value)
+    def constant_coeffs(self, value: float) -> merging.CoefficientMatrix:
+        return merging.CoefficientMatrix.constant(self.task_ids, len(self.pre.encoder), value)
 
     @cached_property
-    def assembly(self) -> MergedAssembly | None:
+    def assembly(self) -> merging.MergedAssembly | None:
         """The merged model: the `--checkpoint`, or the pre-trained encoder
         plus the method's coefficients times the task vectors, with the
         `--layers` swapped in. None for a method that merges nothing."""
         from .adaptation import build_assembly
-        from .merging import CoefficientMatrix, MergedAssembly, default_init_coeff
-        from .serialization import load_checkpoint, load_coeffs, load_trainable
         args, source = self.args, METHOD_COEFFS[self.args.method]
         if source is None:
             return None
         if args.checkpoint:
             # a merged checkpoint is an assembly with no task vectors left to add
-            model = load_checkpoint(args.checkpoint)
+            model = serialization.load_checkpoint(args.checkpoint)
             self.check_heads(args.checkpoint, model)
-            no_coeffs = CoefficientMatrix.constant((), len(model.encoder), 0.0)
-            return MergedAssembly(tuple(model.encoder), (), no_coeffs, dict(model.heads), {})
+            no_coeffs = merging.CoefficientMatrix.constant((), len(model.encoder), 0.0)
+            return merging.MergedAssembly(tuple(model.encoder), (), no_coeffs,
+                                          dict(model.heads), {})
         if args.coeffs:
-            coeffs = load_coeffs(args.coeffs)
+            coeffs = serialization.load_coeffs(args.coeffs)
             _check_same("tasks", args.coeffs, coeffs.task_ids, args.ckpt_dir, self.task_ids)
             _check_same("encoder layers", args.coeffs, range(coeffs.num_layers),
                         args.ckpt_dir, range(len(self.pre.encoder)))
@@ -279,8 +279,8 @@ class _Inputs:
                               "file that `mergelab adapt` writes")
         else:
             k = len(self.task_ids)
-            coeffs = self.constant_coeffs(source(k, default_init_coeff(k)))
-        trainable = load_trainable(args.layers) if args.layers else {}
+            coeffs = self.constant_coeffs(source(k, merging.default_init_coeff(k)))
+        trainable = serialization.load_trainable(args.layers) if args.layers else {}
         return build_assembly(self.pre, self.vectors, self.experts, coeffs, trainable)
 
     def manifest_cfg(self) -> dict:
@@ -294,10 +294,7 @@ class _Inputs:
 
 
 def _eval_rows(run: _Inputs) -> list:
-    import numpy as np
-
     from .analysis import evaluate, evaluate_assembly
-    from .suites import kind_rules
     assembly = run.assembly
     rows = []
     for t in run.task_ids:
@@ -307,7 +304,7 @@ def _eval_rows(run: _Inputs) -> list:
             value = evaluate(run.experts[t].encoder, run.experts[t].head(t), x, y, kind)
         else:
             value = evaluate_assembly(assembly, t, x, y, kind)
-        rows.append({"task": t, "metric": kind_rules(kind).metric, "value": value})
+        rows.append({"task": t, "metric": suites.kind_rules(kind).metric, "value": value})
     acc = [r["value"] for r in rows if r["metric"] == "accuracy"]
     if acc:
         rows.append({"task": "MEAN", "metric": "accuracy", "value": float(np.mean(acc))})
@@ -336,9 +333,8 @@ def _cross_merge_rows(run: _Inputs) -> list:
 
 def _transfer_rows(run: _Inputs) -> list:
     from .analysis import transfer_metrics
-    from .merging import CoefficientMatrix
     ids, assembly = run.cls_ids, run.assembly
-    coeffs = CoefficientMatrix(ids, [assembly.coeffs.row(t) for t in ids])
+    coeffs = merging.CoefficientMatrix(ids, [assembly.coeffs.row(t) for t in ids])
     heads = {"baseline": [run.experts[t].head(t) for t in ids]}
     trained = assembly.trainable
     if trained and all(tr.selector == "head" for tr in trained.values()):
@@ -355,8 +351,7 @@ def _transfer_rows(run: _Inputs) -> list:
 def _correlation_rows(run: _Inputs) -> list:
     from .adaptation import build_assembly
     from .analysis import loss_correlation_report
-    from .merging import default_init_coeff
-    init = run.constant_coeffs(default_init_coeff(len(run.task_ids)))
+    init = run.constant_coeffs(merging.default_init_coeff(len(run.task_ids)))
     initial = build_assembly(run.pre, run.vectors, run.experts, init, {})
     report = loss_correlation_report(initial, run.assembly, run.experts,
                                      {t: run.test_sets[t] for t in run.cls_ids},
@@ -366,12 +361,11 @@ def _correlation_rows(run: _Inputs) -> list:
 
 def _discrepancy_rows(run: _Inputs) -> list:
     from .analysis import discrepancy
-    from .engine import forward
     rows = []
     for t in run.cls_ids:
         x, y = run.test_sets[t]
-        merged_pred = forward(run.assembly.materialize(t), t, x).argmax(axis=1)
-        expert_pred = forward(run.experts[t], t, x).argmax(axis=1)
+        merged_pred = engine.forward(run.assembly.materialize(t), t, x).argmax(axis=1)
+        expert_pred = engine.forward(run.experts[t], t, x).argmax(axis=1)
         rep = discrepancy(merged_pred, expert_pred, y)
         rows.append(dict(asdict(rep), task=t, net=rep.net))
     return rows
@@ -387,18 +381,14 @@ def _sparsity_rows(run: _Inputs) -> list:
 
 
 def _prop1_rows(run: _Inputs) -> list:
-    from itertools import permutations
-
-    from .engine import LossSpec
-    from .suites import kind_rules, spawn_rng
     from .theory import Prop1Instance, prop1_verify, random_linear_instance
     rows = []
     for i in range(100):
-        inst = random_linear_instance(spawn_rng(run.args.seed, "prop1", i))
+        inst = random_linear_instance(suites.spawn_rng(run.args.seed, "prop1", i))
         rows.append(_prop1_row(f"linear-{i}", "linear", "l2", prop1_verify(inst)))
     for ti, tj in permutations(run.task_ids, 2):
         x, y = run.test_sets[tj]
-        loss = LossSpec(kind_rules(run.kinds[tj]).train_loss)
+        loss = engine.LossSpec(suites.kind_rules(run.kinds[tj]).train_loss)
         inst = Prop1Instance(
             family="nonlinear-net",
             theta_0=tuple(run.pre.encoder),
@@ -421,13 +411,12 @@ def _prop1_row(name, family, loss, rep) -> dict:
 
 def _pilot_rows(run: _Inputs) -> list:
     from .adaptation import pilot_two_stage
-    from .merging import merge_task_arithmetic
     # the merged encoder uses every task vector; the classification
     # experts alone have their heads retrained and scored
     ids = run.cls_ids
     vectors = [run.vectors[t] for t in run.task_ids]
     coeffs = [round(0.1 * i, 1) for i in range(1, 11)]
-    sweep = pilot_two_stage([merge_task_arithmetic(run.pre, vectors, c) for c in coeffs],
+    sweep = pilot_two_stage([merging.merge_task_arithmetic(run.pre, vectors, c) for c in coeffs],
                             run.suite, {t: run.experts[t] for t in ids}, seed=run.args.seed)
     return [{"coeff": coeff, "encoder_task": enc_t, "head_task": head_t,
              "gain": float(gains[i, j])}
@@ -443,15 +432,13 @@ _ROW_BUILDERS = {
 }
 
 
-def _write_reports(args, command: str, cfg: dict, seed: int, reports: list) -> None:
+def _write_reports(args, command: str, cfg: dict, seed: int, built: list) -> None:
     """The run's manifest, then each (analysis, rows) report stamped with its hash."""
-    from .reports import write_report
-    from .serialization import write_manifest
     out_dir = args.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
-    digest = write_manifest(out_dir / f"{command}.manifest.json", command, cfg, seed)
-    for analysis, rows in reports:
-        write_report(out_dir, analysis, rows, digest)
+    digest = serialization.write_manifest(out_dir / f"{command}.manifest.json", command, cfg, seed)
+    for analysis, rows in built:
+        reports.write_report(out_dir, analysis, rows, digest)
 
 
 def eval(args) -> int:  # noqa: A001  (named as on the command line)
@@ -477,9 +464,9 @@ def analyze(args) -> int:
     if needs_coeffs and not args.coeffs:
         raise ConfigError(f"analyses: --coeffs is needed by {', '.join(needs_coeffs)}")
     # every report is built before any file is written
-    reports = [(a, _ROW_BUILDERS[a](run)) for a in analyses]
+    built = [(a, _ROW_BUILDERS[a](run)) for a in analyses]
     cfg = dict(run.manifest_cfg(), analyses=list(analyses), batch_size=args.batch_size)
-    _write_reports(args, "analyze", cfg, args.seed, reports)
-    for analysis, rows in reports:
+    _write_reports(args, "analyze", cfg, args.seed, built)
+    for analysis, rows in built:
         print(f"wrote {analysis} report ({len(rows)} rows)")
     return EXIT_OK

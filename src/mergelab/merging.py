@@ -21,6 +21,11 @@ def default_init_coeff(num_tasks: int) -> float:
     return 0.3 if num_tasks <= 8 else 0.1
 
 
+# the largest |lambda| or starting coefficient: adaptation's divergence bound,
+# `DIVERGED` times the starting scale, would grow with a larger start and check nothing
+MAX_INIT_COEFF = 1e3
+
+
 @dataclass(frozen=True)
 class TaskVector:
     """Per-layer deltas between a fine-tuned expert encoder and the pre-trained one."""

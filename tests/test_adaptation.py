@@ -364,6 +364,9 @@ def test_symerge_whose_trained_layers_diverge_names_the_pass_and_the_task(small_
     ("pretrain", "pretraining diverged: non-finite outputs on epoch 1 for task 'task0'"),
     ("finetune", "fine-tuning diverged: non-finite layer parameters on epoch 2 for task 'task1'"),
     ("pilot", "pilot retraining diverged: non-finite outputs on epoch 1 for task 'task0'"),
+    # the heads stay finite through every step; only the last epoch's outputs overflow
+    ("pilot_one_epoch",
+     "pilot retraining diverged: non-finite outputs on epoch 0 for task 'task0'"),
 ])
 def test_a_divergent_rate_names_the_loop_the_epoch_the_task_and_the_rate(small_setup, loop,
                                                                           named):
@@ -374,6 +377,8 @@ def test_a_divergent_rate_names_the_loop_the_epoch_the_task_and_the_rate(small_s
         "finetune": lambda: finetune_expert(pre, t.x_train, t.y_train, t.task_id, epochs=3,
                                             lr=1e308),
         "pilot": lambda: pilot_two_stage(pre.encoder, suite, experts, epochs=3, lr=1e308),
+        "pilot_one_epoch": lambda: pilot_two_stage(pre.encoder, suite, experts, epochs=1,
+                                                   lr=1e308),
     }[loop]
     with pytest.raises(ValueError) as exc:
         run()

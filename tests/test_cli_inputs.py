@@ -669,7 +669,7 @@ _ADAPT_FLAGS = st.fixed_dictionaries(
 
 @settings(max_examples=60, deadline=None)
 @given(method=st.sampled_from(LEARNED_METHODS), flags=_ADAPT_FLAGS)
-@example(method="symerge", flags={"--iterations": "3", "--init-coeff": "1e308"})  # overflows
+@example(method="symerge", flags={"--iterations": "3", "--init-coeff": "1e308"})  # beyond the bound
 def test_adapt_with_hostile_flags_exits_with_a_documented_code(small, tmp_path_factory,
                                                                method, flags):
     root = tmp_path_factory.mktemp("adapt")

@@ -194,6 +194,33 @@ def test_merge_with_a_non_finite_lambda_exits_2_naming_the_flag(tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value, shown", [("1000.5", "1000.5"), ("-1e308", "-1e+308")])
+def test_merge_with_a_lambda_beyond_the_bound_exits_2_naming_the_flag(tmp_path, capsys, value,
+                                                                      shown):
+    out = tmp_path / "out"  # the flag is checked before the checkpoints are read
+    code = main(["merge", "--ckpt-dir", str(tmp_path / "ckpts"), "--method", "task_arithmetic",
+                 f"--lambda={value}", "--out-dir", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (f"config error: --lambda: must be in [-1000, 1000], "
+                                       f"got {shown}\n")
+    assert not out.exists()
+
+
+def test_adapt_with_a_start_beyond_the_bound_exits_2_naming_the_field(tmp_path, capsys):
+    data, ckpts, out = tmp_path / "data.bundle", tmp_path / "ckpts", tmp_path / "out"
+    assert main(["gen", "--out", str(data), "--tasks", "2", "--classes", "3", "--input-dim", "6",
+                 "--samples", "24", "--subspace-dim", "3", "--seed", "3"]) == 0
+    assert main(["finetune", "--data", str(data), "--out-dir", str(ckpts), "--hidden", "4",
+                 "--pre-epochs", "1", "--epochs", "1", "--seed", "3"]) == 0
+    capsys.readouterr()
+    code = main(["adapt", "--data", str(data), "--ckpt-dir", str(ckpts), "--method", "symerge",
+                 "--iterations", "1", "--init-coeff=-1e308", "--out-dir", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == ("config error: adapt.init_coeff: must be in "
+                                       "[-1000, 1000], got -1e+308\n")
+    assert not out.exists()
+
+
 def test_gen_with_a_noise_beyond_the_bound_exits_2_naming_the_flag(tmp_path, capsys):
     out = tmp_path / "data.bundle"
     code = main(["gen", "--tasks", "2", "--samples", "8", "--noise", "1e308", "--out", str(out)])

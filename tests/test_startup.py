@@ -162,6 +162,33 @@ def test_adapt_loads_no_analysis_or_theory(trained, tmp_path):
     assert sorted(loaded & {"mergelab.analysis", "mergelab.theory"}) == []
 
 
+# what every numeric command loads: the modules that `commands` binds and
+# calls through; of the modules below, a command loads only those it calls
+SHARED = {f"mergelab.{m}" for m in ("cli", "commands", "config", "engine", "merging", "reports",
+                                    "serialization", "suites")}
+PER_COMMAND = {"mergelab.adaptation", "mergelab.analysis", "mergelab.theory"}
+
+
+@pytest.mark.parametrize("argv, own", [
+    (lambda data, ckpts, out: ["gen", "--out", out / "data.bundle", "--tasks", "2",
+                               "--samples", "24"], set()),
+    (lambda data, ckpts, out: ["finetune", "--data", data, "--out-dir", out, "--hidden", "4",
+                               "--pre-epochs", "1", "--epochs", "1"], {"mergelab.adaptation"}),
+    (lambda data, ckpts, out: ["merge", "--ckpt-dir", ckpts, "--method", "task_arithmetic",
+                               "--out-dir", out], set()),
+    (lambda data, ckpts, out: ["adapt", "--data", data, "--ckpt-dir", ckpts, "--method",
+                               "symerge", "--iterations", "1", "--out-dir", out],
+     {"mergelab.adaptation"}),
+    (lambda data, ckpts, out: ["eval", "--data", data, "--ckpt-dir", ckpts, "--method",
+                               "weight_avg", "--out-dir", out], PER_COMMAND),
+    (lambda data, ckpts, out: ["analyze", "--data", data, "--ckpt-dir", ckpts, "--method",
+                               "weight_avg", "--analyses", "eval", "--out-dir", out], PER_COMMAND),
+], ids=["gen", "finetune", "merge", "adapt", "eval", "analyze"])
+def test_each_numeric_command_loads_the_shared_modules_and_only_its_own(trained, tmp_path,
+                                                                         argv, own):
+    assert _submodules_loaded_by(*argv(*trained, tmp_path / "out")) == SHARED | own
+
+
 def test_report_starts_without_numpy(tmp_path):
     runs, out = tmp_path / "runs", tmp_path / "combined"
     row = {"task": "task0", "metric": "accuracy", "value": 0.5}
