@@ -335,8 +335,11 @@ def train_experts(suite: TaskSuite, hidden: Sequence[int], pre_epochs: int, pre_
     """(pre, {task: expert}), the inputs of every merge: a backbone of encoder
     widths `hidden` pretrained on all of `suite`'s tasks, and one expert per
     task fine-tuned from it. The keywords are a config's `finetune` keys."""
+    for name, n in (("pre_epochs", pre_epochs), ("epochs", epochs)):
+        if n < 0:  # checked before any training, as the rates are
+            raise ValueError(f"{name}: number of epochs must be nonnegative, got {n}")
     for name, rate in (("pre_lr", pre_lr), ("lr", lr)):
-        if not 0.0 < rate < np.inf:  # checked before any training; nan fails too
+        if not 0.0 < rate < np.inf:  # nan fails too
             raise ValueError(f"{name}: learning rate must be positive and finite, got {rate}")
     init = init_params((suite.config.input_dim, *hidden), suite.head_widths,
                        spawn_rng(seed, "init"))
@@ -469,19 +472,22 @@ def _run_adaptation(pre, vectors, models, inputs_by_task, cfg, objectives) -> Ad
     stack = stack_task_vectors([vectors[t] for t in task_ids], pre.encoder)
     merged = merge_layerwise(pre.encoder, stack, coeffs)
 
-    def merge(layers):  # a coefficient step re-merges the layers it mixes, in place
-        for l in layers:
-            _merge_layer(pre.encoder, values, stack, l, out=merged[l].flat)
-
     order_rng = spawn_rng(cfg.seed, "task-order")
     orders = [order_rng.permutation(len(task_ids)).tolist()
               if cfg.task_order == "shuffled_each_pass" else range(len(task_ids))
               for _ in range(cfg.iterations)]
 
-    # every task trains the selector's layers (or none); the others mix task vectors
+    # every task trains the selector's layers (or none); the others are `mixed` if coeffs train
     selector = cfg.trainable_layer
     positions = () if selector is None else layer_positions(selector, depth)
     mixed = tuple(l for l in range(depth) if l not in positions) if cfg.train_coeffs else ()
+    adam_coeffs = _adam(values, cfg.lr_coeffs)
+
+    def step_coeffs(g):  # one coefficient step: Adam, then each mixed layer merged again in place
+        adam_coeffs(g)
+        for l in mixed:
+            _merge_layer(pre.encoder, values, stack, l, out=merged[l].flat)
+
     # the tasks' trained layers (in task order) in one vector, with its gradient and moments
     sizes = [sum(models[t][p].flat.size for p in positions) for t in task_ids]
     layer_flat, layer_grad, m, v = np.zeros((4, sum(sizes)))
@@ -491,9 +497,8 @@ def _run_adaptation(pre, vectors, models, inputs_by_task, cfg, objectives) -> Ad
         seg = slice(end - size, end)
         plan = _StepPlan([*merged, models[t][-1]], {p: models[t][p] for p in positions}, mixed,
                          (layer_flat[seg], layer_grad[seg]))
-        # a layer the task replaces has no coefficient gradient: its column stays 0
-        cgrad_in = [None if l in positions else plan.grads[l].flat
-                    for l in range(depth)] if cfg.train_coeffs else None
+        # a layer that mixes nothing has no coefficient gradient: its column stays 0
+        cgrad_in = [plan.grads[l].flat if l in mixed else None for l in range(depth)]
         x = _check_inputs(inputs_by_task[t], pre.encoder[0].in_dim)
         y = _check_targets((len(x), plan.layers[-1].out_dim), targets, spec)
         stream = _BatchStream(len(x), cfg.batch_size, spawn_rng(cfg.seed, "batches", t))
@@ -504,7 +509,6 @@ def _run_adaptation(pre, vectors, models, inputs_by_task, cfg, objectives) -> Ad
         # row p of y and conf: pass p's targets and expert confidences
         y, conf = (None if a is None else a[idx] for a in (y, conf))
         runs.append((plan, x, idx, y, spec, conf, cgrad_in, seg))
-    step_coeffs = _adam(values, cfg.lr_coeffs)
     coeff_scale, layer_scale = (max(1.0, np.abs(a).max(initial=0.0)) for a in (values, layer_flat))
 
     steps = []  # one StepStats per step; a fully filtered batch's has kept=0, loss=None
@@ -537,21 +541,19 @@ def _run_adaptation(pre, vectors, models, inputs_by_task, cfg, objectives) -> Ad
             stepped.append(k)
             grad /= step.kept
             plan.backprop(grad, acts)
-            if cfg.train_coeffs:
+            if mixed:
                 cgrad = coefficient_grad(cgrad_in, stack)
                 if cfg.update_mode == "sequential":
                     step_coeffs(cgrad)
-                    merge(mixed)
                 else:
                     agg_coeff_grad += cgrad
 
         if not stepped:
             filtered_passes += 1
             continue
-        if cfg.update_mode == "aggregated" and cfg.train_coeffs:
+        if cfg.update_mode == "aggregated" and mixed:
             step_coeffs(agg_coeff_grad)
             agg_coeff_grad[...] = 0.0
-            merge(mixed)
         for k in stepped:
             counts[k] += 1
         if positions and len(stepped) == len(task_ids) and len(set(counts)) == 1:

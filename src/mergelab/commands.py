@@ -6,7 +6,9 @@ modules that every one of them loads (`engine`, `merging`, `reports`,
 command imports `adaptation`, `analysis` and `theory` only if it uses them.
 So every mergelab name is looked up on its module at call time (where a
 tracer or a monkeypatch rebinds it). Every path in `args` comes resolved by
-the parser (`cli._out_path`), inputs as well as outputs.
+the parser (`cli._out_path`), inputs as well as outputs. Each command but
+`gen` computes everything, then records its run in `--out-dir` (`_record_run`),
+then writes its outputs there.
 """
 
 from __future__ import annotations
@@ -68,6 +70,14 @@ def _check_same(what: str, a: Path, a_items, b: Path, b_items) -> None:
                           for x, y in ((a_items, b_items), (b_items, a_items)))
         raise serialization.BundleError(f"{a} and {b} do not hold the same {what} "
                                         f"(only in {a}: {only_a}; only in {b}: {only_b})")
+
+
+def _record_run(args, command: str, cfg: dict, seed: int) -> str:
+    """Make `--out-dir` and write the run's `<command>.manifest.json` there,
+    before any other output; returns the manifest hash that reports carry."""
+    args.out_dir.mkdir(parents=True, exist_ok=True)
+    path = args.out_dir / f"{command}.manifest.json"
+    return serialization.write_manifest(path, command, cfg, seed)
 
 
 def _given(args, cls) -> dict:
@@ -143,15 +153,11 @@ def finetune(args) -> int:
     pre, experts = train_experts(suite, seed=args.seed, **recipe)
 
     # nothing is written until every checkpoint is computed
-    out_dir = args.out_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
-    serialization.save_checkpoint(pre, out_dir / "pre.ckpt")
+    _record_run(args, "finetune", dict(recipe, inputs={"data": _sha256(args.data)}), args.seed)
+    serialization.save_checkpoint(pre, args.out_dir / "pre.ckpt")
     for task, expert in experts.items():
-        serialization.save_checkpoint(expert, out_dir / f"expert_{task}.ckpt")
-
-    cfg = dict(recipe, inputs={"data": _sha256(args.data)})
-    serialization.write_manifest(out_dir / "finetune.manifest.json", "finetune", cfg, args.seed)
-    print(f"wrote pre + {len(suite.tasks)} expert checkpoints to {out_dir}")
+        serialization.save_checkpoint(expert, args.out_dir / f"expert_{task}.ckpt")
+    print(f"wrote pre + {len(suite.tasks)} expert checkpoints to {args.out_dir}")
     return EXIT_OK
 
 
@@ -173,13 +179,10 @@ def merge(args) -> int:
     coeffs = merging.CoefficientMatrix.constant(task_ids, len(pre.encoder), coeff)
 
     merged = engine.ParamSet(merging.merge_layerwise(pre, vectors, coeffs), dict(pre.heads))
-    out_dir = args.out_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
-    serialization.save_checkpoint(merged, out_dir / "merged.ckpt")
-    serialization.save_coeffs(coeffs, out_dir / "coeffs.json")
-    cfg = {"method": args.method, "coeff": coeff, "inputs": digests}
-    serialization.write_manifest(out_dir / "merge.manifest.json", "merge", cfg, 0)
-    print(f"wrote merged checkpoint + coefficients to {out_dir}")
+    _record_run(args, "merge", {"method": args.method, "coeff": coeff, "inputs": digests}, 0)
+    serialization.save_checkpoint(merged, args.out_dir / "merged.ckpt")
+    serialization.save_coeffs(coeffs, args.out_dir / "coeffs.json")
+    print(f"wrote merged checkpoint + coefficients to {args.out_dir}")
     return EXIT_OK
 
 
@@ -196,16 +199,13 @@ def adapt(args) -> int:
     else:
         result = symerge(run.pre, vectors, run.experts, test_inputs, cfg, run.kinds)
         coeffs, trained = result.coeffs, result.trainable
-    out_dir = args.out_dir  # made once the run succeeds
-    out_dir.mkdir(parents=True, exist_ok=True)
-    serialization.save_coeffs(coeffs, out_dir / "coeffs.json")
+    # nothing is written until the run succeeds
+    _record_run(args, "adapt", dict(run.manifest_cfg(), adapt=adapt_config_to_dict(cfg)), cfg.seed)
+    serialization.save_coeffs(coeffs, args.out_dir / "coeffs.json")
     if trained:
-        serialization.save_trainable(trained, out_dir / "trainable.bundle")
-
-    manifest_cfg = dict(run.manifest_cfg(), adapt=adapt_config_to_dict(cfg))
-    serialization.write_manifest(out_dir / "adapt.manifest.json", "adapt", manifest_cfg, cfg.seed)
+        serialization.save_trainable(trained, args.out_dir / "trainable.bundle")
     extras = " + trainable layers" if trained else ""
-    print(f"wrote coefficients{extras} to {out_dir}")
+    print(f"wrote coefficients{extras} to {args.out_dir}")
     return EXIT_OK
 
 
@@ -244,6 +244,13 @@ class _Inputs:
                 raise serialization.BundleError(
                     f"{path}: task '{t}' has a head of {head.out_dim} outputs "
                     f"where the suite {self.args.data} needs {widths[t]}")
+
+    def cls_pair_ids(self, analysis: str) -> tuple:
+        """The classification tasks, of which `analysis` needs at least two."""
+        if len(self.cls_ids) < 2:
+            raise ValueError(f"{analysis}: needs at least two classification tasks, "
+                             f"the suite has {len(self.cls_ids)}")
+        return self.cls_ids
 
     @cached_property
     def vectors(self) -> dict:
@@ -323,8 +330,9 @@ def _cross_matrix_rows(run: _Inputs) -> list:
 
 def _cross_merge_rows(run: _Inputs) -> list:
     from .analysis import cross_merge_pairs
-    pairs, rho = cross_merge_pairs({t: run.experts[t] for t in run.cls_ids},
-                                   {t: run.test_sets[t] for t in run.cls_ids})
+    ids = run.cls_pair_ids("cross_merge")
+    pairs, rho = cross_merge_pairs({t: run.experts[t] for t in ids},
+                                   {t: run.test_sets[t] for t in ids})
     rows = [dict(asdict(p), row_type="pair", spearman_rho=None) for p in pairs]
     rows.append({"row_type": "summary", "encoder_task": None, "head_task": None,
                  "cross_accuracy": None, "merge_accuracy": None, "spearman_rho": rho})
@@ -333,7 +341,7 @@ def _cross_merge_rows(run: _Inputs) -> list:
 
 def _transfer_rows(run: _Inputs) -> list:
     from .analysis import transfer_metrics
-    ids, assembly = run.cls_ids, run.assembly
+    ids, assembly = run.cls_pair_ids("transfer"), run.assembly
     coeffs = merging.CoefficientMatrix(ids, [assembly.coeffs.row(t) for t in ids])
     heads = {"baseline": [run.experts[t].head(t) for t in ids]}
     trained = assembly.trainable
@@ -432,20 +440,12 @@ _ROW_BUILDERS = {
 }
 
 
-def _write_reports(args, command: str, cfg: dict, seed: int, built: list) -> None:
-    """The run's manifest, then each (analysis, rows) report stamped with its hash."""
-    out_dir = args.out_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
-    digest = serialization.write_manifest(out_dir / f"{command}.manifest.json", command, cfg, seed)
-    for analysis, rows in built:
-        reports.write_report(out_dir, analysis, rows, digest)
-
-
 def eval(args) -> int:  # noqa: A001  (named as on the command line)
     from . import adaptation, analysis, theory  # noqa: F401  (see _Inputs)
     run = _Inputs(args)
     rows = _eval_rows(run)
-    _write_reports(args, "eval", run.manifest_cfg(), 0, [("eval", rows)])
+    digest = _record_run(args, "eval", run.manifest_cfg(), 0)
+    reports.write_report(args.out_dir, "eval", rows, digest)
     for r in rows:
         print(f"{r['task']}: {r['metric']}={r['value']:.4f}")
     return EXIT_OK
@@ -466,7 +466,8 @@ def analyze(args) -> int:
     # every report is built before any file is written
     built = [(a, _ROW_BUILDERS[a](run)) for a in analyses]
     cfg = dict(run.manifest_cfg(), analyses=list(analyses), batch_size=args.batch_size)
-    _write_reports(args, "analyze", cfg, args.seed, built)
+    digest = _record_run(args, "analyze", cfg, args.seed)
     for analysis, rows in built:
+        reports.write_report(args.out_dir, analysis, rows, digest)
         print(f"wrote {analysis} report ({len(rows)} rows)")
     return EXIT_OK

@@ -15,6 +15,7 @@ import pytest
 
 from mergelab.adaptation import (
     AdaptConfig,
+    adamerging_entropy,
     build_assembly,
     pilot_two_stage,
     symerge,
@@ -278,6 +279,7 @@ class SeedOutcome:
     joint: float
     coef_only: float
     layer_only: float
+    adamerging: float
     corr_wins: int
     num_tasks: int
     transfer_baseline: tuple
@@ -308,10 +310,15 @@ def _run_seed(seed: int, adapt_cfg: dict) -> SeedOutcome:
     joint_asm = build_assembly(pre, vectors, experts, joint_res.coeffs, joint_res.trainable)
     joint = mean_assembly_acc(joint_asm, test_sets)
 
-    coef_res = symerge(pre, vectors, experts, inputs,
-                       AdaptConfig(**dict(base_cfg, trainable_layer=None)))
+    coef_cfg = AdaptConfig(**dict(base_cfg, trainable_layer=None))
+    coef_res = symerge(pre, vectors, experts, inputs, coef_cfg)
     coef_only = mean_assembly_acc(build_assembly(pre, vectors, experts, coef_res.coeffs, {}),
                                   test_sets)
+    # entropy adaptation of the coefficients alone, from the same start
+    entropy_coeffs = adamerging_entropy(pre, vectors, {t: experts[t].head(t) for t in tids},
+                                        inputs, coef_cfg)
+    adamerging = mean_assembly_acc(build_assembly(pre, vectors, experts, entropy_coeffs, {}),
+                                   test_sets)
     layer_res = symerge(pre, vectors, experts, inputs,
                         AdaptConfig(**dict(base_cfg, train_coeffs=False)))
     layer_only = mean_assembly_acc(
@@ -367,7 +374,7 @@ def _run_seed(seed: int, adapt_cfg: dict) -> SeedOutcome:
 
     return SeedOutcome(
         seed=seed, individual=individual, task_arithmetic=ta, joint=joint,
-        coef_only=coef_only, layer_only=layer_only, corr_wins=corr_wins,
+        coef_only=coef_only, layer_only=layer_only, adamerging=adamerging, corr_wins=corr_wins,
         num_tasks=len(tids), transfer_baseline=transfer_baseline,
         transfer_adapted=transfer_adapted, corrupted_joint=float(np.mean(sy_corr)),
         corrupted_ta=float(np.mean(ta_corr)), discrepancy_checks=checks,
@@ -511,3 +518,11 @@ def test_criterion_10_reproducibility(tmp_path):
     _report(10, ok, f"re-run reproduces reports byte-identically "
                     f"({'all files match' if not mismatches else 'mismatch: ' + ','.join(mismatches)}); "
                     f"checkpoint round trip bit-exact: {round_trip_ok}")
+
+
+def test_criterion_11_self_labels_beat_entropy(study):
+    outcomes, _ = study
+    wins = sum(1 for o in outcomes if o.coef_only > o.adamerging)
+    ok = wins >= 9
+    _report(11, ok, f"coefficients-only self-labeling beats entropy adaptation (adamerging) "
+                    f"on {wins}/10 seeds (need 9)")

@@ -343,6 +343,30 @@ def test_symerge_multi_layer_mode(small_setup):
     assert np.array_equal(res.coeffs.values, np.full((3, 2), 0.3))  # all columns replaced
 
 
+@pytest.mark.parametrize("update_mode", ["sequential", "aggregated"])
+def test_symerge_training_every_encoder_layer_takes_no_coefficient_step(reference_run, monkeypatch,
+                                                                         update_mode):
+    # no layer mixes task vectors, so no coefficient has a gradient to step on
+    import mergelab.adaptation as adaptation
+    _, suite, pre, experts = reference_run
+    vectors = task_vectors_from_experts(pre, experts)
+    inputs = {t.task_id: t.x_test for t in suite.tasks}
+    calls, real = [], adaptation.coefficient_grad
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(adaptation, "coefficient_grad", spy)
+    cfg = AdaptConfig(iterations=5, batch_size=16, trainable_layer=(0, 1, 2),
+                      update_mode=update_mode)
+    res = symerge(pre, vectors, experts, inputs, cfg)
+    start = CoefficientMatrix.constant(tuple(sorted(experts)), len(pre.encoder), cfg.init_coeff)
+    assert res.coeffs.values.tobytes() == start.values.tobytes()
+    assert calls == []
+    assert all(tr.selector == (0, 1, 2) for tr in res.trainable.values())
+
+
 def test_symerge_layer_only_ablation_freezes_coeffs(small_setup):
     suite, pre, experts, vectors, inputs = small_setup
     cfg = AdaptConfig(iterations=5, batch_size=8, seed=7, train_coeffs=False)

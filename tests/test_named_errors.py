@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+import mergelab.adaptation as adaptation
 from mergelab.analysis import CorrelationReport, discrepancy, evaluate, spearman, transfer_metrics
 from mergelab.cli import main
 from mergelab.config import ConfigError, _build, suite_config_from_dict
@@ -219,6 +220,47 @@ def test_adapt_with_a_start_beyond_the_bound_exits_2_naming_the_field(tmp_path, 
     assert capsys.readouterr().err == ("config error: adapt.init_coeff: must be in "
                                        "[-1000, 1000], got -1e+308\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--pre-epochs", "--epochs"])
+def test_finetune_with_a_negative_epoch_count_exits_3_naming_the_keyword_before_training(
+        tmp_path, capsys, monkeypatch, flag):
+    data, out = tmp_path / "data.bundle", tmp_path / "ckpts"
+    assert main(["gen", "--out", str(data), "--tasks", "2", "--samples", "8"]) == 0
+    capsys.readouterr()
+
+    def pretrain(*args, **kwargs):
+        raise AssertionError("pretraining ran")
+
+    monkeypatch.setattr(adaptation, "pretrain_backbone", pretrain)
+    code = main(["finetune", "--data", str(data), "--out-dir", str(out), "--hidden", "4",
+                 flag, "-1"])
+    assert code == 3
+    keyword = flag[2:].replace("-", "_")
+    assert capsys.readouterr().err == (f"error: {keyword}: number of epochs must be nonnegative, "
+                                       "got -1\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("analysis", ["transfer", "cross_merge"])
+@pytest.mark.parametrize("regression, classification", [("0,1", 0), ("1", 1)])
+def test_an_analysis_of_task_pairs_exits_3_naming_the_classification_tasks_it_needs(
+        tmp_path, capsys, analysis, regression, classification):
+    data, ckpts, merged, out = (tmp_path / n for n in ("data.bundle", "ckpts", "merged", "out"))
+    assert main(["gen", "--out", str(data), "--tasks", "2", "--samples", "24",
+                 "--regression", regression]) == 0
+    assert main(["finetune", "--data", str(data), "--out-dir", str(ckpts), "--hidden", "4",
+                 "--pre-epochs", "1", "--epochs", "1"]) == 0
+    assert main(["merge", "--ckpt-dir", str(ckpts), "--method", "task_arithmetic",
+                 "--out-dir", str(merged)]) == 0
+    capsys.readouterr()
+    code = main(["analyze", "--data", str(data), "--ckpt-dir", str(ckpts),
+                 "--method", "task_arithmetic", "--coeffs", str(merged / "coeffs.json"),
+                 "--analyses", f"eval,{analysis}", "--out-dir", str(out)])
+    assert code == 3
+    assert capsys.readouterr().err == (f"error: {analysis}: needs at least two classification "
+                                       f"tasks, the suite has {classification}\n")
+    assert not out.exists()  # the eval report is built, but nothing is written
 
 
 def test_gen_with_a_noise_beyond_the_bound_exits_2_naming_the_flag(tmp_path, capsys):
