@@ -202,7 +202,9 @@ def loss_correlation_report(initial: MergedAssembly, adapted: MergedAssembly,
         bs = min(batch_size, len(x))
         nb = len(x) // bs if bs else 0
         if nb < 2:
-            raise DegenerateDataError("need at least 2 batches for correlation")
+            raise DegenerateDataError(f"need at least 2 batches for correlation: task '{task}' "
+                                      f"has {len(x)} test rows, {nb} batch{'es' * (nb != 1)} "
+                                      f"of {bs}")
         expert_labels = np.argmax(forward(experts[task], task, x), axis=1)
         for stage, assembly in (("initial", initial), ("adapted", adapted)):
             model = assembly.materialize(task)

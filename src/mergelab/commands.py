@@ -29,9 +29,8 @@ import mergelab.serialization as serialization
 import mergelab.suites as suites
 
 from .cli import EXIT_OK, GEN_SEVERITY
-from .config import (ANALYSES, COEFF_ANALYSES, LEARNED, METHOD_COEFFS, ConfigError,
-                     adapt_config_from_dict, adapt_config_to_dict, load_config_section,
-                     suite_config_from_dict)
+from .config import (ANALYSES, LEARNED, METHOD_COEFFS, ConfigError, adapt_config_from_dict,
+                     adapt_config_to_dict, load_config_section, suite_config_from_dict)
 
 if TYPE_CHECKING:
     from pathlib import Path
@@ -245,13 +244,6 @@ class _Inputs:
                     f"{path}: task '{t}' has a head of {head.out_dim} outputs "
                     f"where the suite {self.args.data} needs {widths[t]}")
 
-    def cls_pair_ids(self, analysis: str) -> tuple:
-        """The classification tasks, of which `analysis` needs at least two."""
-        if len(self.cls_ids) < 2:
-            raise ValueError(f"{analysis}: needs at least two classification tasks, "
-                             f"the suite has {len(self.cls_ids)}")
-        return self.cls_ids
-
     @cached_property
     def vectors(self) -> dict:
         from .adaptation import task_vectors_from_experts
@@ -330,7 +322,7 @@ def _cross_matrix_rows(run: _Inputs) -> list:
 
 def _cross_merge_rows(run: _Inputs) -> list:
     from .analysis import cross_merge_pairs
-    ids = run.cls_pair_ids("cross_merge")
+    ids = run.cls_ids
     pairs, rho = cross_merge_pairs({t: run.experts[t] for t in ids},
                                    {t: run.test_sets[t] for t in ids})
     rows = [dict(asdict(p), row_type="pair", spearman_rho=None) for p in pairs]
@@ -341,7 +333,7 @@ def _cross_merge_rows(run: _Inputs) -> list:
 
 def _transfer_rows(run: _Inputs) -> list:
     from .analysis import transfer_metrics
-    ids, assembly = run.cls_pair_ids("transfer"), run.assembly
+    ids, assembly = run.cls_ids, run.assembly
     coeffs = merging.CoefficientMatrix(ids, [assembly.coeffs.row(t) for t in ids])
     heads = {"baseline": [run.experts[t].head(t) for t in ids]}
     trained = assembly.trainable
@@ -460,9 +452,16 @@ def analyze(args) -> int:
             raise ConfigError(f"analyses: '{a}' is not one of {ANALYSES}")
         if a in analyses[:i]:
             raise ConfigError(f"analyses: '{a}' is given twice")
-    needs_coeffs = [a for a in analyses if a in COEFF_ANALYSES]
+    needs_coeffs = [a for a in analyses if reports.ANALYSIS_TABLE[a][1]]
     if needs_coeffs and not args.coeffs:
         raise ConfigError(f"analyses: --coeffs is needed by {', '.join(needs_coeffs)}")
+    for a in analyses:
+        need, have = reports.ANALYSIS_TABLE[a][2], len(run.cls_ids)
+        if have < need:
+            raise ValueError(f"{a}: needs at least {('one', 'two')[need - 1]} classification "
+                             f"task{'s' if need > 1 else ''}, the suite has {have}")
+    if args.batch_size <= 0:
+        raise ValueError(f"batch_size must be positive, got {args.batch_size}")
     # every report is built before any file is written
     built = [(a, _ROW_BUILDERS[a](run)) for a in analyses]
     cfg = dict(run.manifest_cfg(), analyses=list(analyses), batch_size=args.batch_size)

@@ -35,9 +35,6 @@ LEARNED_METHODS = tuple(m for m, c in METHOD_COEFFS.items() if c == LEARNED)
 DEFAULT_METHOD = "symerge"
 
 ANALYSES = tuple(ANALYSIS_TABLE)
-# analyses that read a merge's coefficients (`mergelab analyze --coeffs`)
-COEFF_ANALYSES = frozenset(a for a, (_, needs_coeffs) in ANALYSIS_TABLE.items()
-                           if needs_coeffs)
 
 
 class ConfigError(ValueError):

@@ -8,25 +8,26 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 # Every analysis `mergelab analyze` runs, in order: its report columns after
-# `manifest_hash`, and whether it reads a merge's coefficients (so needs
-# `analyze --coeffs`). `config` and `cli` take their names from here.
+# `manifest_hash`, whether it reads a merge's coefficients (`analyze --coeffs`)
+# and the fewest classification tasks it scores; `analyze` checks both needs
+# before it builds any report. `config` and `cli` take their names from here.
 ANALYSIS_TABLE = {
-    "eval": (("task", "metric", "value"), False),
-    "cross_matrix": (("encoder_task", "head_task", "accuracy"), False),
+    "eval": (("task", "metric", "value"), False, 0),
+    "cross_matrix": (("encoder_task", "head_task", "accuracy"), False, 1),
     "cross_merge": (("row_type", "encoder_task", "head_task", "cross_accuracy",
-                     "merge_accuracy", "spearman_rho"), False),
-    "transfer": (("heads", "merged_score", "cross_score"), True),
-    "correlation": (("task", "proxy", "stage", "spearman_rho", "status"), True),
-    "discrepancy": (("task", "fails", "gains", "net", "n"), True),
-    "sparsity": (("scope", "threshold", "fraction"), True),
+                     "merge_accuracy", "spearman_rho"), False, 2),
+    "transfer": (("heads", "merged_score", "cross_score"), True, 2),
+    "correlation": (("task", "proxy", "stage", "spearman_rho", "status"), True, 1),
+    "discrepancy": (("task", "fails", "gains", "net", "n"), True, 1),
+    "sparsity": (("scope", "threshold", "fraction"), True, 0),
     "prop1": (("instance", "family", "loss", "ctl_residual_max", "ctl_residual_mean",
                "loss_pre", "loss_i", "loss_j", "loss_merge", "jensen_bound", "jensen_slack",
                "jensen_holds", "eps", "bound_disentangled", "bound_synergy",
-               "classification"), False),
-    "pilot": (("coeff", "encoder_task", "head_task", "gain"), False),
+               "classification"), False, 0),
+    "pilot": (("coeff", "encoder_task", "head_task", "gain"), False, 1),
 }
 SCHEMAS = {name: ["manifest_hash", *columns]
-           for name, (columns, _) in ANALYSIS_TABLE.items()}
+           for name, (columns, *_) in ANALYSIS_TABLE.items()}
 
 
 def _fmt(value) -> str:

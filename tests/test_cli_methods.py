@@ -49,7 +49,12 @@ def test_constant_methods_give_their_coefficient():
 def test_analysis_names_columns_and_coeff_flags_come_from_one_table():
     assert config.ANALYSES == ("eval", "cross_matrix", "cross_merge", "transfer",
                                "correlation", "discrepancy", "sparsity", "prop1", "pilot")
-    assert config.COEFF_ANALYSES == {"sparsity", "transfer", "correlation", "discrepancy"}
+    table = reports.ANALYSIS_TABLE
+    assert {a for a, (_, coeffs, _) in table.items() if coeffs} == {
+        "sparsity", "transfer", "correlation", "discrepancy"}
+    assert {a: need for a, (*_, need) in table.items()} == {
+        "eval": 0, "cross_matrix": 1, "cross_merge": 2, "transfer": 2, "correlation": 1,
+        "discrepancy": 1, "sparsity": 0, "prop1": 0, "pilot": 1}
     assert tuple(reports.SCHEMAS) == config.ANALYSES
     assert all(isinstance(c, list) and c[0] == "manifest_hash"
                for c in reports.SCHEMAS.values())
@@ -60,8 +65,10 @@ def test_analysis_names_columns_and_coeff_flags_come_from_one_table():
 def test_readme_report_schema_table_names_exactly_the_registered_analyses():
     text = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
     section = text.split("### Report schemas", 1)[1].split("\n#", 1)[0]
-    named = re.findall(r"^\| `([a-z0-9_]+)` \|", section, flags=re.MULTILINE)
-    assert named == list(config.ANALYSES)
+    rows = re.findall(r"^\| `([a-z0-9_]+)` \| .* \| (yes|no) \| ([0-9]) \|$", section,
+                      flags=re.MULTILINE)
+    assert rows == [(a, "yes" if coeffs else "no", str(need))
+                    for a, (_, coeffs, need) in reports.ANALYSIS_TABLE.items()]
 
 
 def test_readme_methods_table_names_exactly_the_registered_methods():

@@ -9,7 +9,15 @@ import numpy as np
 import pytest
 
 import mergelab.adaptation as adaptation
-from mergelab.analysis import CorrelationReport, discrepancy, evaluate, spearman, transfer_metrics
+from mergelab.analysis import (
+    CorrelationReport,
+    DegenerateDataError,
+    discrepancy,
+    evaluate,
+    loss_correlation_report,
+    spearman,
+    transfer_metrics,
+)
 from mergelab.cli import main
 from mergelab.config import ConfigError, _build, suite_config_from_dict
 from mergelab.engine import (
@@ -123,6 +131,10 @@ CASES = {
                     ("a", "entropy", "initial")),
     "discrepancy": (lambda d: discrepancy([0, 1], [0], [0, 1]), ShapeError,
                     "prediction/label lengths differ"),
+    "correlation_batches": (lambda d: loss_correlation_report(None, None, {}, {"t": (X, LABELS)},
+                                                              batch_size=3),
+                            DegenerateDataError, "need at least 2 batches for correlation: "
+                                                 "task 't' has 4 test rows, 1 batch of 3"),
     # merging
     "coeff_row": (lambda d: CoefficientMatrix(("a",), np.ones((1, 2))).row("b"),
                   UnknownTaskError, "no coefficient row for task 'b'"),
@@ -242,25 +254,77 @@ def test_finetune_with_a_negative_epoch_count_exits_3_naming_the_keyword_before_
     assert not out.exists()
 
 
+@pytest.fixture(scope="module")
+def mixed_inputs(tmp_path_factory):
+    """`analyze`'s input flags for 2-task suites of 24 samples, keyed by `gen
+    --regression`: "0,1" leaves no classification task, "1" leaves one."""
+    inputs = {}
+    for regression in ("0,1", "1"):
+        root = tmp_path_factory.mktemp("regression")
+        data, ckpts, merged = root / "data.bundle", root / "ckpts", root / "merged"
+        assert main(["gen", "--out", str(data), "--tasks", "2", "--samples", "24",
+                     "--regression", regression]) == 0
+        assert main(["finetune", "--data", str(data), "--out-dir", str(ckpts), "--hidden", "4",
+                     "--pre-epochs", "1", "--epochs", "1"]) == 0
+        assert main(["merge", "--ckpt-dir", str(ckpts), "--method", "task_arithmetic",
+                     "--out-dir", str(merged)]) == 0
+        inputs[regression] = ["--data", str(data), "--ckpt-dir", str(ckpts), "--method",
+                              "task_arithmetic", "--coeffs", str(merged / "coeffs.json")]
+    return inputs
+
+
 @pytest.mark.parametrize("analysis", ["transfer", "cross_merge"])
 @pytest.mark.parametrize("regression, classification", [("0,1", 0), ("1", 1)])
 def test_an_analysis_of_task_pairs_exits_3_naming_the_classification_tasks_it_needs(
-        tmp_path, capsys, analysis, regression, classification):
-    data, ckpts, merged, out = (tmp_path / n for n in ("data.bundle", "ckpts", "merged", "out"))
-    assert main(["gen", "--out", str(data), "--tasks", "2", "--samples", "24",
-                 "--regression", regression]) == 0
-    assert main(["finetune", "--data", str(data), "--out-dir", str(ckpts), "--hidden", "4",
-                 "--pre-epochs", "1", "--epochs", "1"]) == 0
-    assert main(["merge", "--ckpt-dir", str(ckpts), "--method", "task_arithmetic",
-                 "--out-dir", str(merged)]) == 0
+        tmp_path, capsys, mixed_inputs, analysis, regression, classification):
+    out = tmp_path / "out"
     capsys.readouterr()
-    code = main(["analyze", "--data", str(data), "--ckpt-dir", str(ckpts),
-                 "--method", "task_arithmetic", "--coeffs", str(merged / "coeffs.json"),
-                 "--analyses", f"eval,{analysis}", "--out-dir", str(out)])
+    code = main(["analyze", *mixed_inputs[regression], "--analyses", f"eval,{analysis}",
+                 "--out-dir", str(out)])
     assert code == 3
     assert capsys.readouterr().err == (f"error: {analysis}: needs at least two classification "
                                        f"tasks, the suite has {classification}\n")
-    assert not out.exists()  # the eval report is built, but nothing is written
+    assert not out.exists()  # refused before any report is built
+
+
+@pytest.mark.parametrize("analysis, rows", [("cross_matrix", 1), ("pilot", 10),
+                                            ("correlation", 4), ("discrepancy", 1)])
+def test_an_analysis_of_classification_tasks_exits_3_without_one_and_reports_with_one(
+        tmp_path, capsys, mixed_inputs, analysis, rows):
+    out = tmp_path / "out"
+    capsys.readouterr()
+    code = main(["analyze", *mixed_inputs["0,1"], "--analyses", f"eval,{analysis}",
+                 "--out-dir", str(out)])
+    assert code == 3
+    assert capsys.readouterr().err == (f"error: {analysis}: needs at least one classification "
+                                       "task, the suite has 0\n")
+    assert not out.exists()
+    # 12-row batches cut the 24-row test split in two, as correlation needs
+    assert main(["analyze", *mixed_inputs["1"], "--analyses", analysis, "--batch-size", "12",
+                 "--out-dir", str(out)]) == 0
+    assert len(json.loads((out / f"{analysis}.json").read_text())["rows"]) == rows
+
+
+def test_a_request_short_of_classification_tasks_twice_names_the_first_short_analysis(
+        tmp_path, capsys, mixed_inputs):
+    capsys.readouterr()
+    code = main(["analyze", *mixed_inputs["0,1"], "--analyses", "pilot,transfer",
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 3
+    assert capsys.readouterr().err == ("error: pilot: needs at least one classification task, "
+                                       "the suite has 0\n")
+
+
+@pytest.mark.parametrize("size", ["0", "-3"])
+def test_analyze_with_a_non_positive_batch_size_exits_3_whatever_the_analyses(
+        tmp_path, capsys, mixed_inputs, size):
+    out = tmp_path / "out"
+    capsys.readouterr()
+    code = main(["analyze", *mixed_inputs["1"], "--analyses", "eval", "--batch-size", size,
+                 "--out-dir", str(out)])
+    assert code == 3
+    assert capsys.readouterr().err == f"error: batch_size must be positive, got {size}\n"
+    assert not out.exists()
 
 
 def test_gen_with_a_noise_beyond_the_bound_exits_2_naming_the_flag(tmp_path, capsys):
