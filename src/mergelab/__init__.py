@@ -24,12 +24,11 @@ __version__ = "0.1.0"
 _MODULE_EXPORTS = {
     "engine": "AdamState LayerParams LossSpec ParamSet ShapeError UnknownTaskError "
               "adam_init adam_step backward forward loss_eval",
-    "merging": "CoefficientMatrix MergedAssembly TaskVector TrainableLayer coefficient_grad "
-               "compute_task_vector default_init_coeff merge_layerwise merge_task_arithmetic "
-               "merge_uniform",
-    "adaptation": "AdaptConfig AdaptResult SelfLabelBatch adamerging_entropy build_assembly "
-                  "confidence_filter finetune_expert make_self_labels "
-                  "pilot_two_stage pretrain_backbone symerge task_vectors_from_experts",
+    "merging": "CoefficientMatrix MergedAssembly TaskVector TrainableLayer build_assembly "
+               "coefficient_grad compute_task_vector default_init_coeff merge_layerwise "
+               "merge_task_arithmetic merge_uniform task_vectors_from_experts",
+    "adaptation": "AdaptConfig AdaptResult SelfLabelBatch adamerging_entropy confidence_filter "
+                  "finetune_expert make_self_labels pilot_two_stage pretrain_backbone symerge",
     "analysis": "CorrelationReport DiscrepancyReport SparsityReport cross_task_matrix "
                 "discrepancy evaluate evaluate_assembly loss_correlation_report spearman "
                 "sparsity_report transfer_metrics",

@@ -51,17 +51,17 @@ from .engine import (
 from .merging import (
     MAX_INIT_COEFF,
     CoefficientMatrix,
-    MergedAssembly,
     TaskVector,
     TrainableLayer,
     _merge_layer,
+    build_assembly,  # noqa: F401  (read as `adaptation.build_assembly`)
     coefficient_grad,
-    compute_task_vector,
     default_init_coeff,  # noqa: F401  (read as `adaptation.default_init_coeff`)
     layer_positions,
     merge_layerwise,
     read_selector,
     stack_task_vectors,
+    task_vectors_from_experts,  # noqa: F401  (read as `adaptation.task_vectors_from_experts`)
 )
 from .suites import TaskSuite, check_field_types, kind_rules, spawn_rng
 
@@ -369,19 +369,6 @@ class AdaptResult:
     trainable: dict  # task -> TrainableLayer (empty when none selected)
     loss_trace: list  # whole-batch self-labeling loss, averaged per pass
     step_stats: list = field(default_factory=list)
-
-
-def build_assembly(pre: ParamSet, vectors: Mapping[str, TaskVector],
-                   experts: Mapping[str, ParamSet], coeffs: CoefficientMatrix,
-                   trainable: Mapping[str, TrainableLayer] | None = None) -> MergedAssembly:
-    """Assemble the merged multi-task model with frozen expert heads."""
-    ids = coeffs.task_ids
-    return MergedAssembly(tuple(pre.encoder), tuple(vectors[t] for t in ids), coeffs,
-                          {t: experts[t].head(t) for t in ids}, dict(trainable or {}))
-
-
-def task_vectors_from_experts(pre: ParamSet, experts: Mapping[str, ParamSet]) -> dict:
-    return {task: compute_task_vector(expert, pre) for task, expert in experts.items()}
 
 
 def symerge(pre: ParamSet, vectors: Mapping[str, TaskVector],

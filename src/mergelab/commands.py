@@ -172,12 +172,13 @@ def merge(args) -> int:
                           f"{merging.MAX_INIT_COEFF:g}], got {args.coeff}")
     pre, experts, digests = _load_ckpt_dir(args.ckpt_dir)
     task_ids = tuple(sorted(experts))
-    vectors = [merging.compute_task_vector(experts[t], pre) for t in task_ids]
+    vectors = merging.task_vectors_from_experts(pre, experts)
     lam = merging.default_init_coeff(len(task_ids)) if args.coeff is None else args.coeff
     coeff = METHOD_COEFFS[args.method](len(task_ids), lam)
     coeffs = merging.CoefficientMatrix.constant(task_ids, len(pre.encoder), coeff)
 
-    merged = engine.ParamSet(merging.merge_layerwise(pre, vectors, coeffs), dict(pre.heads))
+    merged = engine.ParamSet(merging.merge_layerwise(pre, [vectors[t] for t in task_ids], coeffs),
+                             dict(pre.heads))
     _record_run(args, "merge", {"method": args.method, "coeff": coeff, "inputs": digests}, 0)
     serialization.save_checkpoint(merged, args.out_dir / "merged.ckpt")
     serialization.save_coeffs(coeffs, args.out_dir / "coeffs.json")
@@ -246,8 +247,7 @@ class _Inputs:
 
     @cached_property
     def vectors(self) -> dict:
-        from .adaptation import task_vectors_from_experts
-        return task_vectors_from_experts(self.pre, self.experts)
+        return merging.task_vectors_from_experts(self.pre, self.experts)
 
     def constant_coeffs(self, value: float) -> merging.CoefficientMatrix:
         return merging.CoefficientMatrix.constant(self.task_ids, len(self.pre.encoder), value)
@@ -257,7 +257,6 @@ class _Inputs:
         """The merged model: the `--checkpoint`, or the pre-trained encoder
         plus the method's coefficients times the task vectors, with the
         `--layers` swapped in. None for a method that merges nothing."""
-        from .adaptation import build_assembly
         args, source = self.args, METHOD_COEFFS[self.args.method]
         if source is None:
             return None
@@ -280,7 +279,7 @@ class _Inputs:
             k = len(self.task_ids)
             coeffs = self.constant_coeffs(source(k, merging.default_init_coeff(k)))
         trainable = serialization.load_trainable(args.layers) if args.layers else {}
-        return build_assembly(self.pre, self.vectors, self.experts, coeffs, trainable)
+        return merging.build_assembly(self.pre, self.vectors, self.experts, coeffs, trainable)
 
     def manifest_cfg(self) -> dict:
         inputs = dict(self.digests, data=_sha256(self.args.data))
@@ -349,10 +348,9 @@ def _transfer_rows(run: _Inputs) -> list:
 
 
 def _correlation_rows(run: _Inputs) -> list:
-    from .adaptation import build_assembly
     from .analysis import loss_correlation_report
     init = run.constant_coeffs(merging.default_init_coeff(len(run.task_ids)))
-    initial = build_assembly(run.pre, run.vectors, run.experts, init, {})
+    initial = merging.build_assembly(run.pre, run.vectors, run.experts, init, {})
     report = loss_correlation_report(initial, run.assembly, run.experts,
                                      {t: run.test_sets[t] for t in run.cls_ids},
                                      run.args.batch_size)

@@ -333,9 +333,9 @@ def _backprop(g: np.ndarray, acts: list, layers: Sequence[LayerParams], out: Seq
     for i in range(top, lowest - 1, -1):
         if i < top:
             post = acts[i + 1]
-            g = (g @ layers[i + 1].weight) * (1.0 - post * post)  # through the layer above, then d tanh
+            g = g.dot(layers[i + 1].weight) * (1.0 - post * post)  # through the layer above, then d tanh
         if out[i] is not None:
-            np.matmul(g.T, acts[i], out=out[i].weight)
+            np.dot(g.T, acts[i], out=out[i].weight)
             g.sum(axis=0, out=out[i].bias)
 
 

@@ -7,7 +7,7 @@ and that scalar weights the whole layer delta, bias included.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,6 +130,10 @@ def compute_task_vector(expert: ParamSet, pre: ParamSet) -> TaskVector:
                             for le, lp in zip(e, p)))
 
 
+def task_vectors_from_experts(pre: ParamSet, experts: Mapping[str, ParamSet]) -> dict:
+    return {task: compute_task_vector(expert, pre) for task, expert in experts.items()}
+
+
 def merge_uniform(experts: Sequence[ParamSet]) -> tuple:
     """Elementwise mean of the experts' encoders."""
     if not experts:
@@ -163,7 +167,7 @@ def merge_layerwise(pre, vectors: Sequence[TaskVector], coeffs: CoefficientMatri
 
 def _merge_layer(pre_enc, values: np.ndarray, stack: TaskVectorStack, l: int, out=None):
     """Layer `l` of the merge, flat: pre[l] + values[:, l] @ D_l (into `out` if given)."""
-    return np.add(pre_enc[l].flat, values[:, l] @ stack.matrices[l], out=out)
+    return np.add(pre_enc[l].flat, values[:, l].dot(stack.matrices[l]), out=out)
 
 
 def coefficient_grad(encoder_grads: Sequence[LayerParams],
@@ -186,7 +190,7 @@ def coefficient_grad(encoder_grads: Sequence[LayerParams],
     out = np.zeros((len(stack), len(flats)))
     for l, (g, d) in enumerate(zip(flats, stack.matrices)):
         if g is not None:
-            out[:, l] = d @ g
+            out[:, l] = d.dot(g)
     return out
 
 
@@ -305,3 +309,12 @@ class MergedAssembly:
         if layers[-1] is None:
             raise UnknownTaskError(f"no head for task '{task}'")
         return ParamSet(encoder=tuple(layers[:-1]), heads={task: layers[-1]})
+
+
+def build_assembly(pre: ParamSet, vectors: Mapping[str, TaskVector],
+                   experts: Mapping[str, ParamSet], coeffs: CoefficientMatrix,
+                   trainable: Mapping[str, TrainableLayer] | None = None) -> MergedAssembly:
+    """Assemble the merged multi-task model with frozen expert heads."""
+    ids = coeffs.task_ids
+    return MergedAssembly(tuple(pre.encoder), tuple(vectors[t] for t in ids), coeffs,
+                          {t: experts[t].head(t) for t in ids}, dict(trainable or {}))

@@ -22,6 +22,7 @@ from mergelab.adaptation import (
     task_vectors_from_experts,
 )
 from mergelab.analysis import (
+    cross_task_matrix,
     discrepancy,
     evaluate,
     evaluate_assembly,
@@ -286,6 +287,10 @@ class SeedOutcome:
     transfer_adapted: tuple
     corrupted_joint: float
     corrupted_ta: float
+    # off-diagonal mean gains (expert encoder i, head j != i, on task j's test
+    # split) of the joint run's adapted heads and of the two-stage pilot's heads
+    label_free_gain: float
+    supervised_gain: float
     discrepancy_checks: list = field(default_factory=list)
 
 
@@ -342,6 +347,11 @@ def _run_seed(seed: int, adapt_cfg: dict) -> SeedOutcome:
     adapted_heads = [joint_res.trainable[t].params for t in tids]
     transfer_adapted = transfer_metrics(pre.encoder, vlist, init_coeffs, adapted_heads,
                                         [test_sets[t] for t in tids])
+    off_diagonal = ~np.eye(len(tids), dtype=bool)
+    expert_encoders, sets = [experts[t].encoder for t in tids], [test_sets[t] for t in tids]
+    head_gains = (cross_task_matrix(expert_encoders, adapted_heads, sets)
+                  - cross_task_matrix(expert_encoders, base_heads, sets))
+    pilot_gains = pilot_two_stage(ta_enc, suite, experts, seed=seed)
 
     checks = []
     for t in tids:
@@ -377,7 +387,9 @@ def _run_seed(seed: int, adapt_cfg: dict) -> SeedOutcome:
         coef_only=coef_only, layer_only=layer_only, adamerging=adamerging, corr_wins=corr_wins,
         num_tasks=len(tids), transfer_baseline=transfer_baseline,
         transfer_adapted=transfer_adapted, corrupted_joint=float(np.mean(sy_corr)),
-        corrupted_ta=float(np.mean(ta_corr)), discrepancy_checks=checks,
+        corrupted_ta=float(np.mean(ta_corr)),
+        label_free_gain=float(head_gains[off_diagonal].mean()),
+        supervised_gain=float(pilot_gains[off_diagonal].mean()), discrepancy_checks=checks,
     )
 
 
@@ -526,3 +538,18 @@ def test_criterion_11_self_labels_beat_entropy(study):
     ok = wins >= 9
     _report(11, ok, f"coefficients-only self-labeling beats entropy adaptation (adamerging) "
                     f"on {wins}/10 seeds (need 9)")
+
+
+def test_criterion_12_one_adapted_layer_improves_compatibility(study):
+    outcomes, _ = study
+    label_free = [o.label_free_gain for o in outcomes]
+    supervised = [o.supervised_gain for o in outcomes]
+    label_free_wins = sum(1 for g in label_free if g > 0)
+    supervised_wins = sum(1 for g in supervised if g > 0)
+    ok = label_free_wins >= 9 and supervised_wins >= 9
+    _report(12, ok, f"heads adapted over the merged encoder score better than the experts' own "
+                    f"on the other experts' encoders (off-diagonal mean gain): joint "
+                    f"label-free adaptation on {label_free_wins}/10 seeds (min "
+                    f"{min(label_free):+.3f}), supervised two-stage pilot at "
+                    f"task_arithmetic(0.3) on {supervised_wins}/10 (min {min(supervised):+.3f}) "
+                    f"(need 9 each)")

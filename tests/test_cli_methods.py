@@ -12,9 +12,8 @@ import numpy as np
 import pytest
 
 from mergelab import cli, config, reports
-from mergelab.adaptation import task_vectors_from_experts
 from mergelab.cli import build_parser, main
-from mergelab.merging import merge_layerwise
+from mergelab.merging import merge_layerwise, task_vectors_from_experts
 from mergelab.reports import aggregate_reports
 from mergelab.serialization import BundleError, load_checkpoint, load_coeffs
 
@@ -146,7 +145,7 @@ def test_merge_writes_the_layerwise_merge_of_its_coefficients(reference):
 
 
 def test_merge_writes_the_task_arithmetic_coefficients_eval_scores(tmp_path, monkeypatch):
-    from mergelab import adaptation
+    from mergelab import merging
     data, ckpts, merged = tmp_path / "data.bundle", tmp_path / "ckpts", tmp_path / "merged"
     assert main(["gen", "--out", str(data), "--tasks", "9", "--classes", "3",
                  "--input-dim", "6", "--samples", "24", "--subspace-dim", "3",
@@ -155,8 +154,8 @@ def test_merge_writes_the_task_arithmetic_coefficients_eval_scores(tmp_path, mon
                  "--pre-epochs", "1", "--epochs", "1", "--seed", "3"]) == 0
     assert main(["merge", "--ckpt-dir", str(ckpts), "--method", "task_arithmetic",
                  "--out-dir", str(merged)]) == 0
-    scored, build = [], adaptation.build_assembly
-    monkeypatch.setattr(adaptation, "build_assembly",
+    scored, build = [], merging.build_assembly
+    monkeypatch.setattr(merging, "build_assembly",
                         lambda pre, vectors, experts, coeffs, trainable:
                         scored.append(coeffs) or build(pre, vectors, experts, coeffs, trainable))
     assert _eval(tmp_path, "eval", "--method", "task_arithmetic")

@@ -78,6 +78,13 @@ def test_task_vector_shape_mismatch():
                             random_paramset(rng, dims=(5, 7, 4)))
 
 
+def test_adaptation_reads_the_merge_recipes_from_merging():
+    # one definition each: callers that read them through `adaptation` get merging's
+    from mergelab import adaptation, merging
+    assert adaptation.build_assembly is merging.build_assembly
+    assert adaptation.task_vectors_from_experts is merging.task_vectors_from_experts
+
+
 # ---------------------------------------------------------------------------
 # merge operators
 

@@ -5,7 +5,7 @@ must give the same bits in every caller."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mergelab.adaptation import (
@@ -21,6 +21,8 @@ from mergelab.engine import (
     LayerParams,
     LossSpec,
     ParamSet,
+    _activations,
+    _backprop,
     adam_init,
     adam_step,
     backward,
@@ -258,3 +260,39 @@ def test_each_shared_rule_gives_the_same_bits_in_every_caller(widths, batch, hea
             accuracy = evaluate(enc, head, x, y)
             assert accuracy == float((np.argmax(logits, axis=1) == y).mean())
             assert matrix[i, j] == accuracy
+
+
+@PROPERTY
+@given(widths=st.lists(st.integers(1, 12), min_size=2, max_size=5),  # encoder depth 1-4
+       batch=st.integers(1, 20), k=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+@example(widths=[1, 1], batch=1, k=1, seed=0)
+@example(widths=[7, 1, 5], batch=1, k=3, seed=1)
+def test_each_dot_product_gives_the_bits_of_its_at_form(widths, batch, k, seed):
+    """The merge, the coefficient gradient and backprop write their 2-D
+    products with `ndarray.dot`, which skips `@`'s dispatch; a numpy or BLAS
+    under which the two round apart fails here, not in a golden score."""
+    rng = np.random.default_rng(seed)
+
+    def encoder():
+        return tuple(_layer(rng, o, i) for i, o in zip(widths, widths[1:]))
+
+    pre = encoder()
+    stack = stack_task_vectors([compute_task_vector(encoder(), pre) for _ in range(k)], pre)
+    values = rng.normal(0.0, 1.0, (k, len(pre)))
+    flat_grads = [rng.normal(0.0, 1.0, l.flat.size) for l in pre]
+    columns = coefficient_grad(flat_grads, stack)
+    for l, d in enumerate(stack.matrices):
+        assert (_merge_layer(pre, values, stack, l).tobytes()
+                == np.add(pre[l].flat, values[:, l] @ d).tobytes())
+        assert columns[:, l].tobytes() == (d @ flat_grads[l]).tobytes()
+
+    layers = (*pre, _layer(rng, int(rng.integers(1, 6)), widths[-1]))
+    acts = _activations(pre, rng.normal(0.0, 1.0, (batch, widths[0])))
+    g = rng.normal(0.0, 1.0, (batch, layers[-1].out_dim))
+    grads = _split(np.empty(sum(l.flat.size for l in layers)), layers)
+    _backprop(g, acts, layers, grads)
+    for i in range(len(layers) - 1, -1, -1):
+        if i < len(layers) - 1:
+            g = (g @ layers[i + 1].weight) * (1.0 - acts[i + 1] * acts[i + 1])
+        assert grads[i].weight.tobytes() == (g.T @ acts[i]).tobytes()
+        assert grads[i].bias.tobytes() == g.sum(axis=0).tobytes()
